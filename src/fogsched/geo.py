@@ -93,7 +93,8 @@ def step_vector(
 
 
 def decode_position(position: np.ndarray, n_candidates: int) -> np.ndarray:
-    """Round-half-up each clamped coordinate to a candidate index."""
+    """Round-half-up each clamped coordinate to a candidate index; decodes
+    one position or a whole ``(pop, dim)`` flock."""
     clamped = np.clip(position, 0.0, n_candidates - 1.0)
     return np.floor(clamped + 0.5).astype(np.intp)
 
@@ -182,6 +183,22 @@ class _SubProblem:
             self._cache[key] = cached
         return cached
 
+    def fitness_many(self, genomes) -> np.ndarray:
+        """Fitness of every row of a ``(pop, dim)`` genome matrix.  Rows
+        already cached are looked up; the distinct misses are scored in one
+        kernel call, so a genome repeated in the batch is computed once."""
+        genomes = np.ascontiguousarray(genomes, dtype=np.intp)
+        raw = genomes.tobytes()
+        step = genomes.shape[1] * genomes.itemsize
+        keys = [raw[i : i + step] for i in range(0, len(raw), step)]
+        cache = self._cache
+        missing = {key: i for i, key in enumerate(keys) if key not in cache}
+        if missing:
+            rows = genomes[list(missing.values())]
+            values = self.ctx.fitness(self.candidate_idx[rows], self.weights)
+            cache.update(zip(missing, values.tolist()))
+        return np.array([cache[key] for key in keys])
+
     def to_assignment(self, genome) -> Assignment:
         mapping = {
             task_id: self.candidates[int(g)]
@@ -207,13 +224,12 @@ def geo_optimize(
     upper = float(problem.n_candidates - 1)
 
     positions = rng.uniform(0.0, upper, size=(pop, dim))
-    fitnesses = np.array(
-        [problem.fitness_of(decode_position(x, problem.n_candidates)) for x in positions]
-    )
+    genomes = decode_position(positions, problem.n_candidates)
+    fitnesses = problem.fitness_many(genomes)
     memory_pos = positions.copy()
     memory_fit = fitnesses.copy()
     best_i = int(np.argmin(fitnesses))
-    best_genome = decode_position(positions[best_i], problem.n_candidates)
+    best_genome = genomes[best_i]
     best_fit = float(fitnesses[best_i])
 
     pa_sched, pc_sched = _propensities(params)
@@ -223,15 +239,17 @@ def geo_optimize(
         positions, _, _, _ = _swarm_move(
             positions, prey, pa_sched[t], pc_sched[t], rng, upper
         )
-        for i in range(pop):
-            genome = decode_position(positions[i], problem.n_candidates)
-            fit = problem.fitness_of(genome)
-            if fit < memory_fit[i]:
-                memory_fit[i] = fit
-                memory_pos[i] = positions[i]
-            if fit < best_fit:
-                best_fit = fit
-                best_genome = genome
+        genomes = decode_position(positions, problem.n_candidates)
+        fits = problem.fitness_many(genomes)
+        improved = fits < memory_fit
+        memory_fit[improved] = fits[improved]
+        memory_pos[improved] = positions[improved]
+        # the first eagle holding the iteration's minimum, as a sequential
+        # scan with a strict comparison would pick
+        fit_i = int(fits.argmin())
+        if fits[fit_i] < best_fit:
+            best_fit = float(fits[fit_i])
+            best_genome = genomes[fit_i]
         if trace is not None:
             trace.append((t, best_fit))
 

@@ -168,7 +168,7 @@ def igeo_optimize(
 
     genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp)
     shadow = genomes.astype(float)
-    fitnesses = np.array([problem.fitness_of(g) for g in genomes])
+    fitnesses = problem.fitness_many(genomes)
     best_i = int(np.argmin(fitnesses))
     best_genome = genomes[best_i].copy()
     best_fit = float(fitnesses[best_i])
@@ -227,7 +227,7 @@ def igeo_optimize(
                         inside, genomes[t_rows], best_genome[None, :]
                     )
 
-        fits = np.array([problem.fitness_of(c) for c in children])
+        fits = problem.fitness_many(children)
         # mutation offspring always become the new position (keeps the
         # population exploring); crossover offspring only when not worse
         accept = negative | (fits <= fitnesses)

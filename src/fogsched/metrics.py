@@ -103,8 +103,12 @@ class FitnessWeights:
     norm_energy: float = 1.0
 
     def __post_init__(self):
-        if self.w_response < 0 or self.w_deadline < 0 or self.w_energy < 0:
-            raise ValueError("weights must be nonnegative")
+        for name in ("w_response", "w_deadline", "w_energy"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
+        for name in ("norm_response", "norm_deadline", "norm_energy"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.w_response == self.w_deadline == self.w_energy == 0:
             raise ValueError("at least one weight must be positive")
 
@@ -117,17 +121,26 @@ class FitnessWeights:
 
 
 class Evaluator:
-    """Precomputed fast path for evaluating many assignments against one
-    instance.
+    """Precomputed routing and node/task arrays for evaluating many
+    assignments against one instance.
+
+    ``report`` evaluates one full assignment with per-task detail.
+    ``subset_context`` freezes a task subset for the optimizers, whose
+    ``objectives`` kernel scores one genome (an ``(n,)`` array of node
+    indices) or a whole flock (a ``(pop, n)`` matrix) per call.
 
     Routing is hop-count shortest path from each task's gateway to its node,
     computed once by breadth-first search with sorted-neighbor tie-breaks so
     path metrics are deterministic.
+
+    The evaluator keeps no reference to its instance, so an instance that
+    caches its evaluator (``_evaluator``) forms no reference cycle and is
+    freed, fitness caches included, as soon as its last user drops it.
     """
 
     def __init__(self, instance: Instance):
-        self.instance = instance
         nodes = instance.topology.nodes
+        self._nodes = {n.id: n for n in nodes}
         self.m = len(nodes)
         self._node_index = {n.id: k for k, n in enumerate(nodes)}
         self._node_ids = [n.id for n in nodes]
@@ -141,6 +154,7 @@ class Evaluator:
         tasks = instance.tasks
         self.n = len(tasks)
         self._task_index = {t.id: k for k, t in enumerate(tasks)}
+        self._deadlines = {t.id: t.deadline for t in tasks}
         self.length = np.array([t.length for t in tasks])
         self.data_size = np.array([t.data_size for t in tasks])
         self.deadline = np.array([t.deadline for t in tasks])
@@ -148,11 +162,11 @@ class Evaluator:
             [self._node_index[instance.gateway_of(t)] for t in tasks], dtype=np.intp
         )
 
-        self.path_prop, self.path_bw = self._route_all_pairs()
+        self.path_prop, self.path_bw = self._route_all_pairs(instance.topology.links)
 
-    def _route_all_pairs(self):
+    def _route_all_pairs(self, links):
         adjacency = {k: [] for k in range(self.m)}
-        for link in self.instance.topology.links:
+        for link in links:
             a = self._node_index.get(link.endpoints[0])
             b = self._node_index.get(link.endpoints[1])
             if a is None or b is None:
@@ -217,7 +231,7 @@ class Evaluator:
     def report(self, assignment: Assignment, weights: FitnessWeights) -> MetricsReport:
         per_task = self.breakdowns(assignment)
         dv_per_task = tuple(
-            max(0.0, b.response - self.instance.task(b.task_id).deadline)
+            max(0.0, b.response - self._deadlines[b.task_id])
             for b in per_task
         )
         dv_total = 0.0
@@ -230,9 +244,7 @@ class Evaluator:
             response_max = max(response_max, b.response)
 
         horizon = response_max  # global makespan; idle-energy window
-        busy = {nid: 0.0 for nid in self._node_ids}
-        for b in per_task:
-            busy[assignment.mapping[b.task_id]] += b.execution
+        busy = self.busy_by_node(assignment, per_task)
         energy_per_node = []
         energy_total = 0.0
         for nid in self._node_ids:
@@ -252,12 +264,22 @@ class Evaluator:
             response_max=response_max,
         )
 
+    def busy_by_node(self, assignment: Assignment, per_task=None) -> dict:
+        """Node id -> summed execution time of its tasks, added in task-id
+        order; ``per_task`` reuses breakdowns the caller already has."""
+        if per_task is None:
+            per_task = self.breakdowns(assignment)
+        busy = {nid: 0.0 for nid in self._node_ids}
+        for b in per_task:
+            busy[assignment.mapping[b.task_id]] += b.execution
+        return busy
+
     def _node_energy(self, node_id: int, busy_ms: float, horizon: float) -> float:
         if horizon < busy_ms - 1e-9:
             raise ValueError(
                 f"horizon {horizon} ms shorter than node {node_id} busy time {busy_ms} ms"
             )
-        node = self.instance.node(node_id)
+        node = self._nodes[node_id]
         idle_ms = max(0.0, horizon - busy_ms)
         return (
             node.alpha * node.active_power * busy_ms / 1000.0
@@ -268,62 +290,102 @@ class Evaluator:
     # Vectorized sub-problem objective used inside optimizer loops.
 
     def subset_context(self, task_ids: Sequence[int]):
-        """Freeze the per-subset arrays (EDF visit order included) so the
-        per-candidate evaluation below is cheap."""
+        """Freeze a task subset for repeated evaluation: its EDF visit order
+        (deadline, then task id) and, in that order, every task's execution
+        time and network delay (propagation plus transmission) on every
+        node, as ``(n, m)`` tables.  ``objectives`` of the returned context
+        is the one evaluation kernel of the optimizers."""
         idx = np.array([self._task_index[t] for t in task_ids], dtype=np.intp)
         edf = np.lexsort((np.array(task_ids), self.deadline[idx]))
+        visit = idx[edf]
+        bw = self.path_bw[self.gateway[visit]]
+        transmission = np.where(np.isinf(bw), 0.0, self.data_size[visit, None] / bw)
         return _SubsetContext(
-            evaluator=self,
-            task_idx=idx,
             edf_order=edf,
-            gateway=self.gateway[idx],
-            length=self.length[idx],
-            data_size=self.data_size[idx],
+            restore=np.argsort(edf),
+            cell_offset=np.arange(len(idx)) * self.m,
+            execution=self.length[visit, None] / self.mips * 1000.0,
+            delay=self.path_prop[self.gateway[visit]] + transmission,
             deadline=self.deadline[idx],
+            active=self.alpha * self.active_power,
+            idle=self.beta * self.idle_power,
         )
 
 
 @dataclass
 class _SubsetContext:
-    evaluator: Evaluator
-    task_idx: np.ndarray
-    edf_order: np.ndarray
-    gateway: np.ndarray
-    length: np.ndarray
-    data_size: np.ndarray
-    deadline: np.ndarray
+    edf_order: np.ndarray  # subset positions in EDF visit order
+    restore: np.ndarray  # inverse permutation of edf_order
+    cell_offset: np.ndarray  # row offsets into the flattened (n, m) tables
+    execution: np.ndarray  # (n, m) in EDF order, ms
+    delay: np.ndarray  # (n, m) in EDF order: propagation + transmission, ms
+    deadline: np.ndarray  # (n,) in subset order, ms
+    active: np.ndarray  # (m,) alpha * active power
+    idle: np.ndarray  # (m,) beta * idle power
 
     def objectives(self, node_idx: np.ndarray):
         """(response_total, response_max, dv_total, energy_total) of mapping
-        the subset's tasks onto ``node_idx`` (node array indices)."""
-        ev = self.evaluator
-        execution = self.length / ev.mips[node_idx] * 1000.0
-        prop = ev.path_prop[self.gateway, node_idx]
-        bw = ev.path_bw[self.gateway, node_idx]
-        transmission = np.where(np.isinf(bw), 0.0, self.data_size / bw)
+        the subset's tasks onto ``node_idx`` (node array indices, one per
+        task in subset order).
 
-        queue = np.zeros(len(execution))
-        busy = np.zeros(ev.m)
-        for k in self.edf_order:
-            j = node_idx[k]
-            queue[k] = busy[j]
-            busy[j] += execution[k]
+        ``node_idx`` of shape ``(n,)`` returns four floats; a ``(pop, n)``
+        matrix returns four length-``pop`` arrays, row for row equal to the
+        single-genome results.
 
-        response = prop + transmission + execution + queue
-        response_total = float(response.sum())
-        response_max = float(response.max()) if len(response) else 0.0
-        dv_total = float(np.maximum(0.0, response - self.deadline).sum())
-        horizon = response_max
-        energy_total = float(
-            (
-                ev.alpha * ev.active_power * busy
-                + ev.beta * ev.idle_power * (horizon - busy)
-            ).sum()
-            / 1000.0
-        )
+        Every node serves its tasks non-preemptively in EDF order.  Each
+        genome's tasks are grouped by node in that order and their execution
+        times scattered into a zero-padded ``(pop * m, width)`` matrix, one
+        row per (genome, node), one slot per queue position, behind a
+        leading zero column.  A row-wise prefix sum (``cumsum``) adds left to
+        right, as a sequential ``busy += execution`` does, and adding a
+        padding zero changes no sum, so a task's queue wait is the prefix one slot
+        before its own and a node's busy time is the row's last value.
+        Every total is then reduced per genome along a contiguous row in
+        subset (task) order and node order, so batched and single results
+        are bit-identical.
+        """
+        node_idx = np.asarray(node_idx)
+        nodes = node_idx.take(self.edf_order, axis=-1)  # EDF order
+        shape = nodes.shape
+        rows = shape[0] if nodes.ndim == 2 else 1
+        m = len(self.active)
+        cell = nodes + self.cell_offset
+        execution = self.execution.take(cell)
+
+        # one lane per (genome, node), numbered genome * m + node; a stable
+        # sort groups each lane's tasks and keeps their EDF order (small
+        # keys sort by radix)
+        key = nodes.reshape(-1)
+        if rows > 1:
+            key = (nodes + np.arange(0, rows * m, m)[:, None]).ravel()
+        counts = np.bincount(key, minlength=rows * m)
+        order = key.astype(np.min_scalar_type(rows * m)).argsort(kind="stable")
+        lane = key[order]
+        start = np.add.accumulate(counts) - counts  # each lane's first entry in order
+        width = int(np.maximum.reduce(counts)) + 1
+        slot = lane * width + (np.arange(key.size) - start[lane])
+        lanes = np.zeros((rows * m, width))
+        flat = lanes.reshape(-1)
+        flat[slot + 1] = execution.take(order)
+        np.add.accumulate(lanes, axis=1, out=lanes)
+        queue = np.empty(key.size)
+        queue[order] = flat[slot]
+        busy = lanes[:, -1].reshape(shape[:-1] + (m,))
+
+        response = self.delay.take(cell) + execution + queue.reshape(shape)
+        response = response.take(self.restore, axis=-1)  # subset order, contiguous rows
+        response_total = np.add.reduce(response, axis=-1)
+        response_max = np.maximum.reduce(response, axis=-1, initial=0.0)
+        violation = np.subtract(response, self.deadline)
+        dv_total = np.add.reduce(np.maximum(0.0, violation, out=violation), axis=-1)
+        idle_ms = np.subtract(response_max[..., None], busy)
+        energy_total = np.add.reduce(self.active * busy + self.idle * idle_ms, axis=-1) / 1000.0
+        if node_idx.ndim == 1:
+            return float(response_total), float(response_max), float(dv_total), float(energy_total)
         return response_total, response_max, dv_total, energy_total
 
-    def fitness(self, node_idx: np.ndarray, weights: FitnessWeights) -> float:
+    def fitness(self, node_idx: np.ndarray, weights: FitnessWeights):
+        """Scalar fitness of one genome, or a fitness array of a matrix."""
         r, _, dv, e = self.objectives(node_idx)
         return weights.combine(r, dv, e)
 
@@ -359,17 +421,15 @@ def total_deadline_violation(instance: Instance, assignment: Assignment) -> floa
 
 def node_energy(instance: Instance, assignment: Assignment, node_id: int, horizon: float) -> float:
     ev = _evaluator(instance)
-    busy = 0.0
-    for b in ev.breakdowns(assignment):
-        if assignment.mapping[b.task_id] == node_id:
-            busy += b.execution
-    return ev._node_energy(node_id, busy, horizon)
+    return ev._node_energy(node_id, ev.busy_by_node(assignment)[node_id], horizon)
 
 
 def total_energy(instance: Instance, assignment: Assignment, horizon: float) -> float:
+    ev = _evaluator(instance)
+    busy = ev.busy_by_node(assignment)
     total = 0.0
     for node in instance.topology.nodes:
-        total += node_energy(instance, assignment, node.id, horizon)
+        total += ev._node_energy(node.id, busy[node.id], horizon)
     return total
 
 

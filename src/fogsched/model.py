@@ -89,11 +89,6 @@ class Assignment:
     def task_ids(self) -> list:
         return sorted(self.mapping)
 
-    def as_array(self, n_tasks: int) -> list:
-        """Dense mapping[i] = node id form, for full assignments with
-        contiguous task ids 0..n-1."""
-        return [self.mapping[i] for i in range(n_tasks)]
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,18 @@ def test_total_energy_matches_oracle(small_instance, unit_weights):
     )
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_total_energy_equals_report_energy_exactly(seed):
+    instance = make_instance(200, 20, seed=seed)
+    rng = np.random.default_rng(seed)
+    mapping = {t.id: int(rng.integers(0, 20)) for t in instance.tasks}
+    assignment = build_assignment(instance.tasks, mapping)
+    report = evaluate(instance, assignment, FitnessWeights())
+    assert total_energy(instance, assignment, report.response_max) == report.energy_total
+    for node_id, energy in report.energy_per_node[:3]:
+        assert node_energy(instance, assignment, node_id, report.response_max) == energy
+
+
 def test_fitness_projection(small_instance):
     mapping = {t.id: 0 for t in small_instance.tasks}
     assignment = build_assignment(small_instance.tasks, mapping)
@@ -159,6 +172,20 @@ def test_fitness_weighted_sum_matches_hand_combination(small_instance, unit_weig
 def test_weights_reject_all_zero():
     with pytest.raises(ValueError):
         FitnessWeights(w_response=0.0, w_deadline=0.0, w_energy=0.0)
+
+
+@pytest.mark.parametrize("field", ["w_response", "w_deadline", "w_energy"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_weights_reject_nonfinite_or_negative_weight(field, value):
+    with pytest.raises(ValueError, match=field):
+        FitnessWeights(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["norm_response", "norm_deadline", "norm_energy"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_weights_reject_nonfinite_or_nonpositive_norm(field, value):
+    with pytest.raises(ValueError, match=field):
+        FitnessWeights(**{field: value})
 
 
 def test_evaluation_deterministic(small_instance, unit_weights):
