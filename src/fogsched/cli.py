@@ -7,21 +7,18 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from .geo import GeoParams, geo_optimize
+from .geo import GeoParams
 from .harness import (
     ALGORITHMS,
     ExperimentPlan,
-    RunRecord,
     aggregate,
     read_records,
     run_algorithm,
-    write_records,
     write_summary,
 )
-from .igeo import IgeoParams, igeo_optimize
+from .igeo import IgeoParams
 from .metrics import calibrate_weights, evaluate
 from .model import (
     Instance,
@@ -31,8 +28,7 @@ from .model import (
     save_scenario,
     validate_instance,
 )
-from .rigeo import rigeo_schedule
-from .rl import RlConfig, rl_optimize
+from .rl import RlConfig
 
 
 def _parse_weights(text: str):
@@ -110,34 +106,13 @@ def _cmd_run(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    node_ids = [n.id for n in topology.nodes]
-    task_ids = [t.id for t in tasks]
     trace = [] if args.trace else None
 
     start = time.perf_counter()
-    if args.algorithm == "GEO":
-        assignment, _ = geo_optimize(
-            instance, node_ids, task_ids, GeoParams(rng_seed=args.seed), weights, trace=trace
-        )
-    elif args.algorithm == "IGEO-only":
-        assignment, _ = igeo_optimize(
-            instance, node_ids, task_ids, IgeoParams(rng_seed=args.seed), weights, trace=trace
-        )
-    elif args.algorithm == "RL-only":
-        assignment, _ = rl_optimize(
-            instance, node_ids, task_ids, RlConfig(rng_seed=args.seed), weights, trace=trace
-        )
-    elif args.algorithm == "RIGEO":
-        assignment, _ = rigeo_schedule(
-            instance,
-            IgeoParams(rng_seed=args.seed),
-            RlConfig(rng_seed=args.seed),
-            weights,
-            summary_path=out / "routing_summary.json",
-        )
-    else:
-        plan = ExperimentPlan()
-        assignment = run_algorithm(args.algorithm, instance, args.seed, weights, plan)
+    assignment = run_algorithm(
+        args.algorithm, instance, args.seed, weights, ExperimentPlan(),
+        trace=trace, summary_path=out / "routing_summary.json",
+    )
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     report = evaluate(instance, assignment, weights)

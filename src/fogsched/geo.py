@@ -9,7 +9,7 @@ candidate index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -60,14 +60,11 @@ def cruise_vector(attack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     [-1, 1].
     """
     attack = np.asarray(attack, dtype=float)
-    nonzero = np.flatnonzero(attack)
-    if nonzero.size == 0:
+    if not attack.any():
         raise ValueError("cruise vector is undefined for a zero attack vector")
-    k = int(rng.choice(nonzero))
-    cruise = rng.uniform(-1.0, 1.0, size=attack.shape)
-    cruise[k] = 0.0
-    cruise[k] = -float(attack @ cruise) / attack[k]
-    return cruise
+    cruise = rng.uniform(-1.0, 1.0, size=(1, attack.size))
+    pick = rng.random((1, attack.size))
+    return _orthogonal_cruise(attack[None, :], cruise, pick)[0]
 
 
 def step_vector(
@@ -82,14 +79,12 @@ def step_vector(
     products drive the discrete operator choice downstream."""
     attack = np.asarray(attack, dtype=float)
     cruise = np.asarray(cruise, dtype=float)
-    a_norm = float(np.linalg.norm(attack))
-    c_norm = float(np.linalg.norm(cruise))
-    if a_norm == 0.0 or c_norm == 0.0:
+    if not (attack.any() and cruise.any()):
         raise ValueError("attack and cruise vectors must be nonzero")
-    r1 = float(rng.random())
-    r2 = float(rng.random())
-    delta = r1 * pa * attack / a_norm + r2 * pc * cruise / c_norm
-    return delta, r1 * pa, r2 * pc
+    r1pa = float(rng.random()) * pa
+    r2pc = float(rng.random()) * pc
+    delta = _scaled_step(attack[None, :], cruise[None, :], np.array([r1pa]), np.array([r2pc]))
+    return delta[0], r1pa, r2pc
 
 
 def decode_position(position: np.ndarray, n_candidates: int) -> np.ndarray:
@@ -105,6 +100,32 @@ def _propensities(params: GeoParams):
     return pa, pc
 
 
+def _orthogonal_cruise(attack, cruise, pick):
+    """Make every row of ``cruise`` orthogonal to its ``attack`` row, in
+    place: the row's nonzero attack coordinate with the highest ``pick``
+    score (a uniform choice for uniform scores) is solved from the
+    orthogonality equation.  Rows with a zero attack get a zero cruise."""
+    nonzero = attack != 0.0
+    moving = nonzero.any(axis=1)
+    k = np.where(nonzero, pick, -1.0).argmax(axis=1)
+    rows = np.flatnonzero(moving)
+    cruise[~moving] = 0.0
+    cruise[rows, k[rows]] = 0.0
+    dot = (attack[rows] * cruise[rows]).sum(axis=1)
+    cruise[rows, k[rows]] = -dot / attack[rows, k[rows]]
+    return cruise
+
+
+def _scaled_step(attack, cruise, r1pa, r2pc):
+    """Per-row ``r1pa`` times the attack unit direction plus ``r2pc`` times
+    the cruise unit direction; a zero row contributes nothing."""
+    a_norm = np.sqrt((attack * attack).sum(axis=1))
+    c_norm = np.sqrt((cruise * cruise).sum(axis=1))
+    a_scale = np.where(a_norm > 0.0, r1pa / np.where(a_norm > 0.0, a_norm, 1.0), 0.0)
+    c_scale = np.where(c_norm > 0.0, r2pc / np.where(c_norm > 0.0, c_norm, 1.0), 0.0)
+    return a_scale[:, None] * attack + c_scale[:, None] * cruise
+
+
 def _swarm_move(positions, prey, pa, pc, rng, upper):
     """Vectorized one-iteration move for the whole flock.
 
@@ -115,28 +136,12 @@ def _swarm_move(positions, prey, pa, pc, rng, upper):
     pop, dim = positions.shape
     attack = prey - positions
     cruise = rng.uniform(-1.0, 1.0, size=(pop, dim))
-    r1 = rng.random(pop)
-    r2 = rng.random(pop)
-    pick = rng.random((pop, dim))
-
-    nonzero = attack != 0.0
-    moving = nonzero.any(axis=1)
-    # uniform choice among each row's nonzero attack coordinates: random
-    # scores masked to the nonzero positions, argmax picks one
-    k = np.where(nonzero, pick, -1.0).argmax(axis=1)
-    rows = np.flatnonzero(moving)
-    cruise[~moving] = 0.0
-    cruise[rows, k[rows]] = 0.0
-    dot = (attack[rows] * cruise[rows]).sum(axis=1)
-    cruise[rows, k[rows]] = -dot / attack[rows, k[rows]]
-
-    a_norm = np.sqrt((attack * attack).sum(axis=1))
-    c_norm = np.sqrt((cruise * cruise).sum(axis=1))
-    a_scale = np.where(a_norm > 0.0, r1 * pa / np.where(a_norm > 0.0, a_norm, 1.0), 0.0)
-    c_scale = np.where(c_norm > 0.0, r2 * pc / np.where(c_norm > 0.0, c_norm, 1.0), 0.0)
-    delta = a_scale[:, None] * attack + c_scale[:, None] * cruise
+    r1pa = rng.random(pop) * pa
+    r2pc = rng.random(pop) * pc
+    cruise = _orthogonal_cruise(attack, cruise, rng.random((pop, dim)))
+    delta = _scaled_step(attack, cruise, r1pa, r2pc)
     new_positions = np.clip(positions + delta, 0.0, upper)
-    return new_positions, delta.sum(axis=1), r1 * pa, r2 * pc
+    return new_positions, delta.sum(axis=1), r1pa, r2pc
 
 
 class _SubProblem:
@@ -157,14 +162,14 @@ class _SubProblem:
             [evaluator.node_index(c) for c in self.candidates], dtype=np.intp
         )
         self.ctx = evaluator.subset_context(self.task_ids)
-        # fitness values depend only on (tasks, candidates, weights), so the
-        # cache is shared across optimizer runs on the same instance
-        shared = getattr(evaluator, "_fitness_caches", None)
-        if shared is None:
-            shared = {}
-            evaluator._fitness_caches = shared
+        stranded = np.isinf(self.ctx.delay[:, self.candidate_idx]).all(axis=1)
+        if stranded.any():
+            task_id = self.task_ids[self.ctx.edf_order[stranded.argmax()]]
+            raise ValueError(
+                f"no route from gateway of task {task_id} to any candidate node"
+            )
         cache_key = (tuple(self.task_ids), tuple(self.candidates), weights)
-        self._cache = shared.setdefault(cache_key, {})
+        self._cache = evaluator.fitness_caches.setdefault(cache_key, {})
 
     @property
     def dim(self) -> int:

@@ -99,8 +99,19 @@ def _trial_instance(plan: ExperimentPlan, task_count: int, seed: int):
     return Instance(topology, tasks), digest
 
 
-def run_algorithm(algorithm: str, instance: Instance, seed: int, weights, plan: ExperimentPlan):
-    """Dispatch one named algorithm; returns the full assignment it built."""
+def run_algorithm(
+    algorithm: str,
+    instance: Instance,
+    seed: int,
+    weights,
+    plan: ExperimentPlan,
+    trace=None,
+    summary_path=None,
+):
+    """Dispatch one named algorithm; returns the full assignment it built.
+    ``trace`` collects the per-iteration convergence rows of GEO, IGEO-only
+    and RL-only; ``summary_path`` receives RIGEO's routing summary.  Both
+    are ignored by the algorithms that do not produce them."""
     node_ids = [n.id for n in instance.topology.nodes]
     task_ids = [t.id for t in instance.tasks]
     if algorithm == "RIGEO":
@@ -109,18 +120,19 @@ def run_algorithm(algorithm: str, instance: Instance, seed: int, weights, plan: 
             replace(plan.igeo, rng_seed=seed),
             replace(plan.rl, rng_seed=seed),
             weights,
+            summary_path=summary_path,
         )
     elif algorithm == "IGEO-only":
         assignment, _ = igeo_optimize(
-            instance, node_ids, task_ids, replace(plan.igeo, rng_seed=seed), weights
+            instance, node_ids, task_ids, replace(plan.igeo, rng_seed=seed), weights, trace=trace
         )
     elif algorithm == "GEO":
         assignment, _ = geo_optimize(
-            instance, node_ids, task_ids, replace(plan.geo, rng_seed=seed), weights
+            instance, node_ids, task_ids, replace(plan.geo, rng_seed=seed), weights, trace=trace
         )
     elif algorithm == "RL-only":
         assignment, _ = rl_optimize(
-            instance, node_ids, task_ids, replace(plan.rl, rng_seed=seed), weights
+            instance, node_ids, task_ids, replace(plan.rl, rng_seed=seed), weights, trace=trace
         )
     elif algorithm == "RANDOM":
         assignment, _ = baseline_random(instance, seed, weights)

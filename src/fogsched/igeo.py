@@ -55,6 +55,74 @@ class OperatorDraw:
     r: float
 
 
+def _mutate_rows(parents: np.ndarray, n_candidates: int, mutation_rate: float, rng):
+    """Reassign k = max(1, ceil(rate * dim)) distinct random genes of every
+    row, in place, each to a different candidate index.  With a single
+    candidate there is no alternative allele and the rows stay unchanged."""
+    rows, dim = parents.shape
+    if n_candidates < 2 or dim == 0:
+        return parents
+    k = min(dim, max(1, math.ceil(mutation_rate * dim)))
+    positions = np.argpartition(rng.random((rows, dim)), k - 1, axis=1)[:, :k]
+    draws = rng.integers(0, n_candidates - 1, size=(rows, k))
+    draws += draws >= np.take_along_axis(parents, positions, axis=1)  # skip the current allele
+    np.put_along_axis(parents, positions, draws, axis=1)
+    return parents
+
+
+def _cross_one(first: np.ndarray, second: np.ndarray, rng) -> np.ndarray:
+    """One-point crossover per row of ``second``: the child takes ``first``
+    (one row, or one per row) before a cut in [1, dim) and ``second`` after."""
+    rows, dim = second.shape
+    cuts = rng.integers(1, dim, size=rows)
+    return np.where(np.arange(dim) < cuts[:, None], first, second)
+
+
+def _cross_two(outside: np.ndarray, inside: np.ndarray, rng) -> np.ndarray:
+    """Two-point crossover per row of ``inside``: the child takes ``inside``
+    within [c1, c2) for two distinct cuts in [1, dim) and ``outside``
+    elsewhere."""
+    rows, dim = inside.shape
+    cuts = np.argpartition(rng.random((rows, dim - 1)), 1, axis=1)[:, :2] + 1
+    cols = np.arange(dim)
+    within = (cols >= cuts.min(axis=1)[:, None]) & (cols < cuts.max(axis=1)[:, None])
+    return np.where(within, inside, outside)
+
+
+def _is_mutation(delta_sum, r1pa, r2pc):
+    """Branch rule: cruise dominance (|r1*pa| < |r2*pc|) means exploration
+    (mutation), attack dominance exploitation (crossover); an exact tie
+    mutates when the step's component sum is negative."""
+    abs_a, abs_c = np.abs(r1pa), np.abs(r2pc)
+    return (abs_a < abs_c) | ((abs_a == abs_c) & (delta_sum < 0))
+
+
+def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
+    """One offspring per row of ``genomes`` against the ``best`` genome.
+    Mutation rows mutate ``best`` (r >= 0.5) or their own genome; the other
+    rows cross ``best`` with their genome, one-point for r >= 0.5 and
+    two-point otherwise.  Genomes too short for a crossover fall back to the
+    next simpler operator (two-point -> one-point -> copy of ``best``)."""
+    dim = genomes.shape[1]
+    best = best[None, :]
+    children = np.empty_like(genomes)
+    mut_rows = np.flatnonzero(mutation)
+    if mut_rows.size:
+        parents = np.where((r[mut_rows] >= 0.5)[:, None], best, genomes[mut_rows])
+        children[mut_rows] = _mutate_rows(parents, n_candidates, mutation_rate, rng)
+    cross_rows = np.flatnonzero(~mutation)
+    if cross_rows.size and dim < 2:
+        children[cross_rows] = best
+    elif cross_rows.size:
+        single = (r[cross_rows] >= 0.5) | (dim < 3)
+        one_rows, two_rows = cross_rows[single], cross_rows[~single]
+        if one_rows.size:
+            children[one_rows] = _cross_one(best, genomes[one_rows], rng)
+        if two_rows.size:
+            children[two_rows] = _cross_two(best, genomes[two_rows], rng)
+    return children
+
+
 def mutate(
     genome: np.ndarray,
     n_candidates: int,
@@ -64,59 +132,39 @@ def mutate(
     """Reassign k = max(1, ceil(rate * len)) random genes to different
     candidate indices.  With a single candidate there is no alternative
     allele and the genome is returned unchanged."""
-    genome = np.asarray(genome, dtype=np.intp)
-    child = genome.copy()
-    if n_candidates < 2 or len(genome) == 0:
-        return child
-    k = max(1, math.ceil(mutation_rate * len(genome)))
-    k = min(k, len(genome))
-    positions = np.argpartition(rng.random(len(genome)), k - 1)[:k]
-    draws = rng.integers(0, n_candidates - 1, size=k)
-    draws += draws >= child[positions]  # skip over the current allele
-    child[positions] = draws
-    return child
+    child = np.array(genome, dtype=np.intp, ndmin=2)
+    return _mutate_rows(child, n_candidates, mutation_rate, rng)[0]
+
+
+def _parent_rows(parent_a, parent_b, min_length: int, name: str):
+    parent_a = np.asarray(parent_a, dtype=np.intp)
+    parent_b = np.asarray(parent_b, dtype=np.intp)
+    if parent_a.shape != parent_b.shape:
+        raise ValueError("parents must have equal length")
+    if len(parent_a) < min_length:
+        raise ValueError(f"{name} crossover needs length >= {min_length}")
+    return parent_a[None, :], parent_b[None, :]
 
 
 def crossover_single(
     parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """One-point crossover: child takes a up to the cut, b after it."""
-    parent_a = np.asarray(parent_a, dtype=np.intp)
-    parent_b = np.asarray(parent_b, dtype=np.intp)
-    if parent_a.shape != parent_b.shape:
-        raise ValueError("parents must have equal length")
-    if len(parent_a) < 2:
-        raise ValueError("single-point crossover needs length >= 2")
-    cut = int(rng.integers(1, len(parent_a)))
-    return np.concatenate([parent_a[:cut], parent_b[cut:]])
+    return _cross_one(*_parent_rows(parent_a, parent_b, 2, "single-point"), rng)[0]
 
 
 def crossover_two(
     parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Two-point crossover: child takes b inside [c1, c2), a outside."""
-    parent_a = np.asarray(parent_a, dtype=np.intp)
-    parent_b = np.asarray(parent_b, dtype=np.intp)
-    if parent_a.shape != parent_b.shape:
-        raise ValueError("parents must have equal length")
-    if len(parent_a) < 3:
-        raise ValueError("two-point crossover needs length >= 3")
-    cuts = np.argpartition(rng.random(len(parent_a) - 1), 1)[:2]
-    c1, c2 = sorted(int(c) + 1 for c in cuts)
-    child = parent_a.copy()
-    child[c1:c2] = parent_b[c1:c2]
-    return child
+    return _cross_two(*_parent_rows(parent_a, parent_b, 3, "two-point"), rng)[0]
 
 
 def classify_step(delta_sum: float, r1pa: float, r2pc: float) -> int:
     """Map a shadow step to an operator branch: cruise dominance means
     exploration (mutation), attack dominance means exploitation (crossover);
     exact magnitude ties are broken by the step's component sum."""
-    if abs(r1pa) < abs(r2pc):
-        return NEGATIVE
-    if abs(r1pa) > abs(r2pc):
-        return POSITIVE
-    return NEGATIVE if delta_sum < 0 else POSITIVE
+    return NEGATIVE if _is_mutation(delta_sum, r1pa, r2pc) else POSITIVE
 
 
 def igeo_step(
@@ -135,14 +183,10 @@ def igeo_step(
     """
     genome = np.asarray(genome, dtype=np.intp)
     x_best = np.asarray(x_best, dtype=np.intp)
-    if draw.step_sign == NEGATIVE:
-        parent = x_best if draw.r >= 0.5 else genome
-        return mutate(parent, n_candidates, rng, mutation_rate)
-    if len(genome) < 2:
-        return x_best.copy()
-    if draw.r >= 0.5 or len(genome) < 3:
-        return crossover_single(x_best, genome, rng)
-    return crossover_two(x_best, genome, rng)
+    mutation = np.array([draw.step_sign == NEGATIVE])
+    return _offspring(
+        genome[None, :], x_best, mutation, np.array([draw.r]), n_candidates, mutation_rate, rng
+    )[0]
 
 
 def igeo_optimize(
@@ -163,8 +207,6 @@ def igeo_optimize(
     pop, dim = params.population_size, problem.dim
     n_cand = problem.n_candidates
     upper = float(n_cand - 1)
-    cols = np.arange(dim)
-    k_mut = min(dim, max(1, math.ceil(params.mutation_rate * dim))) if dim else 0
 
     genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp)
     shadow = genomes.astype(float)
@@ -179,58 +221,16 @@ def igeo_optimize(
         shadow, delta_sum, r1pa, r2pc = _swarm_move(
             shadow, shadow[perm], pa_sched[t], pc_sched[t], rng, upper
         )
-        # whole-flock operator application against the iteration's incumbent
-        # best genome; same per-eagle semantics as igeo_step
-        abs_a, abs_c = np.abs(r1pa), np.abs(r2pc)
-        negative = (abs_a < abs_c) | ((abs_a == abs_c) & (delta_sum < 0))
+        mutation = _is_mutation(delta_sum, r1pa, r2pc)
         r = rng.random(pop)
-        children = np.empty_like(genomes)
-
-        neg_rows = np.flatnonzero(negative)
-        if neg_rows.size and n_cand >= 2:
-            parents = np.where(
-                (r[neg_rows] >= 0.5)[:, None], best_genome[None, :], genomes[neg_rows]
-            )
-            pos = np.argpartition(rng.random((neg_rows.size, dim)), k_mut - 1, axis=1)[:, :k_mut]
-            draws = rng.integers(0, n_cand - 1, size=(neg_rows.size, k_mut))
-            draws += draws >= np.take_along_axis(parents, pos, axis=1)
-            np.put_along_axis(parents, pos, draws, axis=1)
-            children[neg_rows] = parents
-        elif neg_rows.size:
-            children[neg_rows] = np.where(
-                (r[neg_rows] >= 0.5)[:, None], best_genome[None, :], genomes[neg_rows]
-            )
-
-        cross_rows = np.flatnonzero(~negative)
-        if cross_rows.size:
-            if dim < 2:
-                children[cross_rows] = best_genome
-            else:
-                single = r[cross_rows] >= 0.5
-                if dim < 3:
-                    single[:] = True
-                s_rows = cross_rows[single]
-                if s_rows.size:
-                    cuts = rng.integers(1, dim, size=s_rows.size)
-                    children[s_rows] = np.where(
-                        cols < cuts[:, None], best_genome[None, :], genomes[s_rows]
-                    )
-                t_rows = cross_rows[~single]
-                if t_rows.size:
-                    cut_pairs = np.argpartition(
-                        rng.random((t_rows.size, dim - 1)), 1, axis=1
-                    )[:, :2] + 1
-                    c1 = cut_pairs.min(axis=1)[:, None]
-                    c2 = cut_pairs.max(axis=1)[:, None]
-                    inside = (cols >= c1) & (cols < c2)
-                    children[t_rows] = np.where(
-                        inside, genomes[t_rows], best_genome[None, :]
-                    )
+        children = _offspring(
+            genomes, best_genome, mutation, r, n_cand, params.mutation_rate, rng
+        )
 
         fits = problem.fitness_many(children)
         # mutation offspring always become the new position (keeps the
         # population exploring); crossover offspring only when not worse
-        accept = negative | (fits <= fitnesses)
+        accept = mutation | (fits <= fitnesses)
         genomes[accept] = children[accept]
         fitnesses[accept] = fits[accept]
         fit_i = int(fits.argmin())

@@ -163,6 +163,9 @@ class Evaluator:
         )
 
         self.path_prop, self.path_bw = self._route_all_pairs(instance.topology.links)
+        # (task ids, candidate ids, weights) -> {genome bytes: fitness}; the
+        # optimizers' _SubProblem shares it across runs on this instance
+        self.fitness_caches = {}
 
     def _route_all_pairs(self, links):
         adjacency = {k: [] for k in range(self.m)}

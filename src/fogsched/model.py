@@ -4,6 +4,7 @@ scenario generation and the scenario JSON file format."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Mapping, Sequence
 
@@ -166,6 +167,16 @@ class ValidationResult:
 def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationResult:
     """Check every structural invariant; violations are data, not failures."""
     violations = []
+    for label, items, names in (
+        ("task", tasks, ("length", "data_size", "deadline", "arrival_time")),
+        ("node", topology.nodes, ("mips", "active_power", "idle_power", "alpha", "beta")),
+        ("link", topology.links, ("bandwidth", "propagation_delay", "traffic_load")),
+    ):
+        for item in items:
+            where = item.endpoints if label == "link" else item.id
+            for name in names:
+                if not math.isfinite(getattr(item, name)):
+                    violations.append(f"{label} {where}: {name} must be finite")
 
     ids = [t.id for t in tasks]
     if sorted(ids) != list(range(len(tasks))):
@@ -379,23 +390,42 @@ def scenario_to_dict(config: ScenarioConfig, topology: Topology, tasks) -> dict:
     }
 
 
+def _build(cls, entry, where: str, numeric: bool = True):
+    """``cls(**entry)`` with JSON lists as tuples.  A non-object entry, an
+    unknown or missing key, a non-numeric value (when ``numeric``) or
+    endpoints that are not a pair raise ValueError naming the key."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object, got {entry!r}")
+    for key, value in entry.items():
+        if key == "endpoints":
+            if not (isinstance(value, list) and len(value) == 2):
+                raise ValueError(f"{where}: endpoints must be a pair of node ids")
+        elif numeric and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"{where}: {key} must be a number, got {value!r}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()})
+    except TypeError as exc:  # unknown or missing key
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def scenario_from_dict(doc: dict):
-    cfg = doc["config"]
-    config = ScenarioConfig(
-        **{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
-    )
-    nodes = tuple(FogNode(**n) for n in doc["nodes"])
-    links = tuple(
-        Link(
-            endpoints=tuple(l["endpoints"]),
-            bandwidth=l["bandwidth"],
-            propagation_delay=l["propagation_delay"],
-            traffic_load=l["traffic_load"],
-        )
-        for l in doc["links"]
-    )
-    tasks = [Task(**t) for t in doc["tasks"]]
+    """Rebuild (config, topology, tasks); a malformed document raises
+    ValueError naming the section or key at fault."""
+    for section, kind in (
+        ("config", dict), ("nodes", list), ("links", list), ("tasks", list), ("gateways", dict)
+    ):
+        if not isinstance(doc, dict) or section not in doc:
+            raise ValueError(f"scenario: missing section {section!r}")
+        if not isinstance(doc[section], kind):
+            raise ValueError(f"scenario: section {section!r} must be a JSON {kind.__name__}")
+    config = _build(ScenarioConfig, doc["config"], "config", numeric=False)
+    nodes = tuple(_build(FogNode, n, f"nodes[{i}]") for i, n in enumerate(doc["nodes"]))
+    links = tuple(_build(Link, l, f"links[{i}]") for i, l in enumerate(doc["links"]))
+    tasks = [_build(Task, t, f"tasks[{i}]") for i, t in enumerate(doc["tasks"])]
     gateways = {int(dev): node for dev, node in doc["gateways"].items()}
+    for dev, node in gateways.items():
+        if isinstance(node, bool) or not isinstance(node, int):
+            raise ValueError(f"gateways: device {dev} must map to a node id, got {node!r}")
     topology = Topology(nodes=nodes, links=links, device_gateways=gateways)
     return config, topology, tasks
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geo import _SubProblem
 from .metrics import FitnessWeights
-from .model import Assignment, Instance, build_assignment
+from .model import Assignment, Instance
 
 __all__ = ["RlConfig", "PolicyState", "rl_init", "rl_episode", "rl_optimize"]
 
@@ -54,20 +54,6 @@ class PolicyState:
     exploration: float
 
 
-def _floor_project(preference: np.ndarray, floor: float) -> np.ndarray:
-    """Project each row onto the simplex slice {p: sum p = 1, p >= floor},
-    preserving the relative ordering of the probability mass."""
-    n, k = preference.shape
-    floor = min(floor, 1.0 / k)
-    excess = np.maximum(preference - floor, 0.0)
-    totals = excess.sum(axis=1, keepdims=True)
-    if (totals == 0.0).any():
-        # rows with no mass above the floor fall back to uniform
-        excess = np.where(totals == 0.0, 1.0, excess)
-        totals = excess.sum(axis=1, keepdims=True)
-    return floor + (1.0 - k * floor) * excess / totals
-
-
 def rl_init(
     instance: Instance,
     tasks,
@@ -101,50 +87,49 @@ def rl_init(
     )
 
 
-def _sample(state: PolicyState, config: RlConfig, rng: np.random.Generator) -> np.ndarray:
-    n, k = state.preference.shape
-    if rng.random() < state.exploration:
-        new = state.assignment.copy()
-        new[int(rng.integers(0, n))] = int(rng.integers(0, k))
-        return new
-    cum = np.cumsum(state.preference, axis=1)
-    u = rng.random(n)
-    return np.minimum((cum < u[:, None]).sum(axis=1), k - 1).astype(np.intp)
-
-
-def _update(state: PolicyState, sampled: np.ndarray, fit: float, config: RlConfig) -> PolicyState:
-    n, k = state.preference.shape
-    preference = state.preference.copy()
+def _stepper(fitness_of, config: RlConfig, n: int, k: int):
+    """The episode function of an ``(n, k)`` policy:
+    ``step(preference, assignment, fitness, exploration, rng)`` samples an
+    assignment, scores it, reinforces (improved) or decays (not improved)
+    the sampled node of every task in ``preference``, in place, and projects
+    each row back onto the simplex slice {p: sum p = 1, p >= floor}, keeping
+    the relative order of the mass above the floor.  It returns the sampled
+    assignment and its fitness."""
     rows = np.arange(n)
     lr = config.learning_rate
-    if fit < state.fitness:
-        chosen = preference[rows, sampled]
-        preference *= 1.0 - lr
-        preference[rows, sampled] = chosen + lr * (1.0 - chosen)
-    else:
-        decay = lr * config.penalty_value / config.reward_value
-        preference[rows, sampled] *= 1.0 - decay
-        preference /= preference.sum(axis=1, keepdims=True)
-    preference = _floor_project(preference, config.probability_floor)
+    decay = lr * config.penalty_value / config.reward_value
+    floor = min(config.probability_floor, 1.0 / k)
+    scale = 1.0 - k * floor
 
-    best = state.best_seen
-    if fit < best[1]:
-        best = (sampled.copy(), fit)
-    return replace(
-        state,
-        assignment=sampled,
-        preference=preference,
-        best_seen=best,
-        fitness=fit,
-        exploration=state.exploration * config.exploration_decay,
-    )
+    def step(preference, assignment, fitness, exploration, rng):
+        if rng.random() < exploration:
+            sampled = assignment.copy()
+            sampled[int(rng.integers(0, n))] = int(rng.integers(0, k))
+        else:
+            cum = np.cumsum(preference, axis=1)
+            u = rng.random(n)
+            sampled = np.minimum((cum < u[:, None]).sum(axis=1), k - 1).astype(np.intp)
+        fit = fitness_of(sampled)
+        if fit < fitness:
+            chosen = preference[rows, sampled]
+            preference *= 1.0 - lr
+            preference[rows, sampled] = chosen + lr * (1.0 - chosen)
+        else:
+            preference[rows, sampled] *= 1.0 - decay
+            preference /= preference.sum(axis=1, keepdims=True)
+        np.subtract(preference, floor, out=preference)
+        np.maximum(preference, 0.0, out=preference)
+        totals = preference.sum(axis=1, keepdims=True)
+        if (totals == 0.0).any():
+            # rows with no mass above the floor fall back to uniform
+            np.copyto(preference, 1.0, where=totals == 0.0)
+            totals = preference.sum(axis=1, keepdims=True)
+        preference *= scale
+        preference /= totals
+        preference += floor
+        return sampled, fit
 
-
-def _episode(state, fitness_of, config, rng) -> PolicyState:
-    if len(state.task_ids) == 0:
-        return replace(state, exploration=state.exploration * config.exploration_decay)
-    sampled = _sample(state, config, rng)
-    return _update(state, sampled, fitness_of(sampled), config)
+    return step
 
 
 def rl_episode(
@@ -155,10 +140,22 @@ def rl_episode(
     rng: np.random.Generator,
 ) -> PolicyState:
     """One sample-evaluate-reinforce cycle."""
+    exploration = state.exploration * config.exploration_decay
     if len(state.task_ids) == 0:
-        return _episode(state, None, config, rng)
+        return replace(state, exploration=exploration)
     problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
-    return _episode(state, problem.fitness_of, config, rng)
+    preference = state.preference.copy()
+    step = _stepper(problem.fitness_of, config, *preference.shape)
+    sampled, fit = step(preference, state.assignment, state.fitness, state.exploration, rng)
+    best = (sampled.copy(), fit) if fit < state.best_seen[1] else state.best_seen
+    return replace(
+        state,
+        assignment=sampled,
+        preference=preference,
+        best_seen=best,
+        fitness=fit,
+        exploration=exploration,
+    )
 
 
 def rl_optimize(
@@ -177,52 +174,21 @@ def rl_optimize(
     problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
     rng = np.random.default_rng(config.rng_seed + 1)
 
-    # in-place episode loop; same draws and same arithmetic as rl_episode,
-    # without rebuilding a PolicyState every episode
-    preference = state.preference.copy()
+    # the episode loop keeps its state in locals and updates one
+    # preference matrix in place, building no PolicyState per episode
+    preference = state.preference
     assignment = state.assignment
     fitness = state.fitness
     best_genome, best_fit = state.best_seen
     exploration = state.exploration
-    n, k = preference.shape
-    rows = np.arange(n)
-    lr = config.learning_rate
-    decay = lr * config.penalty_value / config.reward_value
-    floor = min(config.probability_floor, 1.0 / k)
-    scale = 1.0 - k * floor
-
+    step = _stepper(problem.fitness_of, config, *preference.shape)
     for episode in range(config.episodes):
-        if rng.random() < exploration:
-            sampled = assignment.copy()
-            sampled[int(rng.integers(0, n))] = int(rng.integers(0, k))
-        else:
-            cum = np.cumsum(preference, axis=1)
-            u = rng.random(n)
-            sampled = np.minimum((cum < u[:, None]).sum(axis=1), k - 1).astype(np.intp)
-        fit = problem.fitness_of(sampled)
-        if fit < fitness:
-            chosen = preference[rows, sampled]
-            preference *= 1.0 - lr
-            preference[rows, sampled] = chosen + lr * (1.0 - chosen)
-        else:
-            preference[rows, sampled] *= 1.0 - decay
-            preference /= preference.sum(axis=1, keepdims=True)
-        np.subtract(preference, floor, out=preference)
-        np.maximum(preference, 0.0, out=preference)
-        totals = preference.sum(axis=1, keepdims=True)
-        if (totals == 0.0).any():
-            preference = np.where(totals == 0.0, 1.0, preference)
-            totals = preference.sum(axis=1, keepdims=True)
-        preference *= scale
-        preference /= totals
-        preference += floor
-        if fit < best_fit:
-            best_fit = fit
-            best_genome = sampled.copy()
-        assignment = sampled
-        fitness = fit
+        assignment, fitness = step(preference, assignment, fitness, exploration, rng)
+        if fitness < best_fit:
+            best_fit = fitness
+            best_genome = assignment.copy()
         exploration *= config.exploration_decay
         if trace is not None:
-            trace.append((episode, float(fit), float(best_fit), exploration))
+            trace.append((episode, float(fitness), float(best_fit), exploration))
 
     return problem.to_assignment(best_genome), float(best_fit)

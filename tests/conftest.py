@@ -63,3 +63,13 @@ def unit_weights():
 @pytest.fixture
 def small_instance():
     return make_instance(6, 3, seed=7)
+
+
+def unlinked_instance(tasks):
+    """Two nodes with no link between them; every device enters at node 0,
+    so node 1 is unreachable."""
+    nodes = tuple(
+        FogNode(id=j, mips=1000.0, active_power=100.0, idle_power=10.0) for j in range(2)
+    )
+    gateways = {t.source_device: 0 for t in tasks}
+    return Instance(Topology(nodes=nodes, links=(), device_gateways=gateways), tasks)

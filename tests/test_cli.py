@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from fogsched import ExperimentPlan, Instance, calibrate_weights, evaluate
 from fogsched.cli import main
+from fogsched.harness import ALGORITHMS, run_algorithm
 from fogsched.model import load_scenario
 
 
@@ -125,3 +127,62 @@ def test_aggregate_missing_file(tmp_path, capsys):
 def test_unknown_subcommand_is_parser_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_run_rejects_nan_task_length(tmp_path, capsys):
+    scenario = _generate(tmp_path)
+    doc = json.loads(scenario.read_text())
+    doc["tasks"][0]["length"] = float("nan")
+    scenario.write_text(json.dumps(doc))
+    code = main(["run", str(scenario), "--algorithm", "GREEDY", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "invalid scenario: task 0: length must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt,key", [
+    (lambda doc: doc["config"].update(n_taskz=5), "n_taskz"),
+    (lambda doc: doc.pop("links"), "links"),
+    (lambda doc: doc["tasks"][0].update(deadline="soon"), "tasks[0]: deadline"),
+    (lambda doc: doc.update(nodes=5), "nodes"),
+    (lambda doc: doc["gateways"].update({"0": [1]}), "device 0"),
+])
+def test_run_malformed_scenario_exits_one(tmp_path, capsys, corrupt, key):
+    scenario = _generate(tmp_path)
+    doc = json.loads(scenario.read_text())
+    corrupt(doc)
+    scenario.write_text(json.dumps(doc))
+    code = main(["run", str(scenario), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_matches_run_algorithm(tmp_path, algorithm):
+    scenario = _generate(tmp_path, seed=4)
+    out = tmp_path / "run"
+    assert main([
+        "run", str(scenario), "--algorithm", algorithm, "--seed", "3", "--out", str(out),
+    ]) == 0
+    _, topology, tasks = load_scenario(scenario)
+    instance = Instance(topology, tasks)
+    weights = calibrate_weights(instance, seed=3)
+    assignment = run_algorithm(algorithm, instance, 3, weights, ExperimentPlan())
+    expected = json.loads(evaluate(instance, assignment, weights).to_json())
+    assert json.loads((out / "report.json").read_text()) == expected
+
+
+@pytest.mark.parametrize("algorithm,header,rows", [
+    ("GEO", ["iteration", "best_fitness"], 200),
+    ("RL-only", ["episode", "sampled_fitness", "best_fitness", "exploration_rate"], 2000),
+])
+def test_run_trace_file_per_optimizer(tmp_path, algorithm, header, rows):
+    scenario = _generate(tmp_path)
+    out = tmp_path / "traced"
+    assert main(["run", str(scenario), "--algorithm", algorithm, "--trace", "--out", str(out)]) == 0
+    with open(out / f"trace_{algorithm}.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == header
+    assert len(table) == rows + 1
+    best = [float(r[header.index("best_fitness")]) for r in table[1:]]
+    assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))

@@ -139,3 +139,16 @@ def test_geo_params_validation():
         GeoParams(iterations=0)
     with pytest.raises(ValueError):
         GeoParams(pa_schedule=(-1.0, 2.0))
+
+
+def test_geo_rejects_unreachable_candidates(unit_weights):
+    from conftest import simple_tasks, unlinked_instance
+
+    instance = unlinked_instance(simple_tasks([(100.0, 10.0, 50.0)] * 3))
+    with pytest.raises(ValueError, match="no route"):
+        geo_optimize(instance, [1], [0, 1, 2], GeoParams(rng_seed=0), unit_weights)
+    assignment, fit = geo_optimize(
+        instance, [0, 1], [0, 1, 2], GeoParams(population_size=4, iterations=5), unit_weights
+    )
+    assert set(assignment.mapping.values()) == {0}
+    assert np.isfinite(fit)

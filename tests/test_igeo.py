@@ -180,3 +180,16 @@ def test_igeo_params_validation():
         IgeoParams(mutation_rate=0.0)
     with pytest.raises(ValueError):
         IgeoParams(population_size=1)
+
+
+def test_igeo_rejects_unreachable_candidates(unit_weights):
+    from conftest import simple_tasks, unlinked_instance
+
+    instance = unlinked_instance(simple_tasks([(100.0, 10.0, 50.0)] * 3))
+    with pytest.raises(ValueError, match="no route"):
+        igeo_optimize(instance, [1], [0, 1, 2], IgeoParams(rng_seed=0), unit_weights)
+    assignment, fit = igeo_optimize(
+        instance, [0, 1], [0, 1, 2], IgeoParams(population_size=4, iterations=5), unit_weights
+    )
+    assert set(assignment.mapping.values()) == {0}
+    assert np.isfinite(fit)

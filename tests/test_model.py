@@ -145,3 +145,28 @@ def test_merge_assignments_rejects_overlap():
         merge_assignments(tasks, a, b)
     merged = merge_assignments(tasks, build_assignment(tasks, {0: 0}), build_assignment(tasks, {1: 1}))
     assert merged.mapping == {0: 0, 1: 1}
+
+
+NUMERIC_FIELDS = [
+    ("tasks", name) for name in ("length", "data_size", "deadline", "arrival_time")
+] + [
+    ("nodes", name) for name in ("mips", "active_power", "idle_power", "alpha", "beta")
+] + [
+    ("links", name) for name in ("bandwidth", "propagation_delay", "traffic_load")
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("section,name", NUMERIC_FIELDS)
+def test_validate_flags_non_finite_field(section, name, value):
+    doc = scenario_to_dict(*_saved_scenario())
+    doc[section][0][name] = value
+    _, topology, tasks = scenario_from_dict(doc)
+    result = validate_instance(topology, tasks)
+    assert not result.ok
+    assert any(f"{name} must be finite" in v for v in result.violations)
+
+
+def _saved_scenario():
+    config = ScenarioConfig(n_tasks=4, n_nodes=3, rng_seed=1)
+    return (config, *generate_scenario(config))

@@ -170,3 +170,16 @@ def test_rl_config_validation():
         RlConfig(exploration_rate=1.5)
     with pytest.raises(ValueError):
         RlConfig(penalty_value=0.0)
+
+
+def test_rl_rejects_unreachable_candidates(unit_weights):
+    from conftest import unlinked_instance
+
+    instance = unlinked_instance(simple_tasks([(100.0, 10.0, 50.0)] * 3))
+    with pytest.raises(ValueError, match="no route"):
+        rl_optimize(instance, [1], [0, 1, 2], RlConfig(rng_seed=0), unit_weights)
+    assignment, fit = rl_optimize(
+        instance, [0, 1], [0, 1, 2], RlConfig(episodes=200, rng_seed=0), unit_weights
+    )
+    assert set(assignment.mapping.values()) == {0}
+    assert np.isfinite(fit)
