@@ -12,6 +12,7 @@ from pathlib import Path
 from .geo import GeoParams
 from .harness import (
     ALGORITHMS,
+    TRACED_ALGORITHMS,
     ExperimentPlan,
     aggregate,
     read_records,
@@ -63,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="w_response,w_deadline,w_energy")
     run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--trace", action="store_true",
-                     help="write a per-iteration convergence trace CSV")
+                     help="write a per-iteration convergence trace CSV "
+                          f"({', '.join(TRACED_ALGORITHMS)} only)")
 
     exp = sub.add_parser("experiment", help="run a full sweep")
     exp.add_argument("--tasks", type=_parse_int_list, default=(200, 300, 400, 500, 600))
@@ -94,6 +96,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.trace and args.algorithm not in TRACED_ALGORITHMS:
+        raise ValueError(
+            f"--trace is not available for {args.algorithm}; "
+            f"only {', '.join(TRACED_ALGORITHMS)} write a trace"
+        )
     _, topology, tasks = load_scenario(args.scenario)
     result = validate_instance(topology, tasks)
     if not result.ok:

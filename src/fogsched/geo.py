@@ -8,6 +8,8 @@ candidate index.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,12 +37,14 @@ class GeoParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if min(*self.pa_schedule, *self.pc_schedule) < 0:
-            raise ValueError("propensity coefficients must be >= 0")
+        for name, least in (("population_size", 2), ("iterations", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
+        for name in ("pa_schedule", "pc_schedule"):
+            schedule = getattr(self, name)
+            if len(schedule) != 2 or not all(math.isfinite(c) and c >= 0 for c in schedule):
+                raise ValueError(f"{name} must be two finite coefficients >= 0")
 
 
 def attack_vector(eagle_position: np.ndarray, prey_position: np.ndarray) -> np.ndarray:

@@ -36,6 +36,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("RIGEO", "IGEO-only", "GEO", "RL-only", "RANDOM", "GREEDY")
+# the algorithms whose run_algorithm call fills a convergence trace
+TRACED_ALGORITHMS = ("IGEO-only", "GEO", "RL-only")
 
 RECORD_COLUMNS = (
     "algorithm",
@@ -109,9 +111,9 @@ def run_algorithm(
     summary_path=None,
 ):
     """Dispatch one named algorithm; returns the full assignment it built.
-    ``trace`` collects the per-iteration convergence rows of GEO, IGEO-only
-    and RL-only; ``summary_path`` receives RIGEO's routing summary.  Both
-    are ignored by the algorithms that do not produce them."""
+    ``trace`` collects the per-iteration convergence rows of the
+    ``TRACED_ALGORITHMS``; ``summary_path`` receives RIGEO's routing
+    summary.  Both are ignored by the algorithms that do not produce them."""
     node_ids = [n.id for n in instance.topology.nodes]
     task_ids = [t.id for t in instance.tasks]
     if algorithm == "RIGEO":

@@ -134,8 +134,8 @@ class Evaluator:
     path metrics are deterministic.
 
     The evaluator keeps no reference to its instance, so an instance that
-    caches its evaluator (``_evaluator``) forms no reference cycle and is
-    freed, fitness caches included, as soon as its last user drops it.
+    caches it (``Instance._evaluator_cache``) forms no reference cycle and
+    is freed, fitness caches included, as soon as its last user drops it.
     """
 
     def __init__(self, instance: Instance):
@@ -445,11 +445,9 @@ def evaluate(instance: Instance, assignment: Assignment, weights: FitnessWeights
 
 
 def _evaluator(instance: Instance) -> Evaluator:
-    cached = getattr(instance, "_evaluator_cache", None)
-    if cached is None:
-        cached = Evaluator(instance)
-        instance._evaluator_cache = cached
-    return cached
+    if instance._evaluator_cache is None:
+        instance._evaluator_cache = Evaluator(instance)
+    return instance._evaluator_cache
 
 
 def calibrate_weights(

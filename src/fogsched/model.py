@@ -136,6 +136,9 @@ class Instance:
         self.tasks = tuple(tasks)
         self._task_by_id = {t.id: t for t in self.tasks}
         self._node_by_id = {n.id: n for n in topology.nodes}
+        # the metrics.Evaluator of this instance, built on first use by
+        # metrics._evaluator
+        self._evaluator_cache = None
 
     @property
     def n_tasks(self) -> int:

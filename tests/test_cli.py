@@ -172,6 +172,19 @@ def test_run_matches_run_algorithm(tmp_path, algorithm):
     assert json.loads((out / "report.json").read_text()) == expected
 
 
+@pytest.mark.parametrize("algorithm", ["RIGEO", "RANDOM", "GREEDY"])
+def test_run_trace_unsupported_algorithm_exits_one(tmp_path, capsys, algorithm):
+    scenario = _generate(tmp_path)
+    out = tmp_path / "traced"
+    code = main(["run", str(scenario), "--algorithm", algorithm, "--trace", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and algorithm in err
+    for name in ("GEO", "IGEO-only", "RL-only"):
+        assert name in err
+    assert not out.exists()  # refused before scheduling or writing anything
+
+
 @pytest.mark.parametrize("algorithm,header,rows", [
     ("GEO", ["iteration", "best_fitness"], 200),
     ("RL-only", ["episode", "sampled_fitness", "best_fitness", "exploration_rate"], 2000),

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from fogsched import GeoParams, attack_vector, cruise_vector, geo_optimize, step_vector
+from fogsched import GeoParams, IgeoParams, attack_vector, cruise_vector, geo_optimize, step_vector
 from fogsched.geo import decode_position
 from fogsched.model import validate_assignment
 
@@ -139,6 +141,30 @@ def test_geo_params_validation():
         GeoParams(iterations=0)
     with pytest.raises(ValueError):
         GeoParams(pa_schedule=(-1.0, 2.0))
+
+
+@pytest.mark.parametrize("params", [GeoParams, IgeoParams])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("population_size", math.nan),
+        ("population_size", 2.5),
+        ("iterations", math.nan),
+        ("iterations", math.inf),
+        ("rng_seed", -1),
+        ("rng_seed", math.nan),
+        ("pa_schedule", (math.nan, 2.0)),
+        ("pa_schedule", (0.5, math.inf)),
+        ("pa_schedule", (0.5,)),
+        ("pc_schedule", (1.0, math.nan)),
+        ("pc_schedule", (-math.inf, 0.5)),
+        ("pc_schedule", (1.0, 0.5, 0.2)),
+    ],
+)
+def test_geo_params_reject_nonfinite_or_out_of_range(params, field, value):
+    # IgeoParams inherits the checks
+    with pytest.raises(ValueError, match=field):
+        params(**{field: value})
 
 
 def test_geo_rejects_unreachable_candidates(unit_weights):

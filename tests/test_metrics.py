@@ -20,6 +20,7 @@ from fogsched import (
     total_deadline_violation,
     total_energy,
 )
+from fogsched import metrics
 from fogsched.metrics import ResponseBreakdown
 
 from conftest import line_instance, make_instance, simple_tasks, single_node_instance
@@ -271,3 +272,10 @@ def test_report_serialization(small_instance, unit_weights, tmp_path):
     doc = json.loads(report.to_json())
     assert len(doc["per_task"]) == small_instance.n_tasks
     assert doc["dv_total"] == report.dv_total
+
+
+def test_instance_declares_evaluator_cache(small_instance):
+    assert small_instance._evaluator_cache is None
+    evaluator = metrics._evaluator(small_instance)
+    assert small_instance._evaluator_cache is evaluator
+    assert metrics._evaluator(small_instance) is evaluator

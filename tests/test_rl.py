@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,56 @@ def test_rl_config_validation():
         RlConfig(exploration_rate=1.5)
     with pytest.raises(ValueError):
         RlConfig(penalty_value=0.0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("episodes", math.nan),
+        ("episodes", 2.5),
+        ("episodes", -1),
+        ("rng_seed", -1),
+        ("rng_seed", 1.5),
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("exploration_rate", math.nan),
+        ("exploration_rate", -0.1),
+        ("exploration_decay", math.nan),
+        ("exploration_decay", -0.5),
+        ("exploration_decay", 1.5),
+        ("reward_value", math.nan),
+        ("reward_value", math.inf),
+        ("reward_value", -1.0),
+        ("penalty_value", math.nan),
+        ("penalty_value", math.inf),
+        ("penalty_value", -1.0),
+        ("probability_floor", math.nan),
+        ("probability_floor", math.inf),
+        ("probability_floor", -0.01),
+        ("probability_floor", 1.5),
+    ],
+)
+def test_rl_config_rejects_nonfinite_or_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        RlConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"learning_rate": 1.0, "penalty_value": 1.0},
+        {"learning_rate": 0.5, "penalty_value": 4.0, "reward_value": 2.0},
+    ],
+)
+def test_rl_config_rejects_penalty_that_erases_preferences(fields):
+    # a decay factor of 1 - 1 = 0 left a one-candidate policy dividing 0/0
+    with pytest.raises(ValueError, match="penalty_value"):
+        RlConfig(**fields)
+
+
+def test_rl_config_accepts_range_ends():
+    RlConfig(exploration_decay=0.0, probability_floor=0.0)
+    RlConfig(exploration_decay=1.0, probability_floor=1.0, learning_rate=1.0)
 
 
 def test_rl_rejects_unreachable_candidates(unit_weights):
