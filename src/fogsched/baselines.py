@@ -30,13 +30,10 @@ def baseline_greedy(instance: Instance, weights: FitnessWeights) -> tuple:
     busy = np.zeros(len(node_ids))
 
     mapping = {}
-    for task in sorted(instance.tasks, key=lambda t: (t.deadline, t.id)):
-        g = ev.gateway[ev._task_index[task.id]]
-        execution = task.length / ev.mips[node_idx] * 1000.0
-        prop = ev.path_prop[g, node_idx]
-        bw = ev.path_bw[g, node_idx]
-        transmission = np.where(np.isinf(bw), 0.0, task.data_size / bw)
-        completion = prop + transmission + execution + busy
+    rows = sorted(enumerate(instance.tasks), key=lambda row: (row[1].deadline, row[1].id))
+    for i, task in rows:
+        execution = ev.execution[i, node_idx]
+        completion = ev.propagation[i, node_idx] + ev.transmission[i, node_idx] + execution + busy
         best = int(np.argmin(completion))  # argmin ties favor lower node id
         mapping[task.id] = node_ids[best]
         busy[best] += execution[best]

@@ -17,6 +17,7 @@ from .harness import (
     aggregate,
     read_records,
     run_algorithm,
+    run_experiment,
     write_summary,
 )
 from .igeo import IgeoParams
@@ -142,8 +143,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .harness import run_experiment
-
     plan = ExperimentPlan(
         task_counts=args.tasks,
         n_nodes=args.nodes,

@@ -17,7 +17,7 @@ from statistics import fmean, stdev
 from .baselines import baseline_greedy, baseline_random
 from .geo import GeoParams, geo_optimize
 from .igeo import IgeoParams, igeo_optimize
-from .metrics import calibrate_weights, evaluate
+from .metrics import FitnessWeights, calibrate_weights, evaluate
 from .model import Instance, ScenarioConfig, generate_scenario, scenario_to_dict
 from .rigeo import rigeo_schedule
 from .rl import RlConfig, rl_optimize
@@ -70,6 +70,10 @@ class ExperimentPlan:
     def validate(self) -> None:
         if not self.task_counts:
             raise ValueError("task_counts must be nonempty")
+        for count in self.task_counts:  # the scenario rules of every trial
+            problems = ScenarioConfig(n_tasks=count, n_nodes=self.n_nodes).validate()
+            if problems:
+                raise ValueError("; ".join(problems))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not self.algorithms:
@@ -77,6 +81,10 @@ class ExperimentPlan:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        w_response, w_deadline, w_energy = self.fitness_weights  # as _run_trial reads them
+        FitnessWeights(w_response, w_deadline, w_energy)  # raises on bad weights
 
 
 @dataclass(frozen=True)

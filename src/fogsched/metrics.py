@@ -1,6 +1,9 @@
 """Metric models: per-task response breakdown, deadline violation, node and
 system energy, and the scalar fitness shared by every optimizer.
 
+The cost model is built once, as the tables of ``Evaluator``; the report,
+the optimizers' kernel and the greedy baseline all read them.
+
 All evaluations are pure functions of (instance, assignment) and may run
 concurrently against one shared instance.
 """
@@ -14,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Assignment, Instance
+from .model import Assignment, Instance, _non_finite_fields
 
 __all__ = [
     "ResponseBreakdown",
@@ -121,8 +124,13 @@ class FitnessWeights:
 
 
 class Evaluator:
-    """Precomputed routing and node/task arrays for evaluating many
-    assignments against one instance.
+    """The cost model of one instance, for evaluating many assignments.
+
+    Built once, in task order: the ``(n, m)`` tables ``execution``,
+    ``propagation`` and ``transmission`` (ms; a response is their sum plus
+    the EDF queue wait) and the ``(m,)`` coefficients ``active = alpha *
+    active_power`` and ``idle = beta * idle_power`` that weigh a node's
+    busy and idle time.  Nothing else derives these costs.
 
     ``report`` evaluates one full assignment with per-task detail.
     ``subset_context`` freezes a task subset for the optimizers, whose
@@ -139,30 +147,34 @@ class Evaluator:
     """
 
     def __init__(self, instance: Instance):
+        problems = _non_finite_fields(instance.topology, instance.tasks)
+        if problems:
+            raise ValueError("; ".join(problems))
         nodes = instance.topology.nodes
-        self._nodes = {n.id: n for n in nodes}
         self.m = len(nodes)
         self._node_index = {n.id: k for k, n in enumerate(nodes)}
         self._node_ids = [n.id for n in nodes]
-
-        self.mips = np.array([n.mips for n in nodes])
-        self.active_power = np.array([n.active_power for n in nodes])
-        self.idle_power = np.array([n.idle_power for n in nodes])
-        self.alpha = np.array([n.alpha for n in nodes])
-        self.beta = np.array([n.beta for n in nodes])
+        mips = np.array([n.mips for n in nodes])
+        self.active = np.array([n.alpha for n in nodes]) * np.array([n.active_power for n in nodes])
+        self.idle = np.array([n.beta for n in nodes]) * np.array([n.idle_power for n in nodes])
 
         tasks = instance.tasks
         self.n = len(tasks)
         self._task_index = {t.id: k for k, t in enumerate(tasks)}
-        self._deadlines = {t.id: t.deadline for t in tasks}
-        self.length = np.array([t.length for t in tasks])
-        self.data_size = np.array([t.data_size for t in tasks])
         self.deadline = np.array([t.deadline for t in tasks])
-        self.gateway = np.array(
+        gateway = np.array(
             [self._node_index[instance.gateway_of(t)] for t in tasks], dtype=np.intp
         )
 
-        self.path_prop, self.path_bw = self._route_all_pairs(instance.topology.links)
+        # unreachable (task, node) pairs have infinite propagation; a task on
+        # its gateway crosses no link: infinite bandwidth, 0 ms transmission
+        path_prop, path_bw = self._route_all_pairs(instance.topology.links)
+        bw = path_bw[gateway]
+        self.execution = np.array([t.length for t in tasks])[:, None] / mips * 1000.0
+        self.propagation = path_prop[gateway]
+        self.transmission = np.where(
+            np.isinf(bw), 0.0, np.array([t.data_size for t in tasks])[:, None] / bw
+        )
         # (task ids, candidate ids, weights) -> {genome bytes: fitness}; the
         # optimizers' _SubProblem shares it across runs on this instance
         self.fitness_caches = {}
@@ -210,31 +222,29 @@ class Evaluator:
             busy = 0.0
             for task_id in sequence:
                 i = self._task_index[task_id]
-                g = self.gateway[i]
-                execution = self.length[i] / self.mips[j] * 1000.0
-                prop = float(self.path_prop[g, j])
+                prop = float(self.propagation[i, j])
                 if math.isinf(prop):
                     raise ValueError(
                         f"no route from gateway of task {task_id} to node {node_id}"
                     )
-                bw = self.path_bw[g, j]
-                transmission = 0.0 if math.isinf(bw) else float(self.data_size[i] / bw)
-                breakdown = ResponseBreakdown(
+                transmission = float(self.transmission[i, j])
+                execution = float(self.execution[i, j])
+                results[task_id] = ResponseBreakdown(
                     task_id=task_id,
                     propagation=prop,
                     transmission=transmission,
-                    execution=float(execution),
+                    execution=execution,
                     queue_wait=busy,
-                    response=float(prop + transmission + execution + busy),
+                    response=prop + transmission + execution + busy,
                 )
-                results[task_id] = breakdown
                 busy += execution
         return [results[t] for t in sorted(results)]
 
     def report(self, assignment: Assignment, weights: FitnessWeights) -> MetricsReport:
         per_task = self.breakdowns(assignment)
+        deadline = self.deadline.tolist()
         dv_per_task = tuple(
-            max(0.0, b.response - self._deadlines[b.task_id])
+            max(0.0, b.response - deadline[self._task_index[b.task_id]])
             for b in per_task
         )
         dv_total = 0.0
@@ -282,12 +292,10 @@ class Evaluator:
             raise ValueError(
                 f"horizon {horizon} ms shorter than node {node_id} busy time {busy_ms} ms"
             )
-        node = self._nodes[node_id]
+        j = self._node_index[node_id]
         idle_ms = max(0.0, horizon - busy_ms)
-        return (
-            node.alpha * node.active_power * busy_ms / 1000.0
-            + node.beta * node.idle_power * idle_ms / 1000.0
-        )
+        # a Python float: the repr of an np.float64 would change records.csv
+        return float(self.active[j] * busy_ms / 1000.0 + self.idle[j] * idle_ms / 1000.0)
 
     # ------------------------------------------------------------------
     # Vectorized sub-problem objective used inside optimizer loops.
@@ -301,17 +309,15 @@ class Evaluator:
         idx = np.array([self._task_index[t] for t in task_ids], dtype=np.intp)
         edf = np.lexsort((np.array(task_ids), self.deadline[idx]))
         visit = idx[edf]
-        bw = self.path_bw[self.gateway[visit]]
-        transmission = np.where(np.isinf(bw), 0.0, self.data_size[visit, None] / bw)
         return _SubsetContext(
             edf_order=edf,
             restore=np.argsort(edf),
             cell_offset=np.arange(len(idx)) * self.m,
-            execution=self.length[visit, None] / self.mips * 1000.0,
-            delay=self.path_prop[self.gateway[visit]] + transmission,
+            execution=self.execution[visit],
+            delay=self.propagation[visit] + self.transmission[visit],
             deadline=self.deadline[idx],
-            active=self.alpha * self.active_power,
-            idle=self.beta * self.idle_power,
+            active=self.active,
+            idle=self.idle,
         )
 
 

@@ -167,9 +167,10 @@ class ValidationResult:
         return self.ok
 
 
-def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationResult:
-    """Check every structural invariant; violations are data, not failures."""
-    violations = []
+def _non_finite_fields(topology: Topology, tasks: Sequence[Task]) -> list:
+    """One message per NaN or infinite number in a task, node or link field,
+    naming the field and the task id, node id or link endpoints."""
+    problems = []
     for label, items, names in (
         ("task", tasks, ("length", "data_size", "deadline", "arrival_time")),
         ("node", topology.nodes, ("mips", "active_power", "idle_power", "alpha", "beta")),
@@ -179,7 +180,13 @@ def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationRe
             where = item.endpoints if label == "link" else item.id
             for name in names:
                 if not math.isfinite(getattr(item, name)):
-                    violations.append(f"{label} {where}: {name} must be finite")
+                    problems.append(f"{label} {where}: {name} must be finite")
+    return problems
+
+
+def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationResult:
+    """Check every structural invariant; violations are data, not failures."""
+    violations = _non_finite_fields(topology, tasks)
 
     ids = [t.id for t in tasks]
     if sorted(ids) != list(range(len(tasks))):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .geo import _SubProblem
 from .metrics import FitnessWeights
-from .model import Assignment, Instance
+from .model import Instance
 
 __all__ = ["RlConfig", "PolicyState", "rl_init", "rl_episode", "rl_optimize"]
 
@@ -84,23 +84,15 @@ def rl_init(
     weights: FitnessWeights,
 ) -> PolicyState:
     """Uniform preferences; the initial assignment is sampled from them."""
-    task_ids = tuple(sorted(tasks))
-    candidates = tuple(sorted(candidate_nodes))
-    if not candidates:
-        raise ValueError("candidate node set must be nonempty")
+    problem = _SubProblem(instance, candidate_nodes, tasks, weights)
     rng = np.random.default_rng(config.rng_seed)
-    k = len(candidates)
-    n = len(task_ids)
+    k, n = problem.n_candidates, problem.dim
     preference = np.full((k, n), 1.0 / k).T
-    if n == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return PolicyState(task_ids, candidates, empty, preference, (empty, 0.0), 0.0, config.exploration_rate)
     assignment = rng.integers(0, k, size=n, dtype=np.intp)
-    problem = _SubProblem(instance, candidates, task_ids, weights)
     fit = problem.fitness_of(assignment)
     return PolicyState(
-        task_ids=task_ids,
-        candidate_nodes=candidates,
+        task_ids=tuple(problem.task_ids),
+        candidate_nodes=tuple(problem.candidates),
         assignment=assignment,
         preference=preference,
         best_seen=(assignment.copy(), fit),
@@ -234,8 +226,6 @@ def rl_episode(
 ) -> PolicyState:
     """One sample-evaluate-reinforce cycle."""
     exploration = state.exploration * config.exploration_decay
-    if len(state.task_ids) == 0:
-        return replace(state, exploration=exploration)
     problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
     # a fresh (k, n) buffer: np.ascontiguousarray would hand back the
     # input state's own matrix and the step would overwrite it
@@ -264,8 +254,6 @@ def rl_optimize(
     """Run the configured number of episodes; returns the best assignment
     ever sampled and its fitness."""
     state = rl_init(instance, tasks, candidate_nodes, config, weights)
-    if len(state.task_ids) == 0:
-        return Assignment(mapping={}, order={}), 0.0
     problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
     rng = np.random.default_rng(config.rng_seed + 1)
 

@@ -118,6 +118,23 @@ def test_experiment_rejects_unknown_algorithm(tmp_path, capsys):
     assert "invalid plan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--nodes", "0", "n_nodes must be > 0"),
+    ("--tasks", "0", "n_tasks must be > 0"),
+    ("--workers", "0", "workers must be >= 1"),
+    ("--weights", "0,0,0", "at least one weight must be positive"),
+    ("--weights", "nan,1,1", "w_response must be finite"),
+])
+def test_experiment_rejects_bad_plan(tmp_path, capsys, flag, value, message):
+    argv = ["experiment", "--tasks", "4", "--nodes", "3", "--reps", "1",
+            "--algorithms", "RANDOM", "--workers", "1", "--out", str(tmp_path / "r")]
+    argv += [flag, value]  # argparse keeps the last value of a repeated flag
+    code = main(argv)
+    assert code == 1
+    assert f"invalid plan: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_aggregate_missing_file(tmp_path, capsys):
     code = main(["aggregate", str(tmp_path / "missing.csv")])
     assert code == 1

@@ -120,6 +120,25 @@ def test_plan_validation():
         tiny_plan("unused", repetitions=0).validate()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("n_nodes", 0, "n_nodes must be > 0"),
+    ("task_counts", (4, 0), "n_tasks must be > 0"),
+    ("task_counts", (-1,), "n_tasks must be > 0"),
+    ("workers", 0, "workers must be >= 1"),
+    ("fitness_weights", (0.0, 0.0, 0.0), "at least one weight must be positive"),
+    ("fitness_weights", (float("nan"), 1.0, 1.0), "w_response must be finite"),
+    ("fitness_weights", (1.0, -1.0, 1.0), "w_deadline must be finite and nonnegative"),
+    ("fitness_weights", (1.0, 1.0), "not enough values to unpack"),
+])
+def test_plan_validation_rejects_before_running(tmp_path, field, value, message):
+    plan = tiny_plan(tmp_path / "out", **{field: value})
+    with pytest.raises(ValueError, match=message):
+        plan.validate()
+    with pytest.raises(ValueError, match=message):
+        run_experiment(plan)
+    assert not (tmp_path / "out").exists()  # nothing written
+
+
 def _record(algorithm="A", task_count=4, seed=0, fitness=1.0):
     return RunRecord(
         algorithm=algorithm,

@@ -1,19 +1,23 @@
 """The vectorized sub-problem kernel against the per-task EDF loop it
 replaced: batched rows, single-genome calls and the reference must agree bit
 for bit, and the optimizers must reach the kernel through ``ctx.objectives``
-once per iteration."""
+once per iteration.  The ``Evaluator``'s cost tables are checked against the
+oracle's per-(task, node) costs."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsched import FitnessWeights, metrics
+from fogsched import FitnessWeights, FogNode, Instance, Link, Topology, build_assignment, metrics
 from fogsched.geo import GeoParams, _SubProblem, geo_optimize
 from fogsched.igeo import IgeoParams, igeo_optimize
 
 from conftest import line_instance, make_instance, simple_tasks
 from edf_reference import reference_objectives
+from oracle import _routes, brute_force_report
 
 
 def bits(values):
@@ -140,3 +144,47 @@ def test_flock_optimizers_make_one_kernel_call_per_iteration(monkeypatch, optimi
     # genome is cached makes no call
     assert 1 <= len(calls) <= params.iterations + 1
     assert all(len(shape) == 2 and shape[0] <= params.population_size for shape in calls)
+
+
+def multi_hop_instance():
+    """Nodes 2-0-1-3 in a line with unequal bandwidths, so routes take up to
+    three hops through a bottleneck; node 4 has no link, so no gateway
+    reaches it.  Nodes and tasks are listed out of id order."""
+    nodes = tuple(
+        FogNode(id=j, mips=mips, active_power=100.0, idle_power=10.0)
+        for j, mips in ((2, 1500.0), (0, 1000.0), (1, 2500.0), (3, 800.0), (4, 3000.0))
+    )
+    links = (
+        Link(endpoints=(2, 0), bandwidth=120.0, propagation_delay=0.7, traffic_load=0.5),
+        Link(endpoints=(0, 1), bandwidth=45.0, propagation_delay=1.3, traffic_load=0.5),
+        Link(endpoints=(1, 3), bandwidth=200.0, propagation_delay=0.4, traffic_load=0.5),
+    )
+    tasks = simple_tasks(
+        [(500.0, 20.0, 50.0), (300.0, 35.0, 40.0), (800.0, 5.0, 90.0), (650.0, 60.0, 70.0)]
+    )[::-1]
+    gateways = {0: 2, 1: 3, 2: 0, 3: 1}  # source device -> gateway node
+    return Instance(Topology(nodes=nodes, links=links, device_gateways=gateways), tasks)
+
+
+def test_cost_tables_match_oracle():
+    instance = multi_hop_instance()
+    ev = metrics.Evaluator(instance)
+    routes = _routes(instance)
+    for i, task in enumerate(instance.tasks):
+        for j, node in enumerate(instance.topology.nodes):
+            cell = (ev.propagation[i, j], ev.transmission[i, j], ev.execution[i, j])
+            if (instance.gateway_of(task), node.id) not in routes:
+                assert node.id == 4 and math.isinf(cell[0])
+                continue
+            oracle = brute_force_report(instance, {task.id: node.id}, FitnessWeights())
+            assert bits(cell) == bits(oracle["breakdown"][task.id][:3])
+
+
+def test_unreachable_node_raises_in_breakdowns_and_subproblem():
+    instance = multi_hop_instance()
+    mapping = {t.id: 0 for t in instance.tasks}
+    mapping[1] = 4
+    with pytest.raises(ValueError, match="no route from gateway of task 1 to node 4"):
+        metrics.Evaluator(instance).breakdowns(build_assignment(instance.tasks, mapping))
+    with pytest.raises(ValueError, match="no route from gateway of task 1 to any candidate"):
+        _SubProblem(instance, [4], [0, 1, 2, 3], FitnessWeights())

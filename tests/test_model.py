@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from fogsched import (
     FogNode,
+    Instance,
     Link,
     ScenarioConfig,
     Task,
@@ -15,6 +17,7 @@ from fogsched import (
     save_scenario,
     validate_instance,
 )
+from fogsched.metrics import Evaluator
 from fogsched.model import scenario_from_dict, scenario_to_dict
 
 from conftest import simple_tasks
@@ -165,6 +168,20 @@ def test_validate_flags_non_finite_field(section, name, value):
     result = validate_instance(topology, tasks)
     assert not result.ok
     assert any(f"{name} must be finite" in v for v in result.violations)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("section,name", NUMERIC_FIELDS)
+def test_evaluator_rejects_non_finite_field(section, name, value):
+    # a library-built instance skips validate_instance; its Evaluator must
+    # not turn a NaN into a zero violation or a NaN fitness
+    doc = scenario_to_dict(*_saved_scenario())
+    entry = doc[section][0]
+    entry[name] = value
+    _, topology, tasks = scenario_from_dict(doc)
+    where = tuple(entry["endpoints"]) if section == "links" else entry["id"]
+    with pytest.raises(ValueError, match=re.escape(f"{section[:-1]} {where}: {name} must be finite")):
+        Evaluator(Instance(topology, tasks))
 
 
 def _saved_scenario():

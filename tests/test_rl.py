@@ -38,9 +38,8 @@ def test_rl_init_uniform(small_instance, unit_weights):
 
 
 def test_rl_init_empty_tasks(small_instance, unit_weights):
-    state = rl_init(small_instance, [], [0, 1], RlConfig(rng_seed=0), unit_weights)
-    assert len(state.assignment) == 0
-    assert state.fitness == 0.0
+    with pytest.raises(ValueError, match="task set must be nonempty"):
+        rl_init(small_instance, [], [0, 1], RlConfig(rng_seed=0), unit_weights)
 
 
 def test_rl_init_deterministic(small_instance, unit_weights):
@@ -97,9 +96,8 @@ def test_rl_single_candidate(small_instance, unit_weights):
 
 
 def test_rl_empty_tasks(small_instance, unit_weights):
-    assignment, fit = rl_optimize(small_instance, [0, 1], [], RlConfig(rng_seed=0), unit_weights)
-    assert assignment.mapping == {}
-    assert fit == 0.0
+    with pytest.raises(ValueError, match="task set must be nonempty"):
+        rl_optimize(small_instance, [0, 1], [], RlConfig(rng_seed=0), unit_weights)
 
 
 def test_rl_one_episode_returns_better_of_two(small_instance, unit_weights):
