@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Assignment, Instance, _non_finite_fields
+from .model import Assignment, Instance, _non_finite_fields, _out_of_range_fields
 
 __all__ = [
     "ResponseBreakdown",
@@ -132,10 +132,16 @@ class Evaluator:
     active_power`` and ``idle = beta * idle_power`` that weigh a node's
     busy and idle time.  Nothing else derives these costs.
 
-    ``report`` evaluates one full assignment with per-task detail.
+    ``report`` evaluates one full assignment with per-task detail.  Its
+    queue waits come from ``_lane_queues`` in the assignment's own visit
+    order; the per-task totals (response, violation) and each node's busy
+    time add sequentially in task-id order, and the energy total adds
+    sequentially in node order, as the oracle's ``+=`` loops do.
     ``subset_context`` freezes a task subset for the optimizers, whose
     ``objectives`` kernel scores one genome (an ``(n,)`` array of node
-    indices) or a whole flock (a ``(pop, n)`` matrix) per call.
+    indices) or a whole flock (a ``(pop, n)`` matrix) per call.  The
+    kernel's totals are numpy's pairwise sums, so an optimizer's fitness and
+    the report's fitness of one assignment may differ in the last bits.
 
     Routing is hop-count shortest path from each task's gateway to its node,
     computed once by breadth-first search with sorted-neighbor tie-breaks so
@@ -148,6 +154,7 @@ class Evaluator:
 
     def __init__(self, instance: Instance):
         problems = _non_finite_fields(instance.topology, instance.tasks)
+        problems += _out_of_range_fields(instance.topology, instance.tasks)
         if problems:
             raise ValueError("; ".join(problems))
         nodes = instance.topology.nodes
@@ -213,89 +220,63 @@ class Evaluator:
     def node_index(self, node_id: int) -> int:
         return self._node_index[node_id]
 
-    def breakdowns(self, assignment: Assignment) -> list:
-        """ResponseBreakdown for every task the assignment covers, in task-id
-        order."""
-        results = {}
-        for node_id, sequence in assignment.order.items():
-            j = self._node_index[node_id]
-            busy = 0.0
-            for task_id in sequence:
-                i = self._task_index[task_id]
-                prop = float(self.propagation[i, j])
-                if math.isinf(prop):
-                    raise ValueError(
-                        f"no route from gateway of task {task_id} to node {node_id}"
-                    )
-                transmission = float(self.transmission[i, j])
-                execution = float(self.execution[i, j])
-                results[task_id] = ResponseBreakdown(
-                    task_id=task_id,
-                    propagation=prop,
-                    transmission=transmission,
-                    execution=execution,
-                    queue_wait=busy,
-                    response=prop + transmission + execution + busy,
-                )
-                busy += execution
-        return [results[t] for t in sorted(results)]
+    def _schedule(self, assignment: Assignment):
+        """Task ids, task indices, node indices and the ``(5, n)`` costs
+        propagation, transmission, execution, queue wait and response (ms),
+        in task-id order, of the tasks of ``assignment.order``.  Each node
+        serves them in the order given; the first unreachable one raises."""
+        visits = [
+            (self._node_index[node_id], self._task_index[t], t)
+            for node_id, sequence in assignment.order.items() for t in sequence
+        ]
+        node, task, ids = np.array(visits, dtype=np.intp).reshape(-1, 3).T
+        propagation = self.propagation[task, node]
+        unreachable = np.isinf(propagation)
+        if unreachable.any():
+            k = int(unreachable.argmax())
+            raise ValueError(
+                f"no route from gateway of task {ids[k]} to node {self._node_ids[node[k]]}"
+            )
+        transmission = self.transmission[task, node]
+        execution = self.execution[task, node]
+        queue, _ = _lane_queues(node, execution, self.m)
+        response = propagation + transmission + execution + queue
+        by_id = ids.argsort(kind="stable")
+        cost = np.stack((propagation, transmission, execution, queue, response))
+        return ids[by_id], task[by_id], node[by_id], cost[:, by_id]
+
+    def _energy(self, node, execution, horizon: float, j) -> np.ndarray:
+        """Energy (J) up to ``horizon`` ms of the nodes with indices ``j``,
+        whose busy time adds the ``execution`` of their tasks in the order
+        given; a horizon shorter than a busy time raises."""
+        busy = np.bincount(node, weights=execution, minlength=self.m)[j]
+        short = horizon < busy - 1e-9
+        if short.any():
+            k = int(short.argmax())
+            raise ValueError(
+                f"horizon {horizon} ms shorter than node {self._node_ids[j[k]]}"
+                f" busy time {busy[k]} ms"
+            )
+        idle_ms = np.maximum(0.0, horizon - busy)
+        return self.active[j] * busy / 1000.0 + self.idle[j] * idle_ms / 1000.0
 
     def report(self, assignment: Assignment, weights: FitnessWeights) -> MetricsReport:
-        per_task = self.breakdowns(assignment)
-        deadline = self.deadline.tolist()
-        dv_per_task = tuple(
-            max(0.0, b.response - deadline[self._task_index[b.task_id]])
-            for b in per_task
-        )
-        dv_total = 0.0
-        for dv in dv_per_task:
-            dv_total += dv
-        response_total = 0.0
-        response_max = 0.0
-        for b in per_task:
-            response_total += b.response
-            response_max = max(response_max, b.response)
-
-        horizon = response_max  # global makespan; idle-energy window
-        busy = self.busy_by_node(assignment, per_task)
-        energy_per_node = []
-        energy_total = 0.0
-        for nid in self._node_ids:
-            e = self._node_energy(nid, busy[nid], horizon)
-            energy_per_node.append((nid, e))
-            energy_total += e
-
-        fit = weights.combine(response_total, dv_total, energy_total)
+        ids, task, node, cost = self._schedule(assignment)
+        dv = np.maximum(0.0, cost[4] - self.deadline[task])
+        response_max = float(np.maximum.reduce(cost[4], initial=0.0))  # makespan
+        energy = self._energy(node, cost[2], response_max, np.arange(self.m))
+        dv_total, response_total, energy_total = map(_sequential_sum, (dv, cost[4], energy))
+        # Python floats: the repr of an np.float64 would change records.csv
         return MetricsReport(
-            per_task=tuple(per_task),
-            dv_per_task=dv_per_task,
+            per_task=tuple(map(ResponseBreakdown, ids.tolist(), *cost.tolist())),
+            dv_per_task=tuple(dv.tolist()),
             dv_total=dv_total,
-            energy_per_node=tuple(energy_per_node),
+            energy_per_node=tuple(zip(self._node_ids, energy.tolist())),
             energy_total=energy_total,
-            fitness=fit,
+            fitness=weights.combine(response_total, dv_total, energy_total),
             response_total=response_total,
             response_max=response_max,
         )
-
-    def busy_by_node(self, assignment: Assignment, per_task=None) -> dict:
-        """Node id -> summed execution time of its tasks, added in task-id
-        order; ``per_task`` reuses breakdowns the caller already has."""
-        if per_task is None:
-            per_task = self.breakdowns(assignment)
-        busy = {nid: 0.0 for nid in self._node_ids}
-        for b in per_task:
-            busy[assignment.mapping[b.task_id]] += b.execution
-        return busy
-
-    def _node_energy(self, node_id: int, busy_ms: float, horizon: float) -> float:
-        if horizon < busy_ms - 1e-9:
-            raise ValueError(
-                f"horizon {horizon} ms shorter than node {node_id} busy time {busy_ms} ms"
-            )
-        j = self._node_index[node_id]
-        idle_ms = max(0.0, horizon - busy_ms)
-        # a Python float: the repr of an np.float64 would change records.csv
-        return float(self.active[j] * busy_ms / 1000.0 + self.idle[j] * idle_ms / 1000.0)
 
     # ------------------------------------------------------------------
     # Vectorized sub-problem objective used inside optimizer loops.
@@ -341,17 +322,11 @@ class _SubsetContext:
         matrix returns four length-``pop`` arrays, row for row equal to the
         single-genome results.
 
-        Every node serves its tasks non-preemptively in EDF order.  Each
-        genome's tasks are grouped by node in that order and their execution
-        times scattered into a zero-padded ``(pop * m, width)`` matrix, one
-        row per (genome, node), one slot per queue position, behind a
-        leading zero column.  A row-wise prefix sum (``cumsum``) adds left to
-        right, as a sequential ``busy += execution`` does, and adding a
-        padding zero changes no sum, so a task's queue wait is the prefix one slot
-        before its own and a node's busy time is the row's last value.
-        Every total is then reduced per genome along a contiguous row in
-        subset (task) order and node order, so batched and single results
-        are bit-identical.
+        Every node serves its tasks non-preemptively in EDF order;
+        ``_lane_queues`` gives the queue waits and busy times, one lane per
+        (genome, node).  Every total is then reduced per genome along a
+        contiguous row, in subset (task) order and node order, with numpy's
+        pairwise sum, so batched and single results are bit-identical.
         """
         node_idx = np.asarray(node_idx)
         nodes = node_idx.take(self.edf_order, axis=-1)  # EDF order
@@ -361,25 +336,12 @@ class _SubsetContext:
         cell = nodes + self.cell_offset
         execution = self.execution.take(cell)
 
-        # one lane per (genome, node), numbered genome * m + node; a stable
-        # sort groups each lane's tasks and keeps their EDF order (small
-        # keys sort by radix)
-        key = nodes.reshape(-1)
+        # one lane per (genome, node), numbered genome * m + node
+        lane = nodes.reshape(-1)
         if rows > 1:
-            key = (nodes + np.arange(0, rows * m, m)[:, None]).ravel()
-        counts = np.bincount(key, minlength=rows * m)
-        order = key.astype(np.min_scalar_type(rows * m)).argsort(kind="stable")
-        lane = key[order]
-        start = np.add.accumulate(counts) - counts  # each lane's first entry in order
-        width = int(np.maximum.reduce(counts)) + 1
-        slot = lane * width + (np.arange(key.size) - start[lane])
-        lanes = np.zeros((rows * m, width))
-        flat = lanes.reshape(-1)
-        flat[slot + 1] = execution.take(order)
-        np.add.accumulate(lanes, axis=1, out=lanes)
-        queue = np.empty(key.size)
-        queue[order] = flat[slot]
-        busy = lanes[:, -1].reshape(shape[:-1] + (m,))
+            lane = (nodes + np.arange(0, rows * m, m)[:, None]).ravel()
+        queue, busy = _lane_queues(lane, execution, rows * m)
+        busy = busy.reshape(shape[:-1] + (m,))
 
         response = self.delay.take(cell) + execution + queue.reshape(shape)
         response = response.take(self.restore, axis=-1)  # subset order, contiguous rows
@@ -399,6 +361,39 @@ class _SubsetContext:
         return weights.combine(r, dv, e)
 
 
+def _lane_queues(lane: np.ndarray, execution: np.ndarray, n_lanes: int):
+    """The one EDF queue: every lane (a node, or a (genome, node) pair)
+    serves its entries in visit order.  ``lane`` (ids below ``n_lanes``) and
+    ``execution`` (ms) list the entries in visit order.  Returns each
+    entry's queue wait, in visit order, and each lane's busy time.
+
+    A stable sort groups each lane's entries, keeping their order, into one
+    row of a zero-padded matrix behind a leading zero column.  A row-wise
+    prefix sum adds left to right, as ``busy += execution`` does, and a
+    padding zero changes no sum, so a queue wait is the prefix one slot
+    before the entry's own and a busy time, added in queue order, is the
+    row's last value."""
+    counts = np.bincount(lane, minlength=n_lanes)
+    order = lane.astype(np.min_scalar_type(n_lanes)).argsort(kind="stable")
+    grouped = lane[order]
+    start = np.add.accumulate(counts) - counts  # each lane's first entry in order
+    width = int(np.maximum.reduce(counts, initial=0)) + 1
+    slot = grouped * width + (np.arange(lane.size) - start[grouped])
+    lanes = np.zeros((n_lanes, width))
+    flat = lanes.reshape(-1)
+    flat[slot + 1] = execution.take(order)
+    np.add.accumulate(lanes, axis=1, out=lanes)
+    queue = np.empty(lane.size)
+    queue[order] = flat[slot]
+    return queue, lanes[:, -1]
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """The left-to-right sum of ``values``, as a ``total += value`` loop
+    gives it (``np.add.reduce`` adds pairwise), as a Python float."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
 # ---------------------------------------------------------------------------
 # Operation-level API
 
@@ -409,10 +404,11 @@ def response_breakdown(instance: Instance, assignment: Assignment, task_id: int)
     node_id = assignment.mapping[task_id]
     if node_id not in {n.id for n in instance.topology.nodes}:
         raise KeyError(f"task {task_id} assigned to nonexistent node {node_id}")
-    for b in _evaluator(instance).breakdowns(assignment):
-        if b.task_id == task_id:
-            return b
-    raise KeyError(f"unknown task id {task_id}")
+    ids, _, _, cost = _evaluator(instance)._schedule(assignment)
+    hit = np.flatnonzero(ids == task_id)
+    if not hit.size:
+        raise KeyError(f"unknown task id {task_id}")
+    return ResponseBreakdown(task_id, *cost[:, hit[0]].tolist())
 
 
 def deadline_violation(breakdown: ResponseBreakdown, deadline: float) -> float:
@@ -422,24 +418,19 @@ def deadline_violation(breakdown: ResponseBreakdown, deadline: float) -> float:
 
 
 def total_deadline_violation(instance: Instance, assignment: Assignment) -> float:
-    total = 0.0
-    for b in _evaluator(instance).breakdowns(assignment):
-        total += deadline_violation(b, instance.task(b.task_id).deadline)
-    return total
+    return _evaluator(instance).report(assignment, FitnessWeights()).dv_total
 
 
 def node_energy(instance: Instance, assignment: Assignment, node_id: int, horizon: float) -> float:
     ev = _evaluator(instance)
-    return ev._node_energy(node_id, ev.busy_by_node(assignment)[node_id], horizon)
+    _, _, node, cost = ev._schedule(assignment)
+    return float(ev._energy(node, cost[2], horizon, [ev.node_index(node_id)])[0])
 
 
 def total_energy(instance: Instance, assignment: Assignment, horizon: float) -> float:
     ev = _evaluator(instance)
-    busy = ev.busy_by_node(assignment)
-    total = 0.0
-    for node in instance.topology.nodes:
-        total += ev._node_energy(node.id, busy[node.id], horizon)
-    return total
+    _, _, node, cost = ev._schedule(assignment)
+    return _sequential_sum(ev._energy(node, cost[2], horizon, np.arange(ev.m)))
 
 
 def fitness(instance: Instance, assignment: Assignment, weights: FitnessWeights) -> float:

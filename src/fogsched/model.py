@@ -184,36 +184,43 @@ def _non_finite_fields(topology: Topology, tasks: Sequence[Task]) -> list:
     return problems
 
 
+def _out_of_range_fields(topology: Topology, tasks: Sequence[Task]) -> list:
+    """One message per task, node or link field outside its range, naming
+    the rule and the task id, node id or link endpoints.  A NaN breaks only
+    the power rule here; ``_non_finite_fields`` reports it."""
+    problems = []
+    for label, items, rules in (
+        ("task", tasks, (("length", ">"), ("data_size", ">="), ("deadline", ">"), ("arrival_time", ">="))),
+        ("node", topology.nodes, (("mips", ">"),)),
+        ("link", topology.links, (("bandwidth", ">"), ("propagation_delay", ">="), ("traffic_load", ">="))),
+    ):
+        for item in items:
+            where = item.endpoints if label == "link" else item.id
+            for name, op in rules:
+                value = getattr(item, name)
+                if (value <= 0) if op == ">" else (value < 0):
+                    problems.append(f"{label} {where}: {name} {op} 0 violated")
+    for node in topology.nodes:
+        if not (node.active_power >= node.idle_power >= 0):
+            problems.append(f"node {node.id}: active_power >= idle_power >= 0 violated")
+        if node.alpha < 0 or node.beta < 0:
+            problems.append(f"node {node.id}: alpha, beta >= 0 violated")
+    return problems
+
+
 def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationResult:
     """Check every structural invariant; violations are data, not failures."""
-    violations = _non_finite_fields(topology, tasks)
+    violations = _non_finite_fields(topology, tasks) + _out_of_range_fields(topology, tasks)
 
     ids = [t.id for t in tasks]
     if sorted(ids) != list(range(len(tasks))):
         violations.append("task ids must be unique and contiguous from 0")
-    for t in tasks:
-        if t.length <= 0:
-            violations.append(f"task {t.id}: length > 0 violated")
-        if t.data_size < 0:
-            violations.append(f"task {t.id}: data_size >= 0 violated")
-        if t.deadline <= 0:
-            violations.append(f"task {t.id}: deadline > 0 violated")
-        if t.arrival_time < 0:
-            violations.append(f"task {t.id}: arrival_time >= 0 violated")
 
     node_ids = set()
     for node in topology.nodes:
         if node.id in node_ids:
             violations.append(f"node {node.id}: duplicate id")
         node_ids.add(node.id)
-        if node.mips <= 0:
-            violations.append(f"node {node.id}: mips > 0 violated")
-        if not (node.active_power >= node.idle_power >= 0):
-            violations.append(
-                f"node {node.id}: active_power >= idle_power >= 0 violated"
-            )
-        if node.alpha < 0 or node.beta < 0:
-            violations.append(f"node {node.id}: alpha, beta >= 0 violated")
 
     gateway_nodes = set(topology.device_gateways.values())
     for gw in gateway_nodes:
@@ -227,12 +234,6 @@ def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationRe
         for end in link.endpoints:
             if end not in node_ids:
                 violations.append(f"link {link.endpoints}: dangling endpoint {end}")
-        if link.bandwidth <= 0:
-            violations.append(f"link {link.endpoints}: bandwidth > 0 violated")
-        if link.propagation_delay < 0:
-            violations.append(f"link {link.endpoints}: propagation_delay >= 0 violated")
-        if link.traffic_load < 0:
-            violations.append(f"link {link.endpoints}: traffic_load >= 0 violated")
 
     for t in tasks:
         if t.source_device not in topology.device_gateways:

@@ -84,7 +84,10 @@ def rl_init(
     weights: FitnessWeights,
 ) -> PolicyState:
     """Uniform preferences; the initial assignment is sampled from them."""
-    problem = _SubProblem(instance, candidate_nodes, tasks, weights)
+    return _initial_state(_SubProblem(instance, candidate_nodes, tasks, weights), config)
+
+
+def _initial_state(problem: _SubProblem, config: RlConfig) -> PolicyState:
     rng = np.random.default_rng(config.rng_seed)
     k, n = problem.n_candidates, problem.dim
     preference = np.full((k, n), 1.0 / k).T
@@ -253,8 +256,8 @@ def rl_optimize(
 ) -> tuple:
     """Run the configured number of episodes; returns the best assignment
     ever sampled and its fitness."""
-    state = rl_init(instance, tasks, candidate_nodes, config, weights)
-    problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
+    problem = _SubProblem(instance, candidate_nodes, tasks, weights)
+    state = _initial_state(problem, config)
     rng = np.random.default_rng(config.rng_seed + 1)
 
     # the episode loop keeps its state in locals and updates the state's

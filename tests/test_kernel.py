@@ -180,11 +180,11 @@ def test_cost_tables_match_oracle():
             assert bits(cell) == bits(oracle["breakdown"][task.id][:3])
 
 
-def test_unreachable_node_raises_in_breakdowns_and_subproblem():
+def test_unreachable_node_raises_in_report_and_subproblem():
     instance = multi_hop_instance()
     mapping = {t.id: 0 for t in instance.tasks}
     mapping[1] = 4
     with pytest.raises(ValueError, match="no route from gateway of task 1 to node 4"):
-        metrics.Evaluator(instance).breakdowns(build_assignment(instance.tasks, mapping))
+        metrics.Evaluator(instance).report(build_assignment(instance.tasks, mapping), FitnessWeights())
     with pytest.raises(ValueError, match="no route from gateway of task 1 to any candidate"):
         _SubProblem(instance, [4], [0, 1, 2, 3], FitnessWeights())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsched import (
+    Assignment,
     FitnessWeights,
     FogNode,
     Instance,
@@ -147,6 +148,50 @@ def test_total_energy_equals_report_energy_exactly(seed):
     assert total_energy(instance, assignment, report.response_max) == report.energy_total
     for node_id, energy in report.energy_per_node[:3]:
         assert node_energy(instance, assignment, node_id, report.response_max) == energy
+
+
+@pytest.mark.parametrize("n_tasks", [200, 600])
+def test_evaluate_equals_oracle_at_scale(n_tasks):
+    # long task lists: numpy's pairwise sums would differ from the oracle's
+    # sequential += loops in the last bits
+    weights = FitnessWeights(norm_response=3.0, norm_deadline=5.0, norm_energy=7.0)
+    for seed in range(3):
+        instance = make_instance(n_tasks, 20, seed=seed)
+        rng = np.random.default_rng(seed)
+        mapping = {t.id: int(rng.integers(0, 20)) for t in instance.tasks}
+        report = evaluate(instance, build_assignment(instance.tasks, mapping), weights)
+        expected = brute_force_report(instance, mapping, weights)
+        task_ids = sorted(mapping)
+        assert [b.task_id for b in report.per_task] == task_ids
+        assert [
+            (b.propagation, b.transmission, b.execution, b.queue_wait) for b in report.per_task
+        ] == [expected["breakdown"][t] for t in task_ids]
+        assert [b.response for b in report.per_task] == [expected["response"][t] for t in task_ids]
+        assert list(report.dv_per_task) == [expected["dv"][t] for t in task_ids]
+        assert dict(report.energy_per_node) == expected["energy"]
+        for key in ("dv_total", "response_total", "response_max", "energy_total", "fitness"):
+            assert getattr(report, key) == expected[key], key
+
+
+def test_queue_waits_follow_a_hand_built_order(unit_weights):
+    # execution times 100, 200, 300 ms; EDF would serve 0, 1, 2
+    tasks = simple_tasks([(100.0, 0.0, 100.0), (200.0, 0.0, 200.0), (300.0, 0.0, 300.0)])
+    instance = single_node_instance(tasks)
+    assignment = Assignment(mapping={0: 0, 1: 0, 2: 0}, order={0: (2, 0, 1)})
+    report = evaluate(instance, assignment, unit_weights)
+    assert [b.queue_wait for b in report.per_task] == [300.0, 400.0, 0.0]
+    assert [b.response for b in report.per_task] == [400.0, 600.0, 300.0]
+    assert report.dv_per_task == (300.0, 400.0, 0.0)
+    assert response_breakdown(instance, assignment, 1).queue_wait == 400.0
+    assert total_deadline_violation(instance, assignment) == 700.0
+
+
+def test_empty_assignment_reports_zeros(small_instance, unit_weights):
+    report = evaluate(small_instance, Assignment(mapping={}, order={}), unit_weights)
+    assert report.per_task == report.dv_per_task == ()
+    assert report.energy_per_node == tuple((n.id, 0.0) for n in small_instance.topology.nodes)
+    assert report.dv_total == report.energy_total == report.fitness == 0.0
+    assert report.response_total == report.response_max == 0.0
 
 
 def test_fitness_projection(small_instance):

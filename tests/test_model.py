@@ -170,17 +170,22 @@ def test_validate_flags_non_finite_field(section, name, value):
     assert any(f"{name} must be finite" in v for v in result.violations)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("section,name", NUMERIC_FIELDS)
+@pytest.mark.parametrize(
+    "section,name,value",
+    [(section, name, value) for section, name in NUMERIC_FIELDS for value in (float("nan"), float("inf"))]
+    + [("links", "bandwidth", 0.0), ("nodes", "mips", 0.0)],
+)
 def test_evaluator_rejects_non_finite_field(section, name, value):
     # a library-built instance skips validate_instance; its Evaluator must
-    # not turn a NaN into a zero violation or a NaN fitness
+    # not turn a NaN into a zero violation or a NaN fitness, nor a zero
+    # bandwidth or mips into an infinite one
     doc = scenario_to_dict(*_saved_scenario())
     entry = doc[section][0]
     entry[name] = value
     _, topology, tasks = scenario_from_dict(doc)
     where = tuple(entry["endpoints"]) if section == "links" else entry["id"]
-    with pytest.raises(ValueError, match=re.escape(f"{section[:-1]} {where}: {name} must be finite")):
+    rule = "must be finite" if value else "> 0 violated"
+    with pytest.raises(ValueError, match=re.escape(f"{section[:-1]} {where}: {name} {rule}")):
         Evaluator(Instance(topology, tasks))
 
 

@@ -161,6 +161,21 @@ def test_rl_optimize_matches_stepped_episodes(small_instance, unit_weights):
     assert fit == state.best_seen[1]
 
 
+def test_rl_optimize_builds_one_subproblem(monkeypatch, small_instance, unit_weights):
+    from fogsched import rl
+
+    built = []
+
+    class Counting(rl._SubProblem):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rl, "_SubProblem", Counting)
+    rl_optimize(small_instance, [0, 1, 2], range(6), RlConfig(episodes=5), unit_weights)
+    assert len(built) == 1
+
+
 def test_rl_config_validation():
     with pytest.raises(ValueError):
         RlConfig(episodes=0)
