@@ -12,6 +12,9 @@ __all__ = ["baseline_random", "baseline_greedy"]
 
 
 def baseline_random(instance: Instance, seed: int, weights: FitnessWeights) -> tuple:
+    """Each task on a uniformly drawn node: on a generated instance, the draw
+    ``calibrate_weights(seed=seed)`` normalizes by, so RANDOM's fitness is the
+    weight sum and only its three term columns carry information."""
     rng = np.random.default_rng(seed)
     node_ids = sorted(n.id for n in instance.topology.nodes)
     mapping = {

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import time
 from pathlib import Path
 
 from .geo import GeoParams
@@ -16,12 +15,11 @@ from .harness import (
     ExperimentPlan,
     aggregate,
     read_records,
-    run_algorithm,
+    run_and_evaluate,
     run_experiment,
     write_summary,
 )
 from .igeo import IgeoParams
-from .metrics import calibrate_weights, evaluate
 from .model import (
     Instance,
     ScenarioConfig,
@@ -108,22 +106,14 @@ def _cmd_run(args) -> int:
         for violation in result.violations:
             print(f"invalid scenario: {violation}", file=sys.stderr)
         return 1
-    instance = Instance(topology, tasks)
-    w_r, w_d, w_e = args.weights
-    weights = calibrate_weights(instance, w_r, w_d, w_e, seed=args.seed)
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace = [] if args.trace else None
-
-    start = time.perf_counter()
-    assignment = run_algorithm(
-        args.algorithm, instance, args.seed, weights, ExperimentPlan(),
+    report, wall_ms = run_and_evaluate(
+        ExperimentPlan(fitness_weights=args.weights), args.algorithm,
+        Instance(topology, tasks), args.seed,
         trace=trace, summary_path=out / "routing_summary.json",
     )
-    wall_ms = (time.perf_counter() - start) * 1000.0
-
-    report = evaluate(instance, assignment, weights)
     (out / "report.json").write_text(report.to_json() + "\n")
     if trace:
         with open(out / f"trace_{args.algorithm}.csv", "w", newline="") as fh:
@@ -167,30 +157,20 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    records = read_records(args.records)
-    if not records:
-        print("no records to aggregate", file=sys.stderr)
-        return 1
-    write_summary(aggregate(records), args.out)
+    write_summary(aggregate(read_records(args.records)), args.out)
     print(f"wrote summary to {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"generate": _cmd_generate, "run": _cmd_run,
+               "experiment": _cmd_experiment, "aggregate": _cmd_aggregate}[args.command]
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "aggregate":
-            return _cmd_aggregate(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -8,9 +8,11 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from statistics import fmean, stdev
 
@@ -26,6 +28,7 @@ __all__ = [
     "ALGORITHMS",
     "ExperimentPlan",
     "RunRecord",
+    "run_and_evaluate",
     "run_experiment",
     "aggregate",
     "write_records",
@@ -39,18 +42,10 @@ ALGORITHMS = ("RIGEO", "IGEO-only", "GEO", "RL-only", "RANDOM", "GREEDY")
 # the algorithms whose run_algorithm call fills a convergence trace
 TRACED_ALGORITHMS = ("IGEO-only", "GEO", "RL-only")
 
-RECORD_COLUMNS = (
-    "algorithm",
-    "task_count",
-    "seed",
-    "dv_total",
-    "energy_total",
-    "response_total",
-    "response_max",
-    "fitness",
-)
-
+# the MetricsReport fields a trial record keeps, in records.csv column order
 METRIC_COLUMNS = ("dv_total", "energy_total", "response_total", "response_max", "fitness")
+RECORD_COLUMNS = ("algorithm", "task_count", "seed") + METRIC_COLUMNS
+_record_key = attrgetter(*RECORD_COLUMNS[:3])  # the order of records.csv rows and reports
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,14 @@ class ExperimentPlan:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        w_response, w_deadline, w_energy = self.fitness_weights  # as _run_trial reads them
+        w_response, w_deadline, w_energy = self.fitness_weights  # as run_and_evaluate reads them
         FitnessWeights(w_response, w_deadline, w_energy)  # raises on bad weights
 
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One trial: its key, then one field per METRIC_COLUMNS entry, in order."""
+
     algorithm: str
     task_count: int
     seed: int
@@ -153,26 +150,30 @@ def run_algorithm(
     return assignment
 
 
-def _run_trial(plan: ExperimentPlan, algorithm: str, task_count: int, seed: int):
-    instance, digest = _trial_instance(plan, task_count, seed)
+def run_and_evaluate(plan: ExperimentPlan, algorithm: str, instance: Instance, seed: int,
+                     trace=None, summary_path=None):
+    """One trial's body: calibrate the plan's weights on ``instance``, time
+    ``run_algorithm`` (passing ``trace`` and ``summary_path`` on), evaluate
+    its assignment.  Returns the MetricsReport and the wall time in ms."""
     w_r, w_d, w_e = plan.fitness_weights
     weights = calibrate_weights(instance, w_r, w_d, w_e, seed=seed)
     start = time.perf_counter()
-    assignment = run_algorithm(algorithm, instance, seed, weights, plan)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    report = evaluate(instance, assignment, weights)
-    record = RunRecord(
-        algorithm=algorithm,
-        task_count=task_count,
-        seed=seed,
-        dv_total=report.dv_total,
-        energy_total=report.energy_total,
-        response_total=report.response_total,
-        response_max=report.response_max,
-        fitness=report.fitness,
-        wall_time=wall_ms,
+    assignment = run_algorithm(
+        algorithm, instance, seed, weights, plan, trace=trace, summary_path=summary_path
     )
-    return record, report.to_json(), digest
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    return evaluate(instance, assignment, weights), wall_ms
+
+
+def _run_trial(plan: ExperimentPlan, algorithm: str, task_count: int, seed: int):
+    """Returns the trial's record and its finished reports/*.json text."""
+    instance, digest = _trial_instance(plan, task_count, seed)
+    report, wall_ms = run_and_evaluate(plan, algorithm, instance, seed)
+    metrics = (getattr(report, column) for column in METRIC_COLUMNS)
+    record = RunRecord(algorithm, task_count, seed, *metrics, wall_time=wall_ms)
+    doc = report.to_dict()
+    doc["instance_digest"] = digest
+    return record, json.dumps(doc, indent=2) + "\n"
 
 
 def _safe_trial(args):
@@ -204,22 +205,15 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
     else:
         outcomes = [_safe_trial(job) for job in jobs]
 
-    records = []
-    failures = []
-    reports = {}
-    for status, payload in outcomes:
-        if status == "ok":
-            record, report_json, digest = payload
-            records.append(record)
-            reports[(record.algorithm, record.task_count, record.seed)] = (
-                report_json,
-                digest,
-            )
-        else:
-            failures.append(payload)
-            logger.warning("trial failed: %s", payload)
+    done = sorted(
+        (payload for status, payload in outcomes if status == "ok"),
+        key=lambda payload: _record_key(payload[0]),
+    )
+    failures = [payload for status, payload in outcomes if status != "ok"]
+    for failure in failures:
+        logger.warning("trial failed: %s", failure)
 
-    records.sort(key=lambda r: (r.algorithm, r.task_count, r.seed))
+    records = [record for record, _ in done]
     write_records(records, out / "records.csv")
     if records:
         write_summary(aggregate(records), out / "summary.csv")
@@ -231,11 +225,9 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
     if write_reports:
         report_dir = out / "reports"
         report_dir.mkdir(exist_ok=True)
-        for (algorithm, task_count, seed), (report_json, digest) in sorted(reports.items()):
-            doc = json.loads(report_json)
-            doc["instance_digest"] = digest
-            path = report_dir / f"{algorithm}_{task_count}_{seed}.json"
-            path.write_text(json.dumps(doc, indent=2) + "\n")
+        for record, report_text in done:
+            name = f"{record.algorithm}_{record.task_count}_{record.seed}.json"
+            (report_dir / name).write_text(report_text)
     return records
 
 
@@ -266,38 +258,38 @@ def write_records(records, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.algorithm,
-                    r.task_count,
-                    r.seed,
-                    repr(r.dv_total),
-                    repr(r.energy_total),
-                    repr(r.response_total),
-                    repr(r.response_max),
-                    repr(r.fitness),
-                ]
-            )
+            writer.writerow([*_record_key(r), *(repr(getattr(r, c)) for c in METRIC_COLUMNS)])
 
 
 def read_records(path) -> list:
+    """Load a records.csv.  A missing column, a short row, or a value that
+    is not a finite number raises ValueError naming the file, the line and
+    the column."""
+    kinds = (str, int, int) + (float,) * len(METRIC_COLUMNS)
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                RunRecord(
-                    algorithm=row["algorithm"],
-                    task_count=int(row["task_count"]),
-                    seed=int(row["seed"]),
-                    dv_total=float(row["dv_total"]),
-                    energy_total=float(row["energy_total"]),
-                    response_total=float(row["response_total"]),
-                    response_max=float(row["response_max"]),
-                    fitness=float(row["fitness"]),
-                    wall_time=0.0,
-                )
-            )
+        reader = csv.DictReader(fh)
+        for column in RECORD_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}, line 1: missing column {column!r}")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            fields = [_read_field(where, row, c, kind) for c, kind in zip(RECORD_COLUMNS, kinds)]
+            records.append(RunRecord(*fields, wall_time=0.0))
     return records
+
+
+def _read_field(where: str, row: dict, column: str, kind):
+    text = row[column]
+    if text is None:
+        raise ValueError(f"{where}: row ends before column {column!r}")
+    try:
+        value = kind(text)
+        if kind is str or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{where}, column {column!r}: {text!r} is not a finite number")
 
 
 def write_summary(rows, path) -> None:

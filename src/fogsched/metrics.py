@@ -67,8 +67,8 @@ class MetricsReport:
             "fitness": self.fitness,
         }
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "dv_total": self.dv_total,
             "energy_total": self.energy_total,
             "response_total": self.response_total,
@@ -90,7 +90,9 @@ class MetricsReport:
                 for b, dv in zip(self.per_task, self.dv_per_task)
             ],
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)

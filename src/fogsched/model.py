@@ -70,9 +70,6 @@ class Topology:
     links: tuple
     device_gateways: Mapping[int, int] = field(default_factory=dict)
 
-    def node_ids(self) -> list:
-        return [node.id for node in self.nodes]
-
 
 @dataclass
 class Assignment:
@@ -86,9 +83,6 @@ class Assignment:
 
     mapping: dict
     order: dict
-
-    def task_ids(self) -> list:
-        return sorted(self.mapping)
 
 
 @dataclass(frozen=True)
@@ -144,15 +138,8 @@ class Instance:
     def n_tasks(self) -> int:
         return len(self.tasks)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.topology.nodes)
-
     def task(self, task_id: int) -> Task:
         return self._task_by_id[task_id]
-
-    def node(self, node_id: int) -> FogNode:
-        return self._node_by_id[node_id]
 
     def gateway_of(self, task: Task) -> int:
         return self.topology.device_gateways[task.source_device]
@@ -162,9 +149,6 @@ class Instance:
 class ValidationResult:
     ok: bool
     violations: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _non_finite_fields(topology: Topology, tasks: Sequence[Task]) -> list:

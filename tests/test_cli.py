@@ -5,7 +5,7 @@ import pytest
 
 from fogsched import ExperimentPlan, Instance, calibrate_weights, evaluate
 from fogsched.cli import main
-from fogsched.harness import ALGORITHMS, run_algorithm
+from fogsched.harness import ALGORITHMS, run_algorithm, run_experiment
 from fogsched.model import load_scenario
 
 
@@ -216,3 +216,44 @@ def test_run_trace_file_per_optimizer(tmp_path, algorithm, header, rows):
     assert len(table) == rows + 1
     best = [float(r[header.index("best_fitness")]) for r in table[1:]]
     assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
+
+
+_HEADER = "algorithm,task_count,seed,dv_total,energy_total,response_total,response_max,fitness"
+_ROW = "RANDOM,4,0,1.0,2.0,3.0,1.5,3.0"
+
+
+@pytest.mark.parametrize("lines,where", [
+    ([_HEADER.replace(",response_max", ""), "RANDOM,4,0,1.0,2.0,3.0,3.0"],
+     "line 1: missing column 'response_max'"),
+    ([_HEADER, _ROW, "RANDOM,6,1,1.0,2.0"], "line 3: row ends before column 'response_total'"),
+    ([_HEADER, _ROW.replace("2.0", "two")],
+     "line 2, column 'energy_total': 'two' is not a finite number"),
+    ([_HEADER, _ROW, "RANDOM,6,1,1.0,2.0,3.0,1.5,nan"],
+     "line 3, column 'fitness': 'nan' is not a finite number"),
+])
+def test_aggregate_rejects_malformed_records(tmp_path, capsys, lines, where):
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["aggregate", str(path), "--out", str(tmp_path / "summary.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}, {where}\n"
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_run_reproduces_sweep_trial(tmp_path):
+    """A sweep trial and `fogsched run` on the same generated scenario and
+    seed write the same report, apart from the sweep's instance digest."""
+    sweep = tmp_path / "sweep"
+    run_experiment(ExperimentPlan(
+        task_counts=(8,), n_nodes=4, repetitions=1, output_dir=str(sweep), workers=1,
+    ))
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--tasks", "8", "--nodes", "4", "--seed", "0",
+                 "--out", str(scenario)]) == 0
+    for algorithm in ALGORITHMS:
+        out = tmp_path / algorithm
+        assert main(["run", str(scenario), "--algorithm", algorithm, "--seed", "0",
+                     "--out", str(out)]) == 0
+        expected = json.loads((sweep / "reports" / f"{algorithm}_8_0.json").read_text())
+        del expected["instance_digest"]
+        assert json.loads((out / "report.json").read_text()) == expected

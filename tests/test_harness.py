@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -17,7 +18,7 @@ from fogsched import (
     write_summary,
 )
 from fogsched.geo import GeoParams
-from fogsched.harness import _safe_trial, run_algorithm
+from fogsched.harness import RECORD_COLUMNS, _safe_trial, run_algorithm
 from fogsched.metrics import calibrate_weights
 
 from conftest import make_instance, simple_tasks, single_node_instance
@@ -191,6 +192,22 @@ def test_records_roundtrip(tmp_path):
         assert back.task_count == orig.task_count
         assert back.seed == orig.seed
         assert back.fitness == orig.fitness  # repr() keeps floats exact
+
+
+def test_run_record_fields_follow_record_columns():
+    assert [f.name for f in fields(RunRecord)] == [*RECORD_COLUMNS, "wall_time"]
+
+
+@pytest.mark.parametrize("seed,weights", [
+    (0, (1.0, 1.0, 1.0)), (1, (1.0, 1.0, 1.0)), (2, (1.0, 1.0, 1.0)), (0, (0.5, 2.0, 0.25)),
+])
+def test_random_trial_is_the_calibration_draw(seed, weights):
+    # calibrate_weights and baseline_random draw the same mapping, so each
+    # normalized term of a RANDOM trial is exactly 1
+    plan = ExperimentPlan(fitness_weights=weights)
+    status, (record, _) = _safe_trial((plan, "RANDOM", 200, seed))
+    assert status == "ok"
+    assert record.fitness == sum(weights)
 
 
 def test_write_summary_rejects_empty(tmp_path):
