@@ -150,7 +150,15 @@ def _swarm_move(positions, prey, pa, pc, rng, upper):
 
 class _SubProblem:
     """Shared optimizer plumbing: candidate decoding and cached fitness of a
-    task subset mapped onto a candidate node set."""
+    task subset mapped onto a candidate node set.
+
+    A cache key is a genome's bytes in ``key_dtype``, the narrowest unsigned
+    type that holds every candidate index (``uint8`` up to 256 candidates,
+    ``uint16`` up to 65,536).  The cache is the largest allocation of a run,
+    and a 600-task key is 600 bytes this way instead of 4,800 as ``intp``.
+    The kernel still reads ``intp`` node indices, gathered from
+    ``candidate_idx`` by the same narrow genome the key holds, so a key
+    always names the genome that was scored."""
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
         if not candidate_nodes:
@@ -172,6 +180,7 @@ class _SubProblem:
             raise ValueError(
                 f"no route from gateway of task {task_id} to any candidate node"
             )
+        self.key_dtype = np.min_scalar_type(len(self.candidates) - 1)
         cache_key = (tuple(self.task_ids), tuple(self.candidates), weights)
         self._cache = evaluator.fitness_caches.setdefault(cache_key, {})
 
@@ -184,7 +193,7 @@ class _SubProblem:
         return len(self.candidates)
 
     def fitness_of(self, genome) -> float:
-        genome = np.asarray(genome, dtype=np.intp)
+        genome = np.asarray(genome).astype(self.key_dtype)
         key = genome.tobytes()
         cached = self._cache.get(key)
         if cached is None:
@@ -196,7 +205,7 @@ class _SubProblem:
         """Fitness of every row of a ``(pop, dim)`` genome matrix.  Rows
         already cached are looked up; the distinct misses are scored in one
         kernel call, so a genome repeated in the batch is computed once."""
-        genomes = np.ascontiguousarray(genomes, dtype=np.intp)
+        genomes = np.asarray(genomes).astype(self.key_dtype)
         raw = genomes.tobytes()
         step = genomes.shape[1] * genomes.itemsize
         keys = [raw[i : i + step] for i in range(0, len(raw), step)]

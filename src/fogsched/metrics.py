@@ -185,7 +185,11 @@ class Evaluator:
             np.isinf(bw), 0.0, np.array([t.data_size for t in tasks])[:, None] / bw
         )
         # (task ids, candidate ids, weights) -> {genome bytes: fitness}; the
-        # optimizers' _SubProblem shares it across runs on this instance
+        # optimizers' _SubProblem shares it across runs on this instance.  A
+        # key is the genome in the narrowest unsigned type that holds every
+        # candidate index (uint8 up to 256 candidates), fixed by the
+        # candidate count, so one dict never mixes key widths; the keys are
+        # the bulk of a long run's memory, 8x smaller than as intp
         self.fitness_caches = {}
 
     def _route_all_pairs(self, links):

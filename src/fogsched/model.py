@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Mapping, Sequence
 
@@ -385,17 +386,32 @@ def scenario_to_dict(config: ScenarioConfig, topology: Topology, tasks) -> dict:
     }
 
 
+def _is_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build(cls, entry, where: str, numeric: bool = True):
     """``cls(**entry)`` with JSON lists as tuples.  A non-object entry, an
-    unknown or missing key, a non-numeric value (when ``numeric``) or
-    endpoints that are not a pair raise ValueError naming the key."""
+    unknown or missing key, an id (``id``, ``source_device``, each of the
+    ``endpoints`` pair) that is not an integer, or (when ``numeric``) any
+    other value that is not a number within float range raise ValueError
+    naming the key."""
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {entry!r}")
     for key, value in entry.items():
         if key == "endpoints":
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ValueError(f"{where}: endpoints must be a pair of node ids")
-        elif numeric and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_id, value))):
+                raise ValueError(
+                    f"{where}: endpoints must be a pair of integer node ids, got {value!r}"
+                )
+        elif key in ("id", "source_device"):
+            if not _is_id(value):
+                raise ValueError(f"{where}: {key} must be an integer id, got {value!r}")
+        elif numeric and (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or isinstance(value, int) and abs(value) > sys.float_info.max
+        ):
             raise ValueError(f"{where}: {key} must be a number, got {value!r}")
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()})
@@ -417,10 +433,15 @@ def scenario_from_dict(doc: dict):
     nodes = tuple(_build(FogNode, n, f"nodes[{i}]") for i, n in enumerate(doc["nodes"]))
     links = tuple(_build(Link, l, f"links[{i}]") for i, l in enumerate(doc["links"]))
     tasks = [_build(Task, t, f"tasks[{i}]") for i, t in enumerate(doc["tasks"])]
-    gateways = {int(dev): node for dev, node in doc["gateways"].items()}
-    for dev, node in gateways.items():
-        if isinstance(node, bool) or not isinstance(node, int):
+    gateways = {}
+    for dev, node in doc["gateways"].items():
+        try:
+            device = int(dev)
+        except ValueError:
+            raise ValueError(f"gateways: device {dev!r} must be an integer id") from None
+        if not _is_id(node):
             raise ValueError(f"gateways: device {dev} must map to a node id, got {node!r}")
+        gateways[device] = node
     topology = Topology(nodes=nodes, links=links, device_gateways=gateways)
     return config, topology, tasks
 

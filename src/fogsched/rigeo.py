@@ -149,7 +149,7 @@ def rigeo_schedule(
 
     if summary_path is not None:
         _write_summary(
-            summary_path, classification, partition, igeo_fitness, rl_fitness, report
+            summary_path, classification, partition, igeo_fitness, rl_fitness, merged, report
         )
     return merged, report
 
@@ -160,6 +160,7 @@ def _write_summary(
     partition: DeadlinePartition,
     igeo_fitness,
     rl_fitness,
+    merged: Assignment,
     report: MetricsReport,
 ) -> None:
     doc = {
@@ -175,7 +176,28 @@ def _write_summary(
         },
         "subproblem_fitness": {"igeo": igeo_fitness, "rl": rl_fitness},
         "merged_metrics": report.csv_row(),
+        "halves": {
+            "igeo": _half(partition.low_deadline_tasks, merged, report),
+            "rl": _half(partition.high_deadline_tasks, merged, report),
+        },
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _half(task_ids, merged: Assignment, report: MetricsReport) -> dict:
+    """Task count, nodes used, and the dv and response totals that the
+    tasks ``task_ids`` contribute to the merged report, added one by one in
+    the report's task-id order."""
+    dv_total = response_total = 0.0
+    for breakdown, dv in zip(report.per_task, report.dv_per_task):
+        if breakdown.task_id in task_ids:
+            dv_total += dv
+            response_total += breakdown.response
+    return {
+        "task_count": len(task_ids),
+        "nodes": sorted({merged.mapping[t] for t in task_ids}),
+        "dv_total": dv_total,
+        "response_total": response_total,
+    }

@@ -228,13 +228,23 @@ def rl_episode(
     rng: np.random.Generator,
 ) -> PolicyState:
     """One sample-evaluate-reinforce cycle."""
+    assignment = np.asarray(state.assignment)
+    n, k = len(state.task_ids), len(state.candidate_nodes)
+    if not (
+        assignment.shape == (n,)
+        and np.issubdtype(assignment.dtype, np.integer)
+        and ((assignment >= 0) & (assignment < k)).all()
+    ):
+        raise ValueError(
+            f"assignment must be {n} integer candidate indices in [0, {k})"
+        )
     exploration = state.exploration * config.exploration_decay
     problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
     # a fresh (k, n) buffer: np.ascontiguousarray would hand back the
     # input state's own matrix and the step would overwrite it
     preference = state.preference.T.copy()
     step = _stepper(problem.fitness_of, config, preference)
-    sampled, fit = step(state.assignment, state.fitness, state.exploration, rng)
+    sampled, fit = step(assignment, state.fitness, state.exploration, rng)
     best = (sampled.copy(), fit) if fit < state.best_seen[1] else state.best_seen
     return replace(
         state,

@@ -162,6 +162,8 @@ def test_run_rejects_nan_task_length(tmp_path, capsys):
     (lambda doc: doc["tasks"][0].update(deadline="soon"), "tasks[0]: deadline"),
     (lambda doc: doc.update(nodes=5), "nodes"),
     (lambda doc: doc["gateways"].update({"0": [1]}), "device 0"),
+    (lambda doc: doc["gateways"].update({"x": 0}), "device 'x'"),
+    (lambda doc: doc["links"][0].update(endpoints=[[0], 1]), "links[0]: endpoints"),
 ])
 def test_run_malformed_scenario_exits_one(tmp_path, capsys, corrupt, key):
     scenario = _generate(tmp_path)

@@ -107,7 +107,14 @@ def test_fitness_many_scores_a_repeated_genome_once():
     assert rows_per_call == [(1, 10)]
     assert fits[0] == fits[1]
     assert problem.fitness_of(genome) == fits[0]  # now a cache hit
+    # the key is the genome's values, whatever container or integer type
+    # holds them
+    assert problem.fitness_of(genome.tolist()) == fits[0]
+    assert problem.fitness_of(genome.astype(np.int32)) == fits[0]
+    assert problem.fitness_many([genome.tolist()]).tolist() == [fits[0]]
+    assert problem.fitness_many(genome[None, :].astype(np.int32)).tolist() == [fits[0]]
     assert rows_per_call == [(1, 10)]
+    assert len(problem._cache) == 1
 
     other = (genome + 1) % 3
     fits = problem.fitness_many(np.stack([other, genome, other]))
@@ -115,6 +122,43 @@ def test_fitness_many_scores_a_repeated_genome_once():
     assert fits[0] == fits[2]
     fresh = _SubProblem(make_instance(10, 3, seed=5), [0, 1, 2], range(10), FitnessWeights())
     assert bits(fits) == bits([fresh.fitness_of(other), fresh.fitness_of(genome), fresh.fitness_of(other)])
+
+
+@pytest.fixture
+def wide_line():
+    """Five tasks entering a line of 257 nodes: room for 256 and 257
+    candidates.  A fresh instance per test, so each starts with an empty
+    fitness cache."""
+    tasks = simple_tasks([(500.0, 20.0, 5000.0), (300.0, 10.0, 4000.0), (800.0, 5.0, 9000.0),
+                          (200.0, 8.0, 3000.0), (600.0, 12.0, 6000.0)])
+    return line_instance(tasks, n_nodes=257)
+
+
+@pytest.mark.parametrize("n_candidates,key_bytes", [(1, 1), (3, 1), (256, 1), (257, 2)])
+def test_cache_key_is_the_narrowest_unsigned_genome(wide_line, n_candidates, key_bytes):
+    problem = _SubProblem(wide_line, range(n_candidates), range(5), FitnessWeights())
+    assert problem.key_dtype == np.dtype(f"uint{8 * key_bytes}")
+    top = n_candidates - 1
+    genomes = np.array([[0] * 5, [top] * 5, [top, 0, top, 0, top]])
+    for genome in genomes:
+        problem.fitness_of(genome)
+    problem.fitness_many(genomes[::-1])
+    assert {len(key) for key in problem._cache} == {5 * key_bytes}
+    assert len(problem._cache) == len({tuple(g) for g in genomes.tolist()})
+
+
+@pytest.mark.parametrize("n_candidates", [256, 257])
+def test_top_candidate_index_scores_its_own_genome(wide_line, n_candidates):
+    weights = FitnessWeights()
+    problem = _SubProblem(wide_line, range(n_candidates), range(5), weights)
+    top = n_candidates - 1
+    genomes = np.array([[top] * 5, [top, 0, 1, top - 1, top], [0] * 5])
+    fits = problem.fitness_many(genomes)
+    fresh = _SubProblem(line_instance(wide_line.tasks, n_nodes=257), range(n_candidates),
+                        range(5), weights)
+    expected = [fresh.ctx.fitness(fresh.candidate_idx[g], weights) for g in genomes]
+    assert bits(fits) == bits(expected)
+    assert bits(problem.fitness_of(g) for g in genomes) == bits(expected)
 
 
 @pytest.mark.parametrize("optimize,params", [

@@ -1,7 +1,10 @@
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsched import (
     FogNode,
@@ -192,3 +195,66 @@ def test_evaluator_rejects_non_finite_field(section, name, value):
 def _saved_scenario():
     config = ScenarioConfig(n_tasks=4, n_nodes=3, rng_seed=1)
     return (config, *generate_scenario(config))
+
+
+def _paths(value, path=()):
+    """Every position in a JSON document, the document itself first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+BAD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, math.nan, -1, -0.5, -(10**400), 2**64, 10**400, 1e308]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.integers(max_value=-1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_tasks=st.integers(1, 4),
+    n_nodes=st.integers(1, 3),
+    seed=st.integers(0, 20),
+    data=st.data(),
+)
+def test_scenario_with_one_bad_value_loads_or_raises_value_error(n_tasks, n_nodes, seed, data):
+    config = ScenarioConfig(n_tasks=n_tasks, n_nodes=n_nodes, rng_seed=seed)
+    doc = json.loads(json.dumps(scenario_to_dict(config, *generate_scenario(config))))
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    value = data.draw(BAD_VALUES, label="value")
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        _, topology, tasks = scenario_from_dict(doc)
+    except ValueError:
+        return
+    validate_instance(topology, tasks)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("links", "endpoints", [[0], 1]),
+    ("links", "endpoints", [0, {"id": 1}]),
+    ("links", "endpoints", [0, True]),
+    ("nodes", "id", 1.0),
+    ("nodes", "id", [1]),
+    ("tasks", "id", False),
+    ("tasks", "source_device", "0"),
+    ("tasks", "length", 10**400),
+])
+def test_scenario_rejects_non_integer_id_or_huge_number(section, key, value):
+    doc = scenario_to_dict(*_saved_scenario())
+    doc[section][0][key] = value
+    with pytest.raises(ValueError, match=re.escape(f"{section}[0]: {key} must be")):
+        scenario_from_dict(doc)
+

@@ -200,3 +200,15 @@ def test_rigeo_summary_json(tmp_path, unit_weights):
     assert doc["deadline"]["low_deadline_tasks"] == [0, 1, 2]
     assert doc["subproblem_fitness"]["igeo"] is not None
     assert doc["merged_metrics"]["fitness"] >= 0
+    halves = doc["halves"]
+    assert halves["igeo"]["dv_total"] + halves["rl"]["dv_total"] == pytest.approx(
+        doc["merged_metrics"]["dv_total"]
+    )
+    assert halves["igeo"]["response_total"] + halves["rl"]["response_total"] == pytest.approx(
+        doc["merged_metrics"]["response_total"]
+    )
+    for half, tasks, nodes in (("igeo", "low_deadline_tasks", "low_traffic_nodes"),
+                               ("rl", "high_deadline_tasks", "high_traffic_nodes")):
+        assert halves[half]["task_count"] == len(doc["deadline"][tasks])
+        assert halves[half]["nodes"]
+        assert set(halves[half]["nodes"]) <= set(doc["traffic"][nodes])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ def test_rl_optimize_matches_stepped_episodes(small_instance, unit_weights):
     for _ in range(config.episodes):
         state = rl_episode(state, small_instance, unit_weights, config, rng)
     assert fit == state.best_seen[1]
+
+
+@pytest.mark.parametrize("assignment", [
+    np.full(6, -1), np.full(6, 7), np.full(6, 3), np.zeros(5, dtype=np.intp),
+    np.zeros((6, 1), dtype=np.intp), np.zeros(6), np.zeros(6, dtype=bool),
+])
+def test_rl_episode_rejects_assignment_outside_candidates(small_instance, unit_weights, assignment):
+    # exploration copies the caller's assignment into the scored genome
+    config = RlConfig(exploration_rate=1.0)
+    state = rl_init(small_instance, range(6), [0, 1, 2], config, unit_weights)
+    state = replace(state, assignment=assignment)
+    with pytest.raises(ValueError, match="assignment"):
+        rl_episode(state, small_instance, unit_weights, config, np.random.default_rng(0))
 
 
 def test_rl_optimize_builds_one_subproblem(monkeypatch, small_instance, unit_weights):
