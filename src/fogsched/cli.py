@@ -86,7 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _cmd_generate(args) -> int:
+    _check_seed(args)
     config = ScenarioConfig(n_tasks=args.tasks, n_nodes=args.nodes, rng_seed=args.seed)
     topology, tasks = generate_scenario(config)
     save_scenario(args.out, config, topology, tasks)
@@ -95,6 +101,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _check_seed(args)
     if args.trace and args.algorithm not in TRACED_ALGORITHMS:
         raise ValueError(
             f"--trace is not available for {args.algorithm}; "
@@ -152,7 +159,12 @@ def _cmd_experiment(args) -> int:
         print(f"invalid plan: {exc}", file=sys.stderr)
         return 1
     records = run_experiment(plan)
-    print(f"wrote {len(records)} records to {Path(args.out) / 'records.csv'}")
+    out = Path(args.out)
+    print(f"wrote {len(records)} records to {out / 'records.csv'}")
+    trials = len(plan.task_counts) * plan.repetitions * len(plan.algorithms)
+    if len(records) < trials:
+        failed = trials - len(records)
+        raise ValueError(f"{failed} of {trials} trials failed; see {out / 'failures.csv'}")
     return 0
 
 

@@ -71,6 +71,8 @@ class ExperimentPlan:
                 raise ValueError("; ".join(problems))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.base_seed < 0:  # every trial seed is base_seed or more
+            raise ValueError("base_seed must be >= 0")
         if not self.algorithms:
             raise ValueError("algorithms must be nonempty")
         unknown = set(self.algorithms) - set(ALGORITHMS)

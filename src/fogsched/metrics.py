@@ -179,11 +179,19 @@ class Evaluator:
         # its gateway crosses no link: infinite bandwidth, 0 ms transmission
         path_prop, path_bw = self._route_all_pairs(instance.topology.links)
         bw = path_bw[gateway]
-        self.execution = np.array([t.length for t in tasks])[:, None] / mips * 1000.0
         self.propagation = path_prop[gateway]
-        self.transmission = np.where(
-            np.isinf(bw), 0.0, np.array([t.data_size for t in tasks])[:, None] / bw
-        )
+        with np.errstate(over="ignore"):  # checked below
+            self.execution = np.array([t.length for t in tasks])[:, None] / mips * 1000.0
+            self.transmission = np.where(
+                np.isinf(bw), 0.0, np.array([t.data_size for t in tasks])[:, None] / bw
+            )
+        for name, table in (("execution", self.execution), ("transmission", self.transmission)):
+            if not np.isfinite(table).all():
+                i, j = np.argwhere(~np.isfinite(table))[0]
+                raise ValueError(
+                    f"{name} time of task {tasks[i].id} on node {self._node_ids[j]}"
+                    " overflowed float range"
+                )
         # (task ids, candidate ids, weights) -> {genome bytes: fitness}; the
         # optimizers' _SubProblem shares it across runs on this instance.  A
         # key is the genome in the narrowest unsigned type that holds every
@@ -267,11 +275,21 @@ class Evaluator:
         return self.active[j] * busy / 1000.0 + self.idle[j] * idle_ms / 1000.0
 
     def report(self, assignment: Assignment, weights: FitnessWeights) -> MetricsReport:
-        ids, task, node, cost = self._schedule(assignment)
-        dv = np.maximum(0.0, cost[4] - self.deadline[task])
-        response_max = float(np.maximum.reduce(cost[4], initial=0.0))  # makespan
-        energy = self._energy(node, cost[2], response_max, np.arange(self.m))
-        dv_total, response_total, energy_total = map(_sequential_sum, (dv, cost[4], energy))
+        """The full report of ``assignment``; a total, a node's energy or
+        the fitness that overflows float range raises ValueError naming it."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            ids, task, node, cost = self._schedule(assignment)
+            dv = np.maximum(0.0, cost[4] - self.deadline[task])
+            response_max = float(np.maximum.reduce(cost[4], initial=0.0))  # makespan
+            energy = self._energy(node, cost[2], response_max, np.arange(self.m))
+            dv_total, response_total, energy_total = map(_sequential_sum, (dv, cost[4], energy))
+        fitness = weights.combine(response_total, dv_total, energy_total)
+        overflowed = [("response_total", response_total), ("dv_total", dv_total)]
+        overflowed += [(f"energy of node {nid}", e) for nid, e in zip(self._node_ids, energy)]
+        overflowed += [("energy_total", energy_total), ("fitness", fitness)]
+        for what, value in overflowed:
+            if not math.isfinite(value):
+                raise ValueError(f"{what} overflowed float range")
         # Python floats: the repr of an np.float64 would change records.csv
         return MetricsReport(
             per_task=tuple(map(ResponseBreakdown, ids.tolist(), *cost.tolist())),
@@ -279,7 +297,7 @@ class Evaluator:
             dv_total=dv_total,
             energy_per_node=tuple(zip(self._node_ids, energy.tolist())),
             energy_total=energy_total,
-            fitness=weights.combine(response_total, dv_total, energy_total),
+            fitness=fitness,
             response_total=response_total,
             response_max=response_max,
         )

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -106,6 +106,8 @@ class ScenarioConfig:
             problems.append("n_tasks must be > 0")
         if self.n_nodes <= 0:
             problems.append("n_nodes must be > 0")
+        if self.rng_seed < 0:
+            problems.append("rng_seed must be >= 0")
         for name in (
             "mips_range",
             "active_power_range",
@@ -419,6 +421,28 @@ def _build(cls, entry, where: str, numeric: bool = True):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _check_config(config: ScenarioConfig) -> None:
+    """Raise ValueError naming ``config`` and the key unless every field has
+    the type of its default (an integer, or for the ranges a pair of finite
+    numbers) and ``config.validate()`` finds no problem."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(f.default, int):
+            ok, expected = _is_id(value), "an integer"
+        else:
+            ok = isinstance(value, tuple) and len(value) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max and math.isfinite(v)
+                for v in value
+            )
+            expected = "a pair of finite numbers"
+        if not ok:
+            raise ValueError(f"config: {f.name} must be {expected}, got {value!r}")
+    problems = config.validate()
+    if problems:
+        raise ValueError("config: " + "; ".join(problems))
+
+
 def scenario_from_dict(doc: dict):
     """Rebuild (config, topology, tasks); a malformed document raises
     ValueError naming the section or key at fault."""
@@ -430,6 +454,7 @@ def scenario_from_dict(doc: dict):
         if not isinstance(doc[section], kind):
             raise ValueError(f"scenario: section {section!r} must be a JSON {kind.__name__}")
     config = _build(ScenarioConfig, doc["config"], "config", numeric=False)
+    _check_config(config)
     nodes = tuple(_build(FogNode, n, f"nodes[{i}]") for i, n in enumerate(doc["nodes"]))
     links = tuple(_build(Link, l, f"links[{i}]") for i, l in enumerate(doc["links"]))
     tasks = [_build(Task, t, f"tasks[{i}]") for i, t in enumerate(doc["tasks"])]

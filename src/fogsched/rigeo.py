@@ -6,7 +6,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
+from functools import partial
 from statistics import fmean
 from typing import Optional
 
@@ -110,6 +115,15 @@ def rigeo_schedule(
     """Classify, partition, optimize both halves, merge, and re-evaluate the
     merged schedule jointly (so queue waits reflect all co-located tasks).
 
+    The two halves run at the same time in two processes: the RL half in a
+    child made with ``os.fork`` (raw fork, so it also works inside a daemonic
+    ``multiprocessing`` pool worker), the IGEO half in this process.  They
+    share no state that changes during the search (disjoint task sets, their
+    own seeded RNG streams and fitness caches), so the result is bit for bit
+    what running them one after the other gives.  The RL half is called
+    inline instead where ``os.fork`` does not exist or where more than one
+    thread runs (a fork copies locks other threads may hold).
+
     An empty node class falls back to the full node set for its sub-problem.
     Returns (assignment, metrics report) for the merged schedule.
     """
@@ -133,15 +147,23 @@ def rigeo_schedule(
     parts = []
     igeo_fitness = None
     rl_fitness = None
-    if partition.low_deadline_tasks:
-        sub, igeo_fitness = igeo_optimize(
-            instance, low_nodes, partition.low_deadline_tasks, igeo_params, weights
-        )
-        parts.append(sub)
+    finish_rl = None
     if partition.high_deadline_tasks:
-        sub, rl_fitness = rl_optimize(
-            instance, high_nodes, partition.high_deadline_tasks, rl_config, weights
-        )
+        finish_rl = _start_rl_half(partial(
+            rl_optimize, instance, high_nodes, partition.high_deadline_tasks, rl_config, weights
+        ))
+    try:
+        if partition.low_deadline_tasks:
+            sub, igeo_fitness = igeo_optimize(
+                instance, low_nodes, partition.low_deadline_tasks, igeo_params, weights
+            )
+            parts.append(sub)
+    except BaseException:
+        if finish_rl is not None:
+            finish_rl(kill=True)
+        raise
+    if finish_rl is not None:
+        sub, rl_fitness = finish_rl()
         parts.append(sub)
 
     merged = merge_assignments(instance.tasks, *parts)
@@ -152,6 +174,70 @@ def rigeo_schedule(
             summary_path, classification, partition, igeo_fitness, rl_fitness, merged, report
         )
     return merged, report
+
+
+def _start_rl_half(call):
+    """Start ``call()`` in a forked child and return ``finish``.
+
+    ``finish()`` waits for the child and returns the call's result, or
+    raises its exception (one that does not survive pickling arrives as a
+    ``RuntimeError`` naming its type); ``finish(kill=True)`` kills the
+    child instead.  Either way the child is reaped.  The child sends its
+    pickled outcome through a pipe and ends with ``os._exit``, running no
+    exit handlers and flushing no inherited buffers.  Where ``os.fork`` is
+    missing or other threads run, ``finish()`` makes the call inline."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return lambda kill=False: None if kill else call()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_pickled_outcome(call))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+
+    def finish(kill=False):
+        try:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            with os.fdopen(read_fd, "rb") as pipe:
+                data = b"" if kill else pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if kill:
+            return None
+        if code != 0 or not data:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"RIGEO's RL half (pid {pid}) {how} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return finish
+
+
+def _pickled_outcome(call) -> bytes:
+    """``(True, call())`` or ``(False, exception)``, pickled; an exception
+    that does not round-trip through pickle becomes a ``RuntimeError``
+    carrying its type name and text."""
+    try:
+        return pickle.dumps((True, call()))
+    except BaseException as exc:
+        try:
+            data = pickle.dumps((False, exc))
+            pickle.loads(data)
+            return data
+        except Exception:
+            return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
 def _write_summary(

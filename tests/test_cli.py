@@ -1,11 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fogsched import ExperimentPlan, Instance, calibrate_weights, evaluate
 from fogsched.cli import main
-from fogsched.harness import ALGORITHMS, run_algorithm, run_experiment
+from fogsched.harness import ALGORITHMS, read_records, run_algorithm, run_experiment
 from fogsched.model import load_scenario
 
 
@@ -124,6 +131,7 @@ def test_experiment_rejects_unknown_algorithm(tmp_path, capsys):
     ("--workers", "0", "workers must be >= 1"),
     ("--weights", "0,0,0", "at least one weight must be positive"),
     ("--weights", "nan,1,1", "w_response must be finite"),
+    ("--seed", "-1", "base_seed must be >= 0"),
 ])
 def test_experiment_rejects_bad_plan(tmp_path, capsys, flag, value, message):
     argv = ["experiment", "--tasks", "4", "--nodes", "3", "--reps", "1",
@@ -164,6 +172,7 @@ def test_run_rejects_nan_task_length(tmp_path, capsys):
     (lambda doc: doc["gateways"].update({"0": [1]}), "device 0"),
     (lambda doc: doc["gateways"].update({"x": 0}), "device 'x'"),
     (lambda doc: doc["links"][0].update(endpoints=[[0], 1]), "links[0]: endpoints"),
+    (lambda doc: doc["config"].update(n_tasks="lots"), "config: n_tasks"),
 ])
 def test_run_malformed_scenario_exits_one(tmp_path, capsys, corrupt, key):
     scenario = _generate(tmp_path)
@@ -259,3 +268,110 @@ def test_run_reproduces_sweep_trial(tmp_path):
         expected = json.loads((sweep / "reports" / f"{algorithm}_8_0.json").read_text())
         del expected["instance_digest"]
         assert json.loads((out / "report.json").read_text()) == expected
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_negative_seed_is_named(tmp_path, capsys, command):
+    argv = [command, "--seed", "-3", "--out", str(tmp_path / "out")]
+    if command == "run":
+        argv.insert(1, str(_generate(tmp_path)))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -3\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_reports_overflow_by_name(tmp_path, capsys):
+    scenario = _generate(tmp_path, tasks=8, nodes=4)
+    doc = json.loads(scenario.read_text())
+    for task in doc["tasks"][:3]:
+        task["length"] = 1e308
+    scenario.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        code = main(["run", str(scenario), "--algorithm", "GREEDY", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: energy of node ") and err.endswith(" overflowed float range\n")
+
+
+def test_experiment_with_failed_trials_exits_one(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["experiment", "--tasks", "4", "--nodes", "3", "--reps", "1",
+                 "--algorithms", "RANDOM,GREEDY", "--workers", "1", "--weights", "1e308,1e308,0",
+                 "--out", str(out)])
+    assert code == 1
+    assert f"error: 1 of 2 trials failed; see {out / 'failures.csv'}" in capsys.readouterr().err
+    assert (out / "failures.csv").read_text().count("fitness overflowed") == 1
+
+
+# Integer and weight arguments of every command: values that run quickly,
+# then at most one replaced by zero, a negative or a far-out number.
+_WEIGHTS = st.lists(st.sampled_from(["0", "1", "0.5", "3", "1e-300"]), min_size=3, max_size=3)
+_VALID = {
+    "experiment": {
+        "--tasks": st.lists(st.integers(1, 8), min_size=1, max_size=2).map(
+            lambda counts: ",".join(map(str, counts))),
+        "--nodes": st.integers(1, 4), "--reps": st.integers(1, 2), "--workers": st.integers(1, 2),
+        "--pop": st.integers(2, 4), "--iters": st.integers(1, 4), "--episodes": st.integers(1, 20),
+        "--weights": _WEIGHTS.map(",".join),
+    },
+    "generate": {"--tasks": st.integers(1, 30), "--nodes": st.integers(1, 8)},
+    "run": {"--algorithm": st.sampled_from(ALGORITHMS), "--weights": _WEIGHTS.map(",".join)},
+}
+_WILD_INT = st.one_of(st.integers(-3, 0), st.sampled_from([-(2**63), -(10**9)]))
+_WILD_WEIGHTS = st.lists(
+    st.sampled_from(["1", "0", "-1", "nan", "inf", "-inf", "1e308"]), min_size=3, max_size=3,
+).map(",".join)
+
+
+@st.composite
+def _cli_args(draw):
+    command = draw(st.sampled_from(list(_VALID)))
+    options = {flag: draw(value) for flag, value in _VALID[command].items()}
+    options["--seed"] = draw(st.one_of(st.integers(0, 5), st.just(2**64)))
+    wild = draw(st.none() | st.sampled_from([f for f in options if f != "--algorithm"]))
+    if wild is not None:
+        options[wild] = draw(_WILD_WEIGHTS if wild == "--weights" else _WILD_INT)
+    return command, {flag: str(value) for flag, value in options.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(args=_cli_args())
+@example(args=("experiment", {"--tasks": "4", "--nodes": "3", "--reps": "1", "--seed": "-1",
+                              "--workers": "1", "--pop": "4", "--iters": "2", "--episodes": "5"}))
+def test_cli_integer_and_weight_arguments_run_or_exit_one(args):
+    """Each command either succeeds and writes all its output, or exits 1
+    with one error line, no traceback and (for a refused plan) no output."""
+    command, options = args
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        argv = [command]
+        if command == "run":
+            scenario = tmp / "scenario.json"
+            assert main(["generate", "--tasks", "6", "--nodes", "3", "--out", str(scenario)]) == 0
+            argv.append(str(scenario))
+        # --flag=value: argparse reads "--weights -1,1,1" as two options
+        argv += [f"{flag}={value}" for flag, value in options.items()] + [f"--out={out}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert "Traceback" not in err.getvalue()
+        errors = [
+            line for line in err.getvalue().splitlines()
+            if line.startswith(("error:", "invalid plan:"))
+        ]
+        if code == 1:
+            assert len(errors) == 1
+            if errors[0].startswith("invalid plan:"):
+                assert not out.exists()
+            return
+        assert code == 0 and not errors
+        if command == "generate":
+            assert out.exists()
+        elif command == "run":
+            assert (out / "report.json").exists()
+        else:
+            trials = len(options["--tasks"].split(",")) * int(options["--reps"]) * len(ALGORITHMS)
+            assert len(read_records(out / "records.csv")) == trials
+            assert not (out / "failures.csv").exists()

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,3 +326,43 @@ def test_instance_declares_evaluator_cache(small_instance):
     evaluator = metrics._evaluator(small_instance)
     assert small_instance._evaluator_cache is evaluator
     assert metrics._evaluator(small_instance) is evaluator
+
+
+def _three_huge_tasks():
+    """8 x 4, three task lengths of 1e308: finite tables and response
+    times, but a node's busy time times its active power overflows."""
+    instance = make_instance(8, 4, seed=0)
+    tasks = [replace(t, length=1e308) if t.id < 3 else t for t in instance.tasks]
+    return Instance(instance.topology, tasks)
+
+
+def test_report_names_the_node_whose_energy_overflows():
+    instance = _three_huge_tasks()
+    mapping = {t.id: 0 if t.id < 3 else 1 for t in instance.tasks}
+    node = instance.topology.nodes[0].id
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^energy of node {node} overflowed float range$"):
+            evaluate(instance, build_assignment(instance.tasks, mapping), FitnessWeights())
+
+
+def test_report_names_the_total_that_overflows():
+    # two 1.5e308 ms executions queue on one node: the second response
+    # and the response total are infinite
+    tasks = simple_tasks([(1.5e308, 0.0, 100.0), (1.5e308, 0.0, 100.0)])
+    instance = single_node_instance(tasks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^response_total overflowed float range$"):
+            evaluate(instance, build_assignment(tasks, {0: 0, 1: 0}), FitnessWeights())
+        with pytest.raises(ValueError, match="^fitness overflowed float range$"):
+            small = single_node_instance(simple_tasks([(1e300, 0.0, 100.0)]))
+            evaluate(small, build_assignment(small.tasks, {0: 0}), FitnessWeights(w_response=1e308))
+
+
+def test_evaluator_names_an_execution_time_that_overflows():
+    tasks = simple_tasks([(100.0, 0.0, 100.0), (1e308, 0.0, 100.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^execution time of task 1 on node 0 overflowed"):
+            metrics.Evaluator(line_instance(tasks, n_nodes=2, mips=1e-3))

@@ -258,3 +258,26 @@ def test_scenario_rejects_non_integer_id_or_huge_number(section, key, value):
     with pytest.raises(ValueError, match=re.escape(f"{section}[0]: {key} must be")):
         scenario_from_dict(doc)
 
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("n_tasks", "lots", "config: n_tasks must be an integer, got 'lots'"),
+    ("n_nodes", 3.0, "config: n_nodes must be an integer"),
+    ("rng_seed", True, "config: rng_seed must be an integer"),
+    ("mips_range", [1.0], "config: mips_range must be a pair of finite numbers"),
+    ("deadline_range", [1.0, math.nan], "config: deadline_range must be a pair of finite numbers"),
+    ("traffic_range", [0.0, 10**400], "config: traffic_range must be a pair of finite numbers"),
+    ("n_tasks", 0, "config: n_tasks must be > 0"),
+    ("rng_seed", -1, "config: rng_seed must be >= 0"),
+    ("bandwidth_range", [9.0, 1.0], "config: bandwidth_range must satisfy min <= max"),
+])
+def test_scenario_config_is_checked(key, value, message):
+    doc = json.loads(json.dumps(scenario_to_dict(*_saved_scenario())))
+    doc["config"][key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scenario_from_dict(doc)
+
+
+def test_generate_rejects_negative_seed():
+    with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+        generate_scenario(ScenarioConfig(rng_seed=-1))

@@ -1,8 +1,15 @@
+import hashlib
 import json
+import multiprocessing
+import os
+import pickle
+import signal
+import threading
 
 import pytest
 
 from fogsched import (
+    FitnessWeights,
     FogNode,
     IgeoParams,
     Instance,
@@ -15,6 +22,7 @@ from fogsched import (
     reclassify,
     rigeo_schedule,
 )
+from fogsched import rigeo
 from fogsched.model import validate_assignment
 
 from conftest import line_instance, make_instance, simple_tasks
@@ -212,3 +220,191 @@ def test_rigeo_summary_json(tmp_path, unit_weights):
         assert halves[half]["task_count"] == len(doc["deadline"][tasks])
         assert halves[half]["nodes"]
         assert set(halves[half]["nodes"]) <= set(doc["traffic"][nodes])
+
+
+# ---------------------------------------------------------------------------
+# The RL half runs in a forked child; the inline call must give the same bits.
+
+_SMALL_SEARCH = (
+    IgeoParams(population_size=6, iterations=20, rng_seed=2),
+    RlConfig(episodes=150, rng_seed=2),
+)
+
+
+def _rigeo_digest(instance, weights, threshold_policy="mean"):
+    """sha256 of the pickled (assignment, report) of one RIGEO run."""
+    result = rigeo_schedule(instance, *_SMALL_SEARCH, weights, threshold_policy=threshold_policy)
+    return hashlib.sha256(pickle.dumps(result)).hexdigest()
+
+
+def _recording_fork(pids):
+    """``os.fork`` that appends each child's pid to ``pids``."""
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    return recording_fork
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` makes during the test."""
+    pids = []
+    monkeypatch.setattr(os, "fork", _recording_fork(pids))
+    return pids
+
+
+def _two_tasks(traffic):
+    tasks = simple_tasks([(200.0, 10.0, 100.0), (200.0, 10.0, 900.0)])
+    return line_instance(tasks, n_nodes=3, traffic=traffic)
+
+
+_CASES = {  # name -> (instance factory, deadline threshold, forks)
+    "6x3": (lambda: make_instance(6, 3, seed=6), "mean", 1),
+    "40x5": (lambda: make_instance(40, 5, seed=40), "mean", 1),
+    "200x20": (lambda: make_instance(200, 20, seed=200), "mean", 1),
+    "no-low-traffic-node": (lambda: _two_tasks([0.5, 0.5]), "mean", 1),  # all at the mean
+    "no-high-traffic-node": (lambda: _two_tasks([0.1, 0.1]), "mean", 1),  # mean rounds up
+    "all-low-deadline": (_routing_instance, 1e9, 0),
+    "all-high-deadline": (_routing_instance, 0.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_forked_and_inline_rl_half_give_the_same_bits(monkeypatch, forks, unit_weights, case):
+    make, threshold, n_forks = _CASES[case]
+    classification = classify_nodes(make().topology)
+    if case.startswith("no-low"):
+        assert not classification.low_traffic_nodes
+    if case.startswith("no-high"):
+        assert not classification.high_traffic_nodes
+    forked = _rigeo_digest(make(), unit_weights, threshold)
+    assert len(forks) == n_forks
+    monkeypatch.delattr(os, "fork")
+    assert _rigeo_digest(make(), unit_weights, threshold) == forked
+
+
+def test_rl_half_runs_inline_while_another_thread_runs(forks, unit_weights):
+    instance = make_instance(10, 4, seed=1)
+    alone = _rigeo_digest(instance, unit_weights)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _rigeo_digest(instance, unit_weights) == alone
+    finally:
+        release.set()
+        other.join()
+    assert len(forks) == 1  # the first run only
+
+
+def _stranded_high_traffic_instance():
+    """Nodes 0-1 and 2-3 with no link between the pairs; every device
+    enters at node 0, so the high-traffic nodes 2 and 3 are unreachable."""
+    nodes = tuple(
+        FogNode(id=j, mips=1000.0, active_power=100.0, idle_power=10.0) for j in range(4)
+    )
+    links = (
+        Link(endpoints=(0, 1), bandwidth=100.0, propagation_delay=1.0, traffic_load=0.1),
+        Link(endpoints=(2, 3), bandwidth=100.0, propagation_delay=1.0, traffic_load=0.9),
+    )
+    tasks = simple_tasks([(200.0, 10.0, 100.0), (200.0, 10.0, 900.0)])
+    gateways = {t.source_device: 0 for t in tasks}
+    return Instance(Topology(nodes=nodes, links=links, device_gateways=gateways), tasks)
+
+
+def test_rl_half_value_error_reaches_the_caller(forks, unit_weights):
+    with pytest.raises(ValueError, match="no route from gateway of task 1 to any candidate node"):
+        rigeo_schedule(_stranded_high_traffic_instance(), *_SMALL_SEARCH, unit_weights)
+    assert len(forks) == 1
+
+
+def test_rl_half_exception_keeps_its_type_and_message(monkeypatch, forks, unit_weights):
+    def failing_rl(*args, **kwargs):
+        raise ValueError("the RL half failed")
+
+    monkeypatch.setattr(rigeo, "rl_optimize", failing_rl)
+    with pytest.raises(ValueError, match="^the RL half failed$"):
+        rigeo_schedule(_routing_instance(), *_SMALL_SEARCH, unit_weights)
+    assert len(forks) == 1
+
+
+class _TwoArgumentError(Exception):
+    """Pickles, but cannot be rebuilt from its one-element ``args``."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def _local_error():
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    return LocalError("not picklable")
+
+
+@pytest.mark.parametrize("make,message", [
+    (_local_error, "LocalError: not picklable"),
+    (lambda: _TwoArgumentError("this", "that"), "_TwoArgumentError: this and that"),
+])
+def test_rl_half_exception_that_does_not_round_trip_becomes_runtime_error(
+    monkeypatch, forks, unit_weights, make, message
+):
+    def failing_rl(*args, **kwargs):
+        raise make()
+
+    monkeypatch.setattr(rigeo, "rl_optimize", failing_rl)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        rigeo_schedule(_routing_instance(), *_SMALL_SEARCH, unit_weights)
+    assert len(forks) == 1
+
+
+def test_killed_rl_half_raises_runtime_error(monkeypatch, forks, unit_weights):
+    parent = os.getpid()
+
+    def dying_rl(*args, **kwargs):
+        assert os.getpid() != parent, "the RL half ran inline"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(rigeo, "rl_optimize", dying_rl)
+    with pytest.raises(RuntimeError, match=r"RL half \(pid \d+\) was killed by signal 9"):
+        rigeo_schedule(_routing_instance(), *_SMALL_SEARCH, unit_weights)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_igeo_half_exception_leaves_no_unreaped_child(monkeypatch, forks, unit_weights):
+    def failing_igeo(*args, **kwargs):
+        raise ValueError("the IGEO half failed")
+
+    monkeypatch.setattr(rigeo, "igeo_optimize", failing_igeo)
+    with pytest.raises(ValueError, match="the IGEO half failed"):
+        rigeo_schedule(_routing_instance(), *_SMALL_SEARCH, unit_weights)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # already reaped
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def _digest_in_pool_worker(_):
+    """(daemonic?, forks made, RIGEO digest) inside a pool worker."""
+    pids = []
+    fork = os.fork
+    os.fork = _recording_fork(pids)
+    try:
+        digest = _rigeo_digest(make_instance(40, 5, seed=3), FitnessWeights())
+    finally:
+        os.fork = fork
+    return multiprocessing.current_process().daemon, len(pids), digest
+
+
+def test_rigeo_in_a_daemonic_pool_worker(monkeypatch, unit_weights):
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        daemon, n_forks, digest = pool.apply(_digest_in_pool_worker, (None,))
+    assert daemon and n_forks == 1
+    monkeypatch.delattr(os, "fork")
+    assert digest == _rigeo_digest(make_instance(40, 5, seed=3), unit_weights)
