@@ -81,13 +81,13 @@ def step_vector(
     """Movement for one eagle: scalar-weighted sum of the attack and cruise
     unit directions.  Returns (delta, r1*pa, r2*pc); the two magnitude
     products drive the discrete operator choice downstream."""
-    attack = np.asarray(attack, dtype=float)
-    cruise = np.asarray(cruise, dtype=float)
+    attack = np.array(attack, dtype=float, ndmin=2)  # copies: scaled in place
+    cruise = np.array(cruise, dtype=float, ndmin=2)
     if not (attack.any() and cruise.any()):
         raise ValueError("attack and cruise vectors must be nonzero")
     r1pa = float(rng.random()) * pa
     r2pc = float(rng.random()) * pc
-    delta = _scaled_step(attack[None, :], cruise[None, :], np.array([r1pa]), np.array([r2pc]))
+    delta = _scaled_step(attack, cruise, np.array([r1pa]), np.array([r2pc]))
     return delta[0], r1pa, r2pc
 
 
@@ -106,28 +106,29 @@ def _propensities(params: GeoParams):
 
 def _orthogonal_cruise(attack, cruise, pick):
     """Make every row of ``cruise`` orthogonal to its ``attack`` row, in
-    place: the row's nonzero attack coordinate with the highest ``pick``
-    score (a uniform choice for uniform scores) is solved from the
-    orthogonality equation.  Rows with a zero attack get a zero cruise."""
-    nonzero = attack != 0.0
-    moving = nonzero.any(axis=1)
-    k = np.where(nonzero, pick, -1.0).argmax(axis=1)
+    place, overwriting ``pick``: the row's nonzero attack coordinate with the
+    highest ``pick`` score (a uniform choice for uniform scores) is solved
+    from the orthogonality equation; rows with a zero attack get zeros."""
+    zero = attack == 0.0
+    moving = ~zero.all(axis=1)
+    pick[zero] = -1.0
+    k = pick.argmax(axis=1)
     rows = np.flatnonzero(moving)
     cruise[~moving] = 0.0
     cruise[rows, k[rows]] = 0.0
-    dot = (attack[rows] * cruise[rows]).sum(axis=1)
-    cruise[rows, k[rows]] = -dot / attack[rows, k[rows]]
+    dot = np.multiply(attack, cruise, out=pick).sum(axis=1)
+    cruise[rows, k[rows]] = -dot[rows] / attack[rows, k[rows]]
     return cruise
 
 
 def _scaled_step(attack, cruise, r1pa, r2pc):
     """Per-row ``r1pa`` times the attack unit direction plus ``r2pc`` times
-    the cruise unit direction; a zero row contributes nothing."""
-    a_norm = np.sqrt((attack * attack).sum(axis=1))
-    c_norm = np.sqrt((cruise * cruise).sum(axis=1))
-    a_scale = np.where(a_norm > 0.0, r1pa / np.where(a_norm > 0.0, a_norm, 1.0), 0.0)
-    c_scale = np.where(c_norm > 0.0, r2pc / np.where(c_norm > 0.0, c_norm, 1.0), 0.0)
-    return a_scale[:, None] * attack + c_scale[:, None] * cruise
+    the cruise unit direction; a zero row contributes nothing.  Both are
+    scaled in place, and the step is returned in ``attack``'s buffer."""
+    for vector, length in ((attack, r1pa), (cruise, r2pc)):
+        norm = np.sqrt((vector * vector).sum(axis=1))
+        np.multiply(vector, (length / np.where(norm > 0.0, norm, np.inf))[:, None], out=vector)
+    return np.add(attack, cruise, out=attack)
 
 
 def _swarm_move(positions, prey, pa, pc, rng, upper):
@@ -142,23 +143,24 @@ def _swarm_move(positions, prey, pa, pc, rng, upper):
     cruise = rng.uniform(-1.0, 1.0, size=(pop, dim))
     r1pa = rng.random(pop) * pa
     r2pc = rng.random(pop) * pc
-    cruise = _orthogonal_cruise(attack, cruise, rng.random((pop, dim)))
+    _orthogonal_cruise(attack, cruise, rng.random((pop, dim)))
     delta = _scaled_step(attack, cruise, r1pa, r2pc)
-    new_positions = np.clip(positions + delta, 0.0, upper)
-    return new_positions, delta.sum(axis=1), r1pa, r2pc
+    delta_sum = delta.sum(axis=1)
+    new_positions = np.add(positions, delta, out=delta)  # over the step's buffer
+    return np.clip(new_positions, 0.0, upper, out=new_positions), delta_sum, r1pa, r2pc
 
 
 class _SubProblem:
     """Shared optimizer plumbing: candidate decoding and cached fitness of a
     task subset mapped onto a candidate node set.
 
-    A cache key is a genome's bytes in ``key_dtype``, the narrowest unsigned
+    GEO and IGEO carry genomes in ``key_dtype``, the narrowest unsigned
     type that holds every candidate index (``uint8`` up to 256 candidates,
-    ``uint16`` up to 65,536).  The cache is the largest allocation of a run,
-    and a 600-task key is 600 bytes this way instead of 4,800 as ``intp``.
-    The kernel still reads ``intp`` node indices, gathered from
-    ``candidate_idx`` by the same narrow genome the key holds, so a key
-    always names the genome that was scored."""
+    ``uint16`` up to 65,536), and a cache key is a genome's bytes in it.
+    The cache is the largest allocation of a run, and a 600-task key is 600
+    bytes this way instead of 4,800 as ``intp``.  The kernel still reads
+    ``intp`` node indices, gathered from ``candidate_idx`` by the same
+    narrow genome the key holds, so a key names the genome that was scored."""
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
         if not candidate_nodes:
@@ -205,7 +207,7 @@ class _SubProblem:
         """Fitness of every row of a ``(pop, dim)`` genome matrix.  Rows
         already cached are looked up; the distinct misses are scored in one
         kernel call, so a genome repeated in the batch is computed once."""
-        genomes = np.asarray(genomes).astype(self.key_dtype)
+        genomes = np.asarray(genomes).astype(self.key_dtype, copy=False)
         raw = genomes.tobytes()
         step = genomes.shape[1] * genomes.itemsize
         keys = [raw[i : i + step] for i in range(0, len(raw), step)]
@@ -226,6 +228,8 @@ class _SubProblem:
         return build_assignment(tasks, mapping)
 
 
+# a fitness overflowed by huge weights ranks last; re-evaluating names it
+@np.errstate(over="ignore", invalid="ignore")
 def geo_optimize(
     instance: Instance,
     candidate_nodes,
@@ -242,7 +246,7 @@ def geo_optimize(
     upper = float(problem.n_candidates - 1)
 
     positions = rng.uniform(0.0, upper, size=(pop, dim))
-    genomes = decode_position(positions, problem.n_candidates)
+    genomes = decode_position(positions, problem.n_candidates).astype(problem.key_dtype)
     fitnesses = problem.fitness_many(genomes)
     memory_pos = positions.copy()
     memory_fit = fitnesses.copy()
@@ -257,7 +261,7 @@ def geo_optimize(
         positions, _, _, _ = _swarm_move(
             positions, prey, pa_sched[t], pc_sched[t], rng, upper
         )
-        genomes = decode_position(positions, problem.n_candidates)
+        genomes = decode_position(positions, problem.n_candidates).astype(problem.key_dtype)
         fits = problem.fitness_many(genomes)
         improved = fits < memory_fit
         memory_fit[improved] = fits[improved]

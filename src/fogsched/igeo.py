@@ -189,6 +189,7 @@ def igeo_step(
     )[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as geo_optimize
 def igeo_optimize(
     instance: Instance,
     candidate_nodes,
@@ -208,7 +209,8 @@ def igeo_optimize(
     n_cand = problem.n_candidates
     upper = float(n_cand - 1)
 
-    genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp)
+    # drawn as intp (a narrower draw takes other random bits), bred in key_dtype
+    genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp).astype(problem.key_dtype)
     shadow = genomes.astype(float)
     fitnesses = problem.fitness_many(genomes)
     best_i = int(np.argmin(fitnesses))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Assignment, Instance, _non_finite_fields, _out_of_range_fields
+from .model import Assignment, Instance, _non_finite_fields, _out_of_range_fields, build_assignment
 
 __all__ = [
     "ResponseBreakdown",
@@ -135,15 +135,16 @@ class Evaluator:
     busy and idle time.  Nothing else derives these costs.
 
     ``report`` evaluates one full assignment with per-task detail.  Its
-    queue waits come from ``_lane_queues`` in the assignment's own visit
-    order; the per-task totals (response, violation) and each node's busy
-    time add sequentially in task-id order, and the energy total adds
-    sequentially in node order, as the oracle's ``+=`` loops do.
+    queue waits come from one ``_lane_queues`` row, its own visit order;
+    the per-task totals (response, violation) and each node's busy time
+    add sequentially in task-id order, and the energy total sequentially
+    in node order, as the oracle's ``+=`` loops do.
     ``subset_context`` freezes a task subset for the optimizers, whose
     ``objectives`` kernel scores one genome (an ``(n,)`` array of node
-    indices) or a whole flock (a ``(pop, n)`` matrix) per call.  The
-    kernel's totals are numpy's pairwise sums, so an optimizer's fitness and
-    the report's fitness of one assignment may differ in the last bits.
+    indices) or a whole flock (a ``(pop, n)`` matrix) per ``_lane_queues``
+    call.  The kernel's totals are numpy's pairwise sums, so an optimizer's
+    fitness and the report's fitness of one assignment may differ in the
+    last bits.
 
     Routing is hop-count shortest path from each task's gateway to its node,
     computed once by breadth-first search with sorted-neighbor tie-breaks so
@@ -253,7 +254,7 @@ class Evaluator:
             )
         transmission = self.transmission[task, node]
         execution = self.execution[task, node]
-        queue, _ = _lane_queues(node, execution, self.m)
+        queue = _lane_queues(node[None], execution[None], self.m)[0][0]
         response = propagation + transmission + execution + queue
         by_id = ids.argsort(kind="stable")
         cost = np.stack((propagation, transmission, execution, queue, response))
@@ -344,34 +345,33 @@ class _SubsetContext:
 
         ``node_idx`` of shape ``(n,)`` returns four floats; a ``(pop, n)``
         matrix returns four length-``pop`` arrays, row for row equal to the
-        single-genome results.
+        single-genome results.  A genome stays 1-D (cheaper than a one-row
+        matrix) except in ``_lane_queues``.
 
         Every node serves its tasks non-preemptively in EDF order;
-        ``_lane_queues`` gives the queue waits and busy times, one lane per
-        (genome, node).  Every total is then reduced per genome along a
+        ``_lane_queues`` gives the queue waits and busy times of every
+        (genome, node) lane.  Responses add delay, execution and queue wait
+        left to right, in place, and the violations overwrite them once
+        their totals are taken.  Every total is reduced per genome along a
         contiguous row, in subset (task) order and node order, with numpy's
         pairwise sum, so batched and single results are bit-identical.
         """
         node_idx = np.asarray(node_idx)
         nodes = node_idx.take(self.edf_order, axis=-1)  # EDF order
         shape = nodes.shape
-        rows = shape[0] if nodes.ndim == 2 else 1
         m = len(self.active)
         cell = nodes + self.cell_offset
         execution = self.execution.take(cell)
-
-        # one lane per (genome, node), numbered genome * m + node
-        lane = nodes.reshape(-1)
-        if rows > 1:
-            lane = (nodes + np.arange(0, rows * m, m)[:, None]).ravel()
-        queue, busy = _lane_queues(lane, execution, rows * m)
+        queue, busy = _lane_queues(nodes.reshape(-1, shape[-1]), execution, m)
         busy = busy.reshape(shape[:-1] + (m,))
 
-        response = self.delay.take(cell) + execution + queue.reshape(shape)
+        response = self.delay.take(cell)
+        response += execution
+        response += queue.reshape(shape)
         response = response.take(self.restore, axis=-1)  # subset order, contiguous rows
         response_total = np.add.reduce(response, axis=-1)
         response_max = np.maximum.reduce(response, axis=-1, initial=0.0)
-        violation = np.subtract(response, self.deadline)
+        violation = np.subtract(response, self.deadline, out=response)
         dv_total = np.add.reduce(np.maximum(0.0, violation, out=violation), axis=-1)
         idle_ms = np.subtract(response_max[..., None], busy)
         energy_total = np.add.reduce(self.active * busy + self.idle * idle_ms, axis=-1) / 1000.0
@@ -385,31 +385,44 @@ class _SubsetContext:
         return weights.combine(r, dv, e)
 
 
-def _lane_queues(lane: np.ndarray, execution: np.ndarray, n_lanes: int):
-    """The one EDF queue: every lane (a node, or a (genome, node) pair)
-    serves its entries in visit order.  ``lane`` (ids below ``n_lanes``) and
-    ``execution`` (ms) list the entries in visit order.  Returns each
-    entry's queue wait, in visit order, and each lane's busy time.
+def _lane_queues(nodes: np.ndarray, execution: np.ndarray, m: int):
+    """The one EDF queue: every row of the ``(rows, n)`` matrix ``nodes``
+    (node indices below ``m``) lists n entries in visit order, with their
+    ``execution`` (ms) in the same shape, and every (row, node) lane serves
+    its entries in that order.  Returns each entry's queue wait, as
+    ``(rows, n)``, and each lane's busy time, as ``(rows, m)``.
 
-    A stable sort groups each lane's entries, keeping their order, into one
-    row of a zero-padded matrix behind a leading zero column.  A row-wise
+    Each row is sorted stably on its narrowest unsigned node key (``uint8``
+    up to 256 nodes); with the row offsets added, that is the stable order
+    of the lane ids ``row * m + node``, which one flat sort gives more
+    cheaply where every lane id fits the key (one genome, a small batch).
+    Each lane's entries then fill, in visit order, the right end of a row of
+    a zero-padded matrix one column wider than the longest lane.  A row-wise
     prefix sum adds left to right, as ``busy += execution`` does, and a
     padding zero changes no sum, so a queue wait is the prefix one slot
-    before the entry's own and a busy time, added in queue order, is the
-    row's last value."""
-    counts = np.bincount(lane, minlength=n_lanes)
-    order = lane.astype(np.min_scalar_type(n_lanes)).argsort(kind="stable")
-    grouped = lane[order]
-    start = np.add.accumulate(counts) - counts  # each lane's first entry in order
+    before the entry's own, and a lane's busy time is its row's last value."""
+    rows, n = nodes.shape
+    key = np.min_scalar_type(m - 1)
+    lane = nodes if rows == 1 else nodes + np.arange(0, rows * m, m)[:, None]
+    lane = lane.reshape(-1)
+    if rows * m <= 1 << 8 * key.itemsize:
+        order = lane.astype(key).argsort(kind="stable")
+    else:
+        order = nodes.astype(key).argsort(axis=1, kind="stable")
+        order = np.add(order, np.arange(0, rows * n, n)[:, None], out=order).reshape(-1)
+    counts = np.bincount(lane, minlength=rows * m)
     width = int(np.maximum.reduce(counts, initial=0)) + 1
-    slot = grouped * width + (np.arange(lane.size) - start[grouped])
-    lanes = np.zeros((n_lanes, width))
+    # entry k in lane order sits at base + k; slot is the column before it
+    base = np.arange(width - 1, rows * m * width, width) - np.add.accumulate(counts)
+    slot = np.repeat(base, counts)
+    slot += np.arange(rows * n)
+    lanes = np.zeros((rows * m, width))
     flat = lanes.reshape(-1)
-    flat[slot + 1] = execution.take(order)
+    flat[1:][slot] = execution.take(order)
     np.add.accumulate(lanes, axis=1, out=lanes)
-    queue = np.empty(lane.size)
-    queue[order] = flat[slot]
-    return queue, lanes[:, -1]
+    queue = np.empty((rows, n))
+    queue.reshape(-1)[order] = flat[slot]
+    return queue, lanes[:, -1].reshape(rows, m)
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -485,8 +498,6 @@ def calibrate_weights(
     mapping = {
         t.id: node_ids[int(rng.integers(0, len(node_ids)))] for t in instance.tasks
     }
-    from .model import build_assignment
-
     report = evaluate(instance, build_assignment(instance.tasks, mapping), FitnessWeights())
     return FitnessWeights(
         w_response=w_response,

@@ -256,6 +256,7 @@ def rl_episode(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as geo.geo_optimize
 def rl_optimize(
     instance: Instance,
     candidate_nodes,

@@ -304,6 +304,25 @@ def test_experiment_with_failed_trials_exits_one(tmp_path, capsys):
     assert (out / "failures.csv").read_text().count("fitness overflowed") == 1
 
 
+def test_huge_weights_fail_by_name_without_a_warning(tmp_path, capsys):
+    # the optimizers rank an overflowed fitness last without a numpy
+    # warning; a result whose re-evaluated fitness overflows fails by name
+    out = tmp_path / "huge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["experiment", "--tasks", "8", "--nodes", "4", "--reps", "1", "--pop", "4",
+                     "--iters", "5", "--episodes", "20", "--workers", "1",
+                     "--weights", "1e308,1e308,1", "--out", str(out)])
+    assert code == 1
+    assert "Warning" not in capsys.readouterr().err
+    with open(out / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert failures and all(f["error"].endswith(" overflowed float range") for f in failures)
+    written = {r.algorithm for r in read_records(out / "records.csv")}
+    assert written.isdisjoint(f["algorithm"] for f in failures)
+    assert len(written) + len(failures) == len(ALGORITHMS)
+
+
 # Integer and weight arguments of every command: values that run quickly,
 # then at most one replaced by zero, a negative or a far-out number.
 _WEIGHTS = st.lists(st.sampled_from(["0", "1", "0.5", "3", "1e-300"]), min_size=3, max_size=3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fogsched import GeoParams, IgeoParams, attack_vector, cruise_vector, geo_optimize, step_vector
-from fogsched.geo import decode_position
+from fogsched.geo import _swarm_move, decode_position
 from fogsched.model import validate_assignment
 
 from conftest import make_instance
@@ -75,6 +75,26 @@ def test_step_vector_norm_bound():
 def test_step_vector_rejects_zero_norm():
     with pytest.raises(ValueError):
         step_vector(np.zeros(2), np.ones(2), 1.0, 1.0, np.random.default_rng(0))
+
+
+def test_swarm_step_leaves_its_inputs_unchanged():
+    # the step writes into arrays it created, never into the caller's
+    rng = np.random.default_rng(5)
+    attack = rng.normal(size=6)
+    cruise = cruise_vector(attack, np.random.default_rng(6))
+    kept = attack.copy(), cruise.copy()
+    cruise_vector(attack, rng)
+    step_vector(attack, cruise, 1.5, 0.7, rng)
+    assert np.array_equal(attack, kept[0]) and np.array_equal(cruise, kept[1])
+
+    positions = rng.uniform(0.0, 4.0, size=(5, 6))
+    prey = positions[::-1].copy()
+    prey[2] = positions[2]  # an eagle on its prey: a zero attack row
+    kept = positions.copy(), prey.copy()
+    moved, _, _, _ = _swarm_move(positions, prey, 1.0, 1.0, rng, 4.0)
+    assert np.array_equal(positions, kept[0]) and np.array_equal(prey, kept[1])
+    assert moved is not positions and np.array_equal(moved[2], positions[2])
+    assert ((moved >= 0.0) & (moved <= 4.0)).all()
 
 
 def test_decode_clamps_and_rounds():

@@ -5,6 +5,7 @@ once per iteration.  The ``Evaluator``'s cost tables are checked against the
 oracle's per-(task, node) costs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,64 @@ def test_kernel_nodes_without_tasks():
 def test_kernel_single_task():
     instance = make_instance(5, 3, seed=4)
     assert_kernel_agrees(instance, [3], [[0], [1], [2], [1]])
+
+
+def sequential_lanes(nodes, execution, m):
+    """Queue waits and busy times of ``_lane_queues``, as one ``busy +=``
+    loop per row."""
+    queue = np.zeros(nodes.shape)
+    busy = np.zeros((len(nodes), m))
+    for row, (lanes, times) in enumerate(zip(nodes, execution)):
+        for k, (j, t) in enumerate(zip(lanes, times)):
+            queue[row, k] = busy[row, j]
+            busy[row, j] += t
+    return queue, busy
+
+
+@pytest.mark.parametrize("m", [1, 3, 256, 257])
+def test_lane_queues_match_a_sequential_loop(m):
+    # row 0 queues every entry on one node, so the padded width is n + 1;
+    # one row, or four rows of 1 or 3 nodes, take the flat lane-id sort, and
+    # four rows of 256 or 257 nodes the per-row sort (uint16 keys above 256)
+    rng = np.random.default_rng(m)
+    n = 40
+    nodes = rng.integers(0, m, size=(4, n))
+    nodes[0] = m - 1
+    nodes[1, ::2] = 0
+    execution = rng.uniform(0.1, 900.0, size=(4, n))
+    expected = sequential_lanes(nodes, execution, m)
+    for rows in (slice(0, 1), slice(1, 2), slice(0, 4)):
+        queue, busy = metrics._lane_queues(nodes[rows], execution[rows], m)
+        assert queue.shape == nodes[rows].shape and busy.shape == (len(queue), m)
+        assert bits(queue.ravel()) == bits(expected[0][rows].ravel())
+        assert bits(busy.ravel()) == bits(expected[1][rows].ravel())
+
+
+def test_kernel_every_task_on_one_node():
+    instance = make_instance(60, 4, seed=6)
+    genomes = [[j] * 60 for j in range(4)] + [[3] * 30 + [0] * 30]
+    assert_kernel_agrees(instance, list(range(60)), genomes)
+
+
+@pytest.mark.parametrize("n_nodes", [256, 257])
+def test_kernel_on_256_and_257_nodes(n_nodes):
+    tasks = simple_tasks([(500.0, 20.0, 5000.0), (300.0, 10.0, 4000.0), (800.0, 5.0, 9000.0),
+                          (200.0, 8.0, 3000.0), (600.0, 12.0, 6000.0)])
+    instance = line_instance(tasks, n_nodes=n_nodes)
+    top = n_nodes - 1
+    genomes = [[top] * 5, [top, 0, top - 1, 128, top], [0] * 5, [7, 7, top, 7, 200]]
+    assert_kernel_agrees(instance, list(range(5)), genomes)
+    assert_kernel_agrees(instance, [2], [[top], [0]])
+
+
+def test_one_row_batch_equals_the_genome():
+    instance = make_instance(300, 20, seed=8)
+    ctx = metrics.Evaluator(instance).subset_context(range(300))
+    genome = np.random.default_rng(8).integers(0, 20, size=300)
+    batch = ctx.objectives(genome[None, :])
+    assert all(b.shape == (1,) for b in batch)
+    assert bits(b[0] for b in batch) == bits(ctx.objectives(genome))
+    assert bits(ctx.objectives(genome)) == bits(reference_objectives(instance, range(300), genome))
 
 
 def test_kernel_single_candidate_node():
@@ -159,6 +218,51 @@ def test_top_candidate_index_scores_its_own_genome(wide_line, n_candidates):
     expected = [fresh.ctx.fitness(fresh.candidate_idx[g], weights) for g in genomes]
     assert bits(fits) == bits(expected)
     assert bits(problem.fitness_of(g) for g in genomes) == bits(expected)
+
+
+def test_fitness_many_takes_intp_and_narrow_genomes_alike():
+    instance = make_instance(30, 4, seed=9)
+    problem = _SubProblem(instance, [0, 1, 2, 3], range(30), FitnessWeights())
+    rows = []
+    objectives = problem.ctx.objectives
+
+    def counting(node_idx):
+        rows.append(len(np.atleast_2d(node_idx)))
+        return objectives(node_idx)
+
+    problem.ctx.objectives = counting
+    genomes = np.random.default_rng(9).integers(0, 4, size=(6, 30))
+    wide = problem.fitness_many(genomes)
+    assert genomes.dtype == np.intp and rows == [6]
+    narrow = genomes.astype(problem.key_dtype)
+    assert bits(problem.fitness_many(narrow)) == bits(wide)
+    assert bits(problem.fitness_of(g) for g in narrow) == bits(wide)
+    assert rows == [6] and len(problem._cache) == 6
+
+
+# assignments (candidate node ids of tasks 0-4) and fitness bits, recorded
+# from the intp-genome optimizers: a uint8 (256) or uint16 (257) genome must
+# search exactly as they did.  Devices enter the line at node 256, so the
+# search is drawn to the top indices; IGEO's best genome at 257 candidates
+# holds index 256 (GEO's flock settles before it decodes that high)
+NARROW_PINS = {
+    (256, "geo"): ([240, 130, 249, 21, 155], "0x1.437ab22d0e560p+12"),
+    (256, "igeo"): ([254, 253, 255, 227, 245], "0x1.2713f9db22d0ep+12"),
+    (257, "geo"): ([241, 131, 250, 21, 155], "0x1.43219374bc6a8p+12"),
+    (257, "igeo"): ([255, 254, 256, 228, 247], "0x1.2688000000000p+12"),
+}
+
+
+@pytest.mark.parametrize("n_candidates,name", sorted(NARROW_PINS))
+def test_optimizers_keep_their_bits_in_narrow_genomes(wide_line, n_candidates, name):
+    gateways = {device: 256 for device in wide_line.topology.device_gateways}
+    instance = Instance(replace(wide_line.topology, device_gateways=gateways), wide_line.tasks)
+    optimize, params = {
+        "geo": (geo_optimize, GeoParams(population_size=16, iterations=40, rng_seed=4)),
+        "igeo": (igeo_optimize, IgeoParams(population_size=16, iterations=40, rng_seed=4)),
+    }[name]
+    assignment, fit = optimize(instance, range(n_candidates), range(5), params, FitnessWeights())
+    assert ([assignment.mapping[t] for t in range(5)], fit.hex()) == NARROW_PINS[n_candidates, name]
 
 
 @pytest.mark.parametrize("optimize,params", [

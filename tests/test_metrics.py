@@ -188,6 +188,38 @@ def test_queue_waits_follow_a_hand_built_order(unit_weights):
     assert total_deadline_violation(instance, assignment) == 700.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_evaluate_follows_any_hand_built_order(data):
+    # queue waits from the assignment's own per-node orders, against a
+    # running busy time per node; the costs come from the oracle
+    n_tasks = data.draw(st.integers(1, 15), label="n_tasks")
+    n_nodes = data.draw(st.integers(1, 4), label="n_nodes")
+    instance = make_instance(n_tasks, n_nodes, seed=data.draw(st.integers(0, 50), label="seed"))
+    mapping = {t.id: data.draw(st.integers(0, n_nodes - 1)) for t in instance.tasks}
+    order = {}
+    for node_id in sorted(set(mapping.values())):
+        queued = [t for t in sorted(mapping) if mapping[t] == node_id]
+        order[node_id] = tuple(data.draw(st.permutations(queued), label=f"order {node_id}"))
+    weights = FitnessWeights(norm_response=3.0, norm_deadline=5.0, norm_energy=7.0)
+    report = evaluate(instance, Assignment(mapping=mapping, order=order), weights)
+
+    expected = {}
+    for node_id, queued in order.items():
+        busy = 0.0
+        for t in queued:
+            prop, trans, execution, _ = brute_force_report(instance, {t: node_id}, weights)["breakdown"][t]
+            expected[t] = (prop, trans, execution, busy, prop + trans + execution + busy)
+            busy += execution
+    assert [tuple(vars(b).values()) for b in report.per_task] == [(t, *expected[t]) for t in sorted(mapping)]
+    deadlines = {t.id: t.deadline for t in instance.tasks}
+    dv_total = response_total = 0.0
+    for t in sorted(mapping):
+        dv_total += max(0.0, expected[t][4] - deadlines[t])
+        response_total += expected[t][4]
+    assert (report.dv_total, report.response_total) == (dv_total, response_total)
+
+
 def test_empty_assignment_reports_zeros(small_instance, unit_weights):
     report = evaluate(small_instance, Assignment(mapping={}, order={}), unit_weights)
     assert report.per_task == report.dv_per_task == ()
