@@ -92,10 +92,10 @@ def step_vector(
 
 
 def decode_position(position: np.ndarray, n_candidates: int) -> np.ndarray:
-    """Round-half-up each clamped coordinate to a candidate index; decodes
-    one position or a whole ``(pop, dim)`` flock."""
+    """Round-half-up each clamped coordinate to a candidate index in the
+    narrowest unsigned dtype; decodes one position or a ``(pop, dim)`` flock."""
     clamped = np.clip(position, 0.0, n_candidates - 1.0)
-    return np.floor(clamped + 0.5).astype(np.intp)
+    return np.floor(clamped + 0.5).astype(np.min_scalar_type(n_candidates - 1))
 
 
 def _propensities(params: GeoParams):
@@ -160,7 +160,8 @@ class _SubProblem:
     The cache is the largest allocation of a run, and a 600-task key is 600
     bytes this way instead of 4,800 as ``intp``.  The kernel still reads
     ``intp`` node indices, gathered from ``candidate_idx`` by the same
-    narrow genome the key holds, so a key names the genome that was scored."""
+    narrow genome the key holds, so a key names the genome that was scored.
+    A NaN fitness (a zero weight times an inf objective) is cached as inf."""
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
         if not candidate_nodes:
@@ -200,7 +201,7 @@ class _SubProblem:
         cached = self._cache.get(key)
         if cached is None:
             cached = self.ctx.fitness(self.candidate_idx[genome], self.weights)
-            self._cache[key] = cached
+            cached = self._cache[key] = math.inf if math.isnan(cached) else cached
         return cached
 
     def fitness_many(self, genomes) -> np.ndarray:
@@ -216,7 +217,7 @@ class _SubProblem:
         if missing:
             rows = genomes[list(missing.values())]
             values = self.ctx.fitness(self.candidate_idx[rows], self.weights)
-            cache.update(zip(missing, values.tolist()))
+            cache.update(zip(missing, np.fmin(values, np.inf).tolist()))
         return np.array([cache[key] for key in keys])
 
     def to_assignment(self, genome) -> Assignment:
@@ -228,7 +229,7 @@ class _SubProblem:
         return build_assignment(tasks, mapping)
 
 
-# a fitness overflowed by huge weights ranks last; re-evaluating names it
+# an overflowed fitness reads inf and ranks last; re-evaluating names it
 @np.errstate(over="ignore", invalid="ignore")
 def geo_optimize(
     instance: Instance,
@@ -246,7 +247,7 @@ def geo_optimize(
     upper = float(problem.n_candidates - 1)
 
     positions = rng.uniform(0.0, upper, size=(pop, dim))
-    genomes = decode_position(positions, problem.n_candidates).astype(problem.key_dtype)
+    genomes = decode_position(positions, problem.n_candidates)
     fitnesses = problem.fitness_many(genomes)
     memory_pos = positions.copy()
     memory_fit = fitnesses.copy()
@@ -261,7 +262,7 @@ def geo_optimize(
         positions, _, _, _ = _swarm_move(
             positions, prey, pa_sched[t], pc_sched[t], rng, upper
         )
-        genomes = decode_position(positions, problem.n_candidates).astype(problem.key_dtype)
+        genomes = decode_position(positions, problem.n_candidates)
         fits = problem.fitness_many(genomes)
         improved = fits < memory_fit
         memory_fit[improved] = fits[improved]

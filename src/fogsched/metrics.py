@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Assignment, Instance, _non_finite_fields, _out_of_range_fields, build_assignment
+from .model import Assignment, Instance, _non_finite_fields, _out_of_range_fields
 
 __all__ = [
     "ResponseBreakdown",
@@ -135,16 +135,15 @@ class Evaluator:
     busy and idle time.  Nothing else derives these costs.
 
     ``report`` evaluates one full assignment with per-task detail.  Its
-    queue waits come from one ``_lane_queues`` row, its own visit order;
-    the per-task totals (response, violation) and each node's busy time
-    add sequentially in task-id order, and the energy total sequentially
-    in node order, as the oracle's ``+=`` loops do.
+    queue waits come from one ``_lane_queues`` row, the assignment's visit
+    order; the per-task totals (response, violation) and each node's busy
+    time add sequentially in task-id order, and the energy total adds
+    sequentially in node order, as the oracle's ``+=`` loops do.
     ``subset_context`` freezes a task subset for the optimizers, whose
     ``objectives`` kernel scores one genome (an ``(n,)`` array of node
-    indices) or a whole flock (a ``(pop, n)`` matrix) per ``_lane_queues``
-    call.  The kernel's totals are numpy's pairwise sums, so an optimizer's
-    fitness and the report's fitness of one assignment may differ in the
-    last bits.
+    indices) or a whole flock (a ``(pop, n)`` matrix) per call.  The
+    kernel's totals are numpy's pairwise sums, so an optimizer's fitness and
+    the report's fitness of one assignment may differ in the last bits.
 
     Routing is hop-count shortest path from each task's gateway to its node,
     computed once by breadth-first search with sorted-neighbor tie-breaks so
@@ -345,14 +344,11 @@ class _SubsetContext:
 
         ``node_idx`` of shape ``(n,)`` returns four floats; a ``(pop, n)``
         matrix returns four length-``pop`` arrays, row for row equal to the
-        single-genome results.  A genome stays 1-D (cheaper than a one-row
-        matrix) except in ``_lane_queues``.
+        single-genome results.
 
         Every node serves its tasks non-preemptively in EDF order;
-        ``_lane_queues`` gives the queue waits and busy times of every
-        (genome, node) lane.  Responses add delay, execution and queue wait
-        left to right, in place, and the violations overwrite them once
-        their totals are taken.  Every total is reduced per genome along a
+        ``_lane_queues`` gives, one row per genome, the queue waits and busy
+        times of each (genome, node) lane.  Every total is reduced along a
         contiguous row, in subset (task) order and node order, with numpy's
         pairwise sum, so batched and single results are bit-identical.
         """
@@ -392,30 +388,25 @@ def _lane_queues(nodes: np.ndarray, execution: np.ndarray, m: int):
     its entries in that order.  Returns each entry's queue wait, as
     ``(rows, n)``, and each lane's busy time, as ``(rows, m)``.
 
-    Each row is sorted stably on its narrowest unsigned node key (``uint8``
-    up to 256 nodes); with the row offsets added, that is the stable order
-    of the lane ids ``row * m + node``, which one flat sort gives more
-    cheaply where every lane id fits the key (one genome, a small batch).
-    Each lane's entries then fill, in visit order, the right end of a row of
-    a zero-padded matrix one column wider than the longest lane.  A row-wise
-    prefix sum adds left to right, as ``busy += execution`` does, and a
-    padding zero changes no sum, so a queue wait is the prefix one slot
-    before the entry's own, and a lane's busy time is its row's last value."""
+    A stable sort of each row on its narrowest unsigned node key, plus the
+    row offsets, groups every lane's entries in visit order; they fill the
+    right end of a row of a zero-padded matrix one column wider than the
+    longest lane.  A row-wise prefix sum adds left to right, as ``busy +=
+    execution`` does, and a padding zero changes no sum, so a queue wait is
+    the prefix one slot before the entry's own and a lane's busy time is
+    its row's last value."""
     rows, n = nodes.shape
-    key = np.min_scalar_type(m - 1)
-    lane = nodes if rows == 1 else nodes + np.arange(0, rows * m, m)[:, None]
-    lane = lane.reshape(-1)
-    if rows * m <= 1 << 8 * key.itemsize:
-        order = lane.astype(key).argsort(kind="stable")
-    else:
-        order = nodes.astype(key).argsort(axis=1, kind="stable")
-        order = np.add(order, np.arange(0, rows * n, n)[:, None], out=order).reshape(-1)
+    order = nodes.astype(np.min_scalar_type(m - 1)).argsort(axis=1, kind="stable")
+    lane = nodes
+    if rows > 1:  # entry row * n + k, lane row * m + node
+        order += np.arange(0, rows * n, n)[:, None]
+        lane = nodes + np.arange(0, rows * m, m)[:, None]
+    order, lane = order.reshape(-1), lane.reshape(-1)
     counts = np.bincount(lane, minlength=rows * m)
     width = int(np.maximum.reduce(counts, initial=0)) + 1
     # entry k in lane order sits at base + k; slot is the column before it
     base = np.arange(width - 1, rows * m * width, width) - np.add.accumulate(counts)
-    slot = np.repeat(base, counts)
-    slot += np.arange(rows * n)
+    slot = np.repeat(base, counts) + np.arange(rows * n)
     lanes = np.zeros((rows * m, width))
     flat = lanes.reshape(-1)
     flat[1:][slot] = execution.take(order)
@@ -498,6 +489,8 @@ def calibrate_weights(
     mapping = {
         t.id: node_ids[int(rng.integers(0, len(node_ids)))] for t in instance.tasks
     }
+    from .model import build_assignment
+
     report = evaluate(instance, build_assignment(instance.tasks, mapping), FitnessWeights())
     return FitnessWeights(
         w_response=w_response,

@@ -108,7 +108,16 @@ class ScenarioConfig:
             problems.append("n_nodes must be > 0")
         if self.rng_seed < 0:
             problems.append("rng_seed must be >= 0")
-        for name in (f.name for f in fields(self) if f.name.endswith("_range")):
+        for name in (
+            "mips_range",
+            "active_power_range",
+            "deadline_range",
+            "task_length_range",
+            "data_size_range",
+            "traffic_range",
+            "bandwidth_range",
+            "propagation_range",
+        ):
             lo, hi = getattr(self, name)
             if lo > hi:
                 problems.append(f"{name} must satisfy min <= max")
@@ -361,9 +370,19 @@ def validate_assignment(instance: Instance, assignment: Assignment) -> Validatio
 
 def scenario_to_dict(config: ScenarioConfig, topology: Topology, tasks) -> dict:
     return {
-        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(config).items()},
+        "config": {
+            **{k: list(v) if isinstance(v, tuple) else v for k, v in asdict(config).items()}
+        },
         "nodes": [asdict(n) for n in topology.nodes],
-        "links": [{**asdict(l), "endpoints": list(l.endpoints)} for l in topology.links],
+        "links": [
+            {
+                "endpoints": list(l.endpoints),
+                "bandwidth": l.bandwidth,
+                "propagation_delay": l.propagation_delay,
+                "traffic_load": l.traffic_load,
+            }
+            for l in topology.links
+        ],
         "tasks": [asdict(t) for t in tasks],
         "gateways": {str(dev): node for dev, node in sorted(topology.device_gateways.items())},
     }

@@ -100,6 +100,8 @@ def test_swarm_step_leaves_its_inputs_unchanged():
 def test_decode_clamps_and_rounds():
     pos = np.array([-1.0, 0.49, 0.5, 1.6, 9.0])
     assert decode_position(pos, 3).tolist() == [0, 0, 1, 2, 2]
+    assert decode_position(pos, 3).dtype == np.uint8
+    assert decode_position(pos, 257).dtype == np.uint16
 
 
 def test_geo_single_candidate(small_instance, unit_weights):
@@ -198,3 +200,27 @@ def test_geo_rejects_unreachable_candidates(unit_weights):
     )
     assert set(assignment.mapping.values()) == {0}
     assert np.isfinite(fit)
+
+
+def test_nan_fitness_ranks_last():
+    """A zero weight times the inf objectives of an unreachable node is NaN.
+    It is cached as inf, so no optimizer keeps a genome that uses the node."""
+    from conftest import simple_tasks, unlinked_instance
+    from fogsched import RlConfig, igeo_optimize, rl_optimize
+    from fogsched.geo import _SubProblem
+
+    tasks = simple_tasks([(100.0, 10.0, 50.0)] * 3)
+    weights = FitnessWeights(w_response=0.0)
+    problem = _SubProblem(unlinked_instance(tasks), [0, 1], [0, 1, 2], weights)
+    with np.errstate(invalid="ignore"):
+        assert problem.fitness_of(np.array([0, 1, 0])) == math.inf
+        fits = problem.fitness_many(np.array([[1, 1, 1], [0, 0, 1], [0, 0, 0]]))
+    assert fits[0] == fits[1] == math.inf and math.isfinite(fits[2])
+    for optimize, params in (
+        (geo_optimize, GeoParams(population_size=8, iterations=10, rng_seed=1)),
+        (igeo_optimize, IgeoParams(population_size=8, iterations=10, rng_seed=1)),
+        (rl_optimize, RlConfig(episodes=50, rng_seed=1)),
+    ):
+        instance = unlinked_instance(tasks)  # a fresh fitness cache
+        assignment, fit = optimize(instance, [0, 1], [0, 1, 2], params, weights)
+        assert set(assignment.mapping.values()) == {0} and math.isfinite(fit)

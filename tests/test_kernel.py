@@ -98,8 +98,8 @@ def sequential_lanes(nodes, execution, m):
 @pytest.mark.parametrize("m", [1, 3, 256, 257])
 def test_lane_queues_match_a_sequential_loop(m):
     # row 0 queues every entry on one node, so the padded width is n + 1;
-    # one row, or four rows of 1 or 3 nodes, take the flat lane-id sort, and
-    # four rows of 256 or 257 nodes the per-row sort (uint16 keys above 256)
+    # one row takes no row offsets, four rows do, and rows of 257 nodes are
+    # sorted on uint16 keys
     rng = np.random.default_rng(m)
     n = 40
     nodes = rng.integers(0, m, size=(4, n))
