@@ -20,7 +20,7 @@ from .baselines import baseline_greedy, baseline_random
 from .geo import GeoParams, geo_optimize
 from .igeo import IgeoParams, igeo_optimize
 from .metrics import FitnessWeights, calibrate_weights, evaluate
-from .model import Instance, ScenarioConfig, generate_scenario, scenario_to_dict
+from .model import Instance, ScenarioConfig, _is_id, generate_scenario, scenario_to_dict
 from .rigeo import rigeo_schedule
 from .rl import RlConfig, rl_optimize
 
@@ -69,17 +69,21 @@ class ExperimentPlan:
             problems = ScenarioConfig(n_tasks=count, n_nodes=self.n_nodes).validate()
             if problems:
                 raise ValueError("; ".join(problems))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.base_seed < 0:  # every trial seed is base_seed or more
-            raise ValueError("base_seed must be >= 0")
+        for name, least in (
+            ("repetitions", 1),
+            ("base_seed", 0),  # every trial seed is base_seed or more
+            ("workers", 1),
+        ):
+            value = getattr(self, name)
+            if not _is_id(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not self.algorithms:
             raise ValueError("algorithms must be nonempty")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         w_response, w_deadline, w_energy = self.fitness_weights  # as run_and_evaluate reads them
         FitnessWeights(w_response, w_deadline, w_energy)  # raises on bad weights
 

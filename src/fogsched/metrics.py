@@ -5,14 +5,17 @@ The cost model is built once, as the tables of ``Evaluator``; the report,
 the optimizers' kernel and the greedy baseline all read them.
 
 All evaluations are pure functions of (instance, assignment) and may run
-concurrently against one shared instance.
+concurrently against one shared instance.  The optimizers' kernel keeps
+reusable buffers in its subset context (``_SubsetContext``), which lives
+for one optimizer run and serves one thread; each run builds its own.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -328,6 +331,18 @@ class Evaluator:
 
 @dataclass
 class _SubsetContext:
+    """A task subset frozen by ``Evaluator.subset_context``, and
+    ``objectives``, the optimizers' kernel over it.
+
+    The context owns a ``_Workspace``: every kernel call writes its
+    ``(rows, n)`` intermediates and the padded lane matrix into buffers
+    kept from call to call, so a batch call makes no large temporary
+    (fresh memory the OS must fault in again after the allocator hands it
+    back).  The buffers grow to the largest batch seen and are freed with
+    the context, which belongs to one optimizer run (``geo._SubProblem``).
+    One context therefore serves one thread; threads sharing an
+    ``Instance`` each build their own, as every optimizer run does."""
+
     edf_order: np.ndarray  # subset positions in EDF visit order
     restore: np.ndarray  # inverse permutation of edf_order
     cell_offset: np.ndarray  # row offsets into the flattened (n, m) tables
@@ -336,15 +351,21 @@ class _SubsetContext:
     deadline: np.ndarray  # (n,) in subset order, ms
     active: np.ndarray  # (m,) alpha * active power
     idle: np.ndarray  # (m,) beta * idle power
+    work: _Workspace = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.work = _Workspace(*self.execution.shape)
 
     def objectives(self, node_idx: np.ndarray):
         """(response_total, response_max, dv_total, energy_total) of mapping
-        the subset's tasks onto ``node_idx`` (node array indices, one per
-        task in subset order).
+        the subset's tasks onto ``node_idx`` (node array indices below m,
+        one per task in subset order; not range-checked).
 
         ``node_idx`` of shape ``(n,)`` returns four floats; a ``(pop, n)``
         matrix returns four length-``pop`` arrays, row for row equal to the
-        single-genome results.
+        single-genome results.  The intermediates live in the context's
+        workspace; the returned values are new, and later calls leave them
+        as they are.
 
         Every node serves its tasks non-preemptively in EDF order;
         ``_lane_queues`` gives, one row per genome, the queue waits and busy
@@ -352,19 +373,23 @@ class _SubsetContext:
         contiguous row, in subset (task) order and node order, with numpy's
         pairwise sum, so batched and single results are bit-identical.
         """
-        node_idx = np.asarray(node_idx)
-        nodes = node_idx.take(self.edf_order, axis=-1)  # EDF order
-        shape = nodes.shape
-        m = len(self.active)
-        cell = nodes + self.cell_offset
-        execution = self.execution.take(cell)
-        queue, busy = _lane_queues(nodes.reshape(-1, shape[-1]), execution, m)
-        busy = busy.reshape(shape[:-1] + (m,))
-
-        response = self.delay.take(cell)
+        node_idx = np.asarray(node_idx).astype(np.intp, casting="safe", copy=False)
+        n, m = self.execution.shape
+        rows = node_idx.reshape(-1, n)  # one genome is a one-row batch
+        w = self.work.cut(len(rows))
+        # gathers write into the workspace; mode "clip" keeps numpy from
+        # buffering an out= gather, which mode "raise" does
+        nodes = rows.take(self.edf_order, axis=1, out=w.nodes, mode="clip")  # EDF order
+        cell = np.add(nodes, self.cell_offset, out=w.cell)
+        execution = self.execution.take(cell, out=w.execution, mode="clip")
+        response = self.delay.take(cell, out=w.response, mode="clip")
         response += execution
-        response += queue.reshape(shape)
-        response = response.take(self.restore, axis=-1)  # subset order, contiguous rows
+        queue, busy = _lane_queues(nodes, execution, m, self.work)
+        response += queue
+        # subset order, contiguous rows
+        response = response.take(self.restore, axis=1, out=w.ordered, mode="clip")
+        if node_idx.ndim == 1:  # one genome: 1-D reductions cost less per call
+            response, busy = response[0], busy[0]
         response_total = np.add.reduce(response, axis=-1)
         response_max = np.maximum.reduce(response, axis=-1, initial=0.0)
         violation = np.subtract(response, self.deadline, out=response)
@@ -381,7 +406,59 @@ class _SubsetContext:
         return weights.combine(r, dv, e)
 
 
-def _lane_queues(nodes: np.ndarray, execution: np.ndarray, m: int):
+_Views = namedtuple("_Views", (
+    "nodes cell execution response ordered key lane rank slot queue ramp entry_offset lane_offset"
+))
+
+
+class _Workspace:
+    """The reusable buffers of the kernel on ``n`` entries per row and
+    ``m`` nodes.  ``cut(rows)`` returns ``_Views`` of the first ``rows``
+    rows of every ``(capacity, n)`` buffer, first growing them all to
+    ``rows`` rows if the capacity is smaller, so they end as large as the
+    largest batch seen.  It keeps the last row count's views, so repeated
+    one-genome calls cut nothing.  ``lanes`` is the flat padded lane
+    matrix, grown by ``_lane_queues`` to the largest ``rows * m * width``
+    seen.
+
+    Buffers whose uses in a call do not overlap share storage: ``slot``
+    takes over ``nodes`` once the lanes are built from it, ``lane`` and
+    then ``rank`` take over ``cell`` once both gathers have read it, and
+    ``ordered`` takes over ``execution`` once the lanes hold it."""
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.key_dtype = np.min_scalar_type(m - 1)
+        self.capacity = 0
+        self.lanes = np.empty(0)
+        self._views = None
+
+    def cut(self, rows: int) -> _Views:
+        views = self._views
+        if views is None or len(views.nodes) != rows:
+            if rows > self.capacity:
+                self._grow(rows)
+            views = self._buffers
+            if rows < self.capacity:
+                views = _Views(*(b[:rows] for b in views))
+            self._views = views
+        return views
+
+    def _grow(self, rows: int):
+        shape = (rows, self.n)
+        nodes, cell = np.empty(shape, np.intp), np.empty(shape, np.intp)
+        execution = np.empty(shape)
+        self._buffers = _Views(
+            nodes=nodes, cell=cell, execution=execution, response=np.empty(shape),
+            ordered=execution, key=np.empty(shape, self.key_dtype), lane=cell, rank=cell,
+            slot=nodes, queue=np.empty(shape), ramp=np.arange(rows * self.n).reshape(shape),
+            entry_offset=np.arange(rows)[:, None] * self.n,
+            lane_offset=np.arange(rows)[:, None] * self.m,
+        )
+        self.capacity = rows
+
+
+def _lane_queues(nodes: np.ndarray, execution: np.ndarray, m: int, work: _Workspace = None):
     """The one EDF queue: every row of the ``(rows, n)`` matrix ``nodes``
     (node indices below ``m``) lists n entries in visit order, with their
     ``execution`` (ms) in the same shape, and every (row, node) lane serves
@@ -389,30 +466,43 @@ def _lane_queues(nodes: np.ndarray, execution: np.ndarray, m: int):
     ``(rows, n)``, and each lane's busy time, as ``(rows, m)``.
 
     A stable sort of each row on its narrowest unsigned node key, plus the
-    row offsets, groups every lane's entries in visit order; they fill the
-    right end of a row of a zero-padded matrix one column wider than the
-    longest lane.  A row-wise prefix sum adds left to right, as ``busy +=
-    execution`` does, and a padding zero changes no sum, so a queue wait is
-    the prefix one slot before the entry's own and a lane's busy time is
-    its row's last value."""
+    row offsets, ranks every entry within the grouped lanes in visit order;
+    the lanes fill the right ends of the rows of a zero-padded matrix one
+    column wider than the longest lane.  A row-wise prefix sum adds left to
+    right, as ``busy += execution`` does, and a padding zero changes no
+    sum, so a queue wait is the prefix one slot before the entry's own and
+    a lane's busy time is its row's last value.
+
+    The intermediates and both results are views of ``work``, a context's
+    workspace, valid until its next call; without one, the call makes a
+    workspace of its own.  The lane matrix changes width from call to
+    call, so its padding is zeroed again every time."""
     rows, n = nodes.shape
-    order = nodes.astype(np.min_scalar_type(m - 1)).argsort(axis=1, kind="stable")
-    lane = nodes
-    if rows > 1:  # entry row * n + k, lane row * m + node
-        order += np.arange(0, rows * n, n)[:, None]
-        lane = nodes + np.arange(0, rows * m, m)[:, None]
-    order, lane = order.reshape(-1), lane.reshape(-1)
-    counts = np.bincount(lane, minlength=rows * m)
+    if work is None:
+        work = _Workspace(n, m)
+    w = work.cut(rows)
+    np.copyto(w.key, nodes, casting="unsafe")
+    order = w.key.argsort(axis=1, kind="stable")
+    if rows > 1:  # entry row * n + k
+        order += w.entry_offset
+    lane = np.add(nodes, w.lane_offset, out=w.lane)  # lane row * m + node
+    counts = np.bincount(lane.reshape(-1), minlength=rows * m)
     width = int(np.maximum.reduce(counts, initial=0)) + 1
-    # entry k in lane order sits at base + k; slot is the column before it
+    # the entry of rank k in lane order sits at base + k; slot is the
+    # column before it
     base = np.arange(width - 1, rows * m * width, width) - np.add.accumulate(counts)
-    slot = np.repeat(base, counts) + np.arange(rows * n)
-    lanes = np.zeros((rows * m, width))
-    flat = lanes.reshape(-1)
-    flat[1:][slot] = execution.take(order)
+    slot = base.take(lane, out=w.slot, mode="clip")
+    w.rank.reshape(-1)[order] = w.ramp
+    slot += w.rank
+    size = rows * m * width
+    if work.lanes.size < size:
+        work.lanes = np.empty(size)
+    flat = work.lanes[:size]
+    flat.fill(0.0)
+    flat[1:][slot] = execution
+    lanes = flat.reshape(rows * m, width)
     np.add.accumulate(lanes, axis=1, out=lanes)
-    queue = np.empty((rows, n))
-    queue.reshape(-1)[order] = flat[slot]
+    queue = flat.take(slot, out=w.queue, mode="clip")
     return queue, lanes[:, -1].reshape(rows, m)
 
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -101,27 +102,43 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def validate(self) -> list:
+        """One message per field, naming it, that would not generate an
+        instance ``validate_instance`` accepts: the counts must be integers,
+        and each range a pair of finite numbers, min <= max, whose min meets
+        its field's rule."""
         problems = []
-        if self.n_tasks <= 0:
-            problems.append("n_tasks must be > 0")
-        if self.n_nodes <= 0:
-            problems.append("n_nodes must be > 0")
-        if self.rng_seed < 0:
-            problems.append("rng_seed must be >= 0")
-        for name in (
-            "mips_range",
-            "active_power_range",
-            "deadline_range",
-            "task_length_range",
-            "data_size_range",
-            "traffic_range",
-            "bandwidth_range",
-            "propagation_range",
-        ):
-            lo, hi = getattr(self, name)
-            if lo > hi:
+        counts = (("n_tasks", 1, "> 0"), ("n_nodes", 1, "> 0"), ("rng_seed", 0, ">= 0"))
+        for name, least, rule in counts:
+            value = getattr(self, name)
+            if not _is_id(value):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < least:
+                problems.append(f"{name} must be {rule}")
+        for name, strict in _RANGE_RULES.items():
+            pair = getattr(self, name)
+            pair_ok = isinstance(pair, (tuple, list)) and len(pair) == 2
+            if not (pair_ok and all(map(_is_finite, pair))):
+                problems.append(f"{name} must be a pair of finite numbers, got {pair!r}")
+            elif pair[0] > pair[1]:
                 problems.append(f"{name} must satisfy min <= max")
+            elif pair[0] < 0 or strict and pair[0] == 0:
+                problems.append(f"{name} must have min {'>' if strict else '>='} 0")
         return problems
+
+
+# each ScenarioConfig range and whether validate_instance wants the values
+# it generates > 0 (True) or >= 0 (False); idle power is a fraction of the
+# active power, so active power >= 0 keeps active >= idle >= 0
+_RANGE_RULES = {
+    "mips_range": True,
+    "active_power_range": False,
+    "deadline_range": True,
+    "task_length_range": True,
+    "data_size_range": False,
+    "traffic_range": False,
+    "bandwidth_range": True,
+    "propagation_range": False,
+}
 
 
 class Instance:
@@ -389,7 +406,15 @@ def scenario_to_dict(config: ScenarioConfig, topology: Topology, tasks) -> dict:
 
 
 def _is_id(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A real number, not a bool, within float range (a huge int is not)."""
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def _build(cls, entry, where: str, numeric: bool = True):
@@ -421,28 +446,6 @@ def _build(cls, entry, where: str, numeric: bool = True):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _check_config(config: ScenarioConfig) -> None:
-    """Raise ValueError naming ``config`` and the key unless every field has
-    the type of its default (an integer, or for the ranges a pair of finite
-    numbers) and ``config.validate()`` finds no problem."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(f.default, int):
-            ok, expected = _is_id(value), "an integer"
-        else:
-            ok = isinstance(value, tuple) and len(value) == 2 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and abs(v) <= sys.float_info.max and math.isfinite(v)
-                for v in value
-            )
-            expected = "a pair of finite numbers"
-        if not ok:
-            raise ValueError(f"config: {f.name} must be {expected}, got {value!r}")
-    problems = config.validate()
-    if problems:
-        raise ValueError("config: " + "; ".join(problems))
-
-
 def scenario_from_dict(doc: dict):
     """Rebuild (config, topology, tasks); a malformed document raises
     ValueError naming the section or key at fault."""
@@ -454,7 +457,9 @@ def scenario_from_dict(doc: dict):
         if not isinstance(doc[section], kind):
             raise ValueError(f"scenario: section {section!r} must be a JSON {kind.__name__}")
     config = _build(ScenarioConfig, doc["config"], "config", numeric=False)
-    _check_config(config)
+    problems = config.validate()
+    if problems:
+        raise ValueError("config: " + "; ".join(problems))
     nodes = tuple(_build(FogNode, n, f"nodes[{i}]") for i, n in enumerate(doc["nodes"]))
     links = tuple(_build(Link, l, f"links[{i}]") for i, l in enumerate(doc["links"]))
     tasks = [_build(Task, t, f"tasks[{i}]") for i, t in enumerate(doc["tasks"])]

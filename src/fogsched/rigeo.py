@@ -185,7 +185,15 @@ def _start_rl_half(call):
     child instead.  Either way the child is reaped.  The child sends its
     pickled outcome through a pipe and ends with ``os._exit``, running no
     exit handlers and flushing no inherited buffers.  Where ``os.fork`` is
-    missing or other threads run, ``finish()`` makes the call inline."""
+    missing or other threads run, ``finish()`` makes the call inline.
+
+    "Other threads" are the Python threads ``threading`` knows of.  A
+    native pool such as OpenBLAS's is not counted: its threads run no
+    Python code, the RL half makes no BLAS call, and counting them would
+    run RIGEO inline wherever numpy starts a pool.
+    Python 3.12 counts OS threads for its fork ``DeprecationWarning``, so
+    the warning can name that pool; with ``OPENBLAS_NUM_THREADS=1`` it
+    shows only a thread of the caller's own."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return lambda kill=False: None if kill else call()
     read_fd, write_fd = os.pipe()

@@ -252,3 +252,15 @@ def test_random_baseline_worse_than_rigeo_on_average(unit_weights):
         weights,
     )
     assert report.fitness <= sum(random_fits) / len(random_fits)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("repetitions", 1.5, "repetitions must be an integer, got 1.5"),
+    ("workers", 1.5, "workers must be an integer, got 1.5"),
+    ("base_seed", True, "base_seed must be an integer, got True"),
+    ("n_nodes", 2.5, "n_nodes must be an integer, got 2.5"),
+    ("task_counts", (4, 2.5), "n_tasks must be an integer, got 2.5"),
+])
+def test_plan_counts_must_be_integers(tmp_path, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_plan(tmp_path / "out", **{field: value}).validate()

@@ -5,6 +5,10 @@ once per iteration.  The ``Evaluator``'s cost tables are checked against the
 oracle's per-(task, node) costs."""
 
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from fogsched import FitnessWeights, FogNode, Instance, Link, Topology, build_assignment, metrics
 from fogsched.geo import GeoParams, _SubProblem, geo_optimize
 from fogsched.igeo import IgeoParams, igeo_optimize
+from fogsched.rl import RlConfig, rl_optimize
 
 from conftest import line_instance, make_instance, simple_tasks
 from edf_reference import reference_objectives
@@ -139,6 +144,79 @@ def test_one_row_batch_equals_the_genome():
     assert all(b.shape == (1,) for b in batch)
     assert bits(b[0] for b in batch) == bits(ctx.objectives(genome))
     assert bits(ctx.objectives(genome)) == bits(reference_objectives(instance, range(300), genome))
+
+
+def test_workspace_keeps_the_bits():
+    """One context runs batches of changing row count and lane width through
+    its reused buffers: every result equals a fresh context's and the
+    reference loop's, and no later call rewrites an earlier result."""
+    instance = make_instance(40, 5, seed=11)
+    task_ids = list(range(40))
+    rng = np.random.default_rng(11)
+    one_node = np.repeat(np.arange(30) % 5, 40).reshape(30, 40)  # lane width n + 1
+    sequence = [one_node, rng.integers(0, 5, size=(3, 40)), rng.integers(0, 5, size=40), one_node]
+    ctx = metrics.Evaluator(instance).subset_context(task_ids)
+    results, first_bits = [], []
+    for genomes in sequence:
+        result = ctx.objectives(genomes)
+        results.append(result)
+        first_bits.append([bits(np.ravel(values)) for values in result])
+        fresh = metrics.Evaluator(instance).subset_context(task_ids).objectives(genomes)
+        assert [bits(np.ravel(values)) for values in fresh] == first_bits[-1]
+        expected = [reference_objectives(instance, task_ids, g) for g in np.atleast_2d(genomes)]
+        assert [bits(np.ravel(values)) for values in result] == [bits(e) for e in zip(*expected)]
+    assert [[bits(np.ravel(values)) for values in result] for result in results] == first_bits
+    assert first_bits[3] == first_bits[0]
+
+
+def test_batch_kernel_allocation_budget():
+    """After a warm-up call, a 30 x 600 x 20 batch reuses the context's
+    workspace: its intermediates (144 KiB per (30, 600) float array) are not
+    allocated again.  numpy reports its data buffers to tracemalloc."""
+    instance = make_instance(600, 20, seed=3)
+    ctx = metrics.Evaluator(instance).subset_context(range(600))
+    genomes = np.random.default_rng(3).integers(0, 20, size=(30, 600))
+    genomes[:, :150] = 19  # a clipped flock piles tasks onto the end node
+    ctx.objectives(genomes)
+    tracemalloc.start()
+    try:
+        ctx.objectives(genomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 * 1024
+
+
+def test_threads_sharing_one_instance_get_the_sequential_bits():
+    """Each optimizer run builds its own context, so runs in two threads on
+    one instance (sharing its evaluator and fitness caches) give the bits
+    they give one after another."""
+    runs = [
+        (geo_optimize, GeoParams(population_size=10, iterations=15)),
+        (igeo_optimize, IgeoParams(population_size=10, iterations=15)),
+        (rl_optimize, RlConfig(episodes=150)),
+    ]
+
+    def all_runs(instance, seed, start=None):
+        if start is not None:
+            start.wait(timeout=60)
+        results = [
+            optimize(instance, range(10), range(100), replace(params, rng_seed=seed), FitnessWeights())
+            for optimize, params in runs
+        ]
+        return [(assignment.mapping, fit.hex()) for assignment, fit in results]
+
+    sequential = [all_runs(make_instance(100, 10, seed=2), seed) for seed in (0, 1)]
+    shared = make_instance(100, 10, seed=2)
+    start = threading.Barrier(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(all_runs, shared, seed, start) for seed in (0, 1)]
+            assert [f.result(timeout=300) for f in futures] == sequential
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_kernel_single_candidate_node():

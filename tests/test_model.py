@@ -281,3 +281,60 @@ def test_scenario_config_is_checked(key, value, message):
 def test_generate_rejects_negative_seed():
     with pytest.raises(ValueError, match="rng_seed must be >= 0"):
         generate_scenario(ScenarioConfig(rng_seed=-1))
+
+
+RANGE_FIELDS = (
+    "mips_range", "active_power_range", "deadline_range", "task_length_range",
+    "data_size_range", "traffic_range", "bandwidth_range", "propagation_range",
+)
+
+
+@pytest.mark.parametrize("changes,field", [
+    ({"deadline_range": (-5.0, -1.0)}, "deadline_range"),
+    ({"mips_range": (-5.0, -1.0)}, "mips_range"),
+    ({"bandwidth_range": (0.0, 10.0)}, "bandwidth_range"),
+    ({"data_size_range": (-1.0, 10.0)}, "data_size_range"),
+    ({"n_tasks": 2.5}, "n_tasks"),
+    ({"n_nodes": True}, "n_nodes"),
+    ({"rng_seed": 1.0}, "rng_seed"),
+    ({"deadline_range": (math.nan, 10.0)}, "deadline_range"),
+    ({"traffic_range": (0.0, math.inf)}, "traffic_range"),
+    ({"propagation_range": (0.0, 10**400)}, "propagation_range"),
+    ({"mips_range": (1.0, 2.0, 3.0)}, "mips_range"),
+])
+def test_generate_rejects_a_config_whose_instance_would_not_validate(changes, field):
+    with pytest.raises(ValueError, match=f"^(.*; )?{field} must"):
+        generate_scenario(ScenarioConfig(**{"n_tasks": 3, "n_nodes": 2, **changes}))
+
+
+_bound = st.one_of(
+    st.floats(-10.0, 1e4), st.sampled_from([0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.integers(-5, 5), st.just(10**400), st.booleans(),
+)
+_range = st.one_of(st.tuples(_bound, _bound), st.lists(_bound, max_size=3))
+_count = st.one_of(st.integers(-2, 10), st.sampled_from([2.5, 3.0, True, "4"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_valid_config_generates_a_valid_instance(data):
+    """Whatever passes ``ScenarioConfig.validate`` generates an instance that
+    ``validate_instance`` accepts; anything else fails with a ValueError
+    naming the field."""
+    seeds = st.one_of(_count, st.integers(0, 2**32))
+    strategies = {"n_tasks": _count, "n_nodes": _count, "rng_seed": seeds}
+    strategies.update(dict.fromkeys(RANGE_FIELDS, _range))
+    changes = {
+        name: data.draw(strategy, label=name)
+        for name, strategy in strategies.items()
+        if data.draw(st.booleans(), label=f"change {name}")
+    }
+    config = ScenarioConfig(**{"n_tasks": 6, "n_nodes": 3, **changes})
+    problems = config.validate()
+    if problems:
+        assert all(p.split(" ", 1)[0] in changes for p in problems)
+        with pytest.raises(ValueError):
+            generate_scenario(config)
+    else:
+        result = validate_instance(*generate_scenario(config))
+        assert result.ok, result.violations
