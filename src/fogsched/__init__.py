@@ -54,7 +54,7 @@ from .model import (
     save_scenario,
     validate_instance,
 )
-from .rigeo import classify_nodes, partition_tasks, reclassify, rigeo_schedule
+from .rigeo import classify_nodes, partition_tasks, rigeo_schedule
 from .rl import PolicyState, RlConfig, rl_episode, rl_init, rl_optimize
 
 __version__ = "0.1.0"

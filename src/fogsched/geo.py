@@ -4,6 +4,17 @@ and the rounding-discretized optimizer used as the GEO baseline.
 Positions live in [0, m'-1]^d where m' is the number of candidate nodes; a
 position decodes to an assignment by rounding each coordinate to the nearest
 candidate index.
+
+The per-iteration code here and in ``igeo`` (the swarm step, the genetic
+operators, the fitness lookups and the optimizers' loop bodies) calls
+numpy's ufuncs and C methods directly: ``np.add.reduce`` rather than
+``.sum``, ``np.logical_and.reduce`` rather than ``.all``, ``.nonzero()[0]``
+rather than ``np.flatnonzero``, flat indices rather than
+``np.*_along_axis``.  The ndarray reduction methods and those helpers pay a
+Python-level wrapper on every call, and at 6 tasks x 3 nodes, where an
+array holds a few dozen numbers, the wrapper costs more than the
+arithmetic.  Every replacement gives the same bits;
+``tests/test_hot_loops.py`` checks the rule.
 """
 
 from __future__ import annotations
@@ -110,14 +121,14 @@ def _orthogonal_cruise(attack, cruise, pick):
     highest ``pick`` score (a uniform choice for uniform scores) is solved
     from the orthogonality equation; rows with a zero attack get zeros."""
     zero = attack == 0.0
-    moving = ~zero.all(axis=1)
+    still = np.logical_and.reduce(zero, axis=1)
     pick[zero] = -1.0
-    k = pick.argmax(axis=1)
-    rows = np.flatnonzero(moving)
-    cruise[~moving] = 0.0
-    cruise[rows, k[rows]] = 0.0
-    dot = np.multiply(attack, cruise, out=pick).sum(axis=1)
-    cruise[rows, k[rows]] = -dot[rows] / attack[rows, k[rows]]
+    rows = np.logical_not(still).nonzero()[0]
+    solved = (rows, pick.argmax(axis=1)[rows])
+    cruise[still] = 0.0
+    cruise[solved] = 0.0
+    dot = np.add.reduce(np.multiply(attack, cruise, out=pick), axis=1)
+    cruise[solved] = -dot[rows] / attack[solved]
     return cruise
 
 
@@ -126,7 +137,7 @@ def _scaled_step(attack, cruise, r1pa, r2pc):
     the cruise unit direction; a zero row contributes nothing.  Both are
     scaled in place, and the step is returned in ``attack``'s buffer."""
     for vector, length in ((attack, r1pa), (cruise, r2pc)):
-        norm = np.sqrt((vector * vector).sum(axis=1))
+        norm = np.sqrt(np.add.reduce(vector * vector, axis=1))
         np.multiply(vector, (length / np.where(norm > 0.0, norm, np.inf))[:, None], out=vector)
     return np.add(attack, cruise, out=attack)
 
@@ -145,7 +156,7 @@ def _swarm_move(positions, prey, pa, pc, rng, upper):
     r2pc = rng.random(pop) * pc
     _orthogonal_cruise(attack, cruise, rng.random((pop, dim)))
     delta = _scaled_step(attack, cruise, r1pa, r2pc)
-    delta_sum = delta.sum(axis=1)
+    delta_sum = np.add.reduce(delta, axis=1)
     new_positions = np.add(positions, delta, out=delta)  # over the step's buffer
     return np.clip(new_positions, 0.0, upper, out=new_positions), delta_sum, r1pa, r2pc
 
@@ -177,7 +188,9 @@ class _SubProblem:
             [evaluator.node_index(c) for c in self.candidates], dtype=np.intp
         )
         self.ctx = evaluator.subset_context(self.task_ids)
-        stranded = np.isinf(self.ctx.delay[:, self.candidate_idx]).all(axis=1)
+        # a base response is inf where the network delay is (or where the
+        # sum overflows, which no finite schedule survives either)
+        stranded = np.isinf(self.ctx.base_response[:, self.candidate_idx]).all(axis=1)
         if stranded.any():
             task_id = self.task_ids[self.ctx.edf_order[stranded.argmax()]]
             raise ValueError(
@@ -196,7 +209,7 @@ class _SubProblem:
         return len(self.candidates)
 
     def fitness_of(self, genome) -> float:
-        genome = np.asarray(genome).astype(self.key_dtype)
+        genome = np.asarray(genome).astype(self.key_dtype, copy=False)
         key = genome.tobytes()
         cached = self._cache.get(key)
         if cached is None:
@@ -265,8 +278,8 @@ def geo_optimize(
         genomes = decode_position(positions, problem.n_candidates)
         fits = problem.fitness_many(genomes)
         improved = fits < memory_fit
-        memory_fit[improved] = fits[improved]
-        memory_pos[improved] = positions[improved]
+        np.copyto(memory_fit, fits, where=improved)
+        np.copyto(memory_pos, positions, where=improved[:, None])
         # the first eagle holding the iteration's minimum, as a sequential
         # scan with a strict comparison would pick
         fit_i = int(fits.argmin())

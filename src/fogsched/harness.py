@@ -10,7 +10,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -206,6 +205,10 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
                 jobs.append((plan, algorithm, task_count, seed))
 
     if plan.workers > 1:
+        # imported here: it loads multiprocessing, which every other
+        # command, and every plain ``import fogsched``, can skip
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
             outcomes = list(pool.map(_safe_trial, jobs))
     else:

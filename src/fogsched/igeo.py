@@ -57,16 +57,21 @@ class OperatorDraw:
 
 def _mutate_rows(parents: np.ndarray, n_candidates: int, mutation_rate: float, rng):
     """Reassign k = max(1, ceil(rate * dim)) distinct random genes of every
-    row, in place, each to a different candidate index.  With a single
-    candidate there is no alternative allele and the rows stay unchanged."""
+    row of the C-contiguous ``parents``, in place, each to a different
+    candidate index.  With a single candidate there is no alternative allele
+    and the rows stay unchanged."""
     rows, dim = parents.shape
     if n_candidates < 2 or dim == 0:
         return parents
     k = min(dim, max(1, math.ceil(mutation_rate * dim)))
-    positions = np.argpartition(rng.random((rows, dim)), k - 1, axis=1)[:, :k]
+    positions = rng.random((rows, dim)).argpartition(k - 1, axis=1)[:, :k]
     draws = rng.integers(0, n_candidates - 1, size=(rows, k))
-    draws += draws >= np.take_along_axis(parents, positions, axis=1)  # skip the current allele
-    np.put_along_axis(parents, positions, draws, axis=1)
+    # flat cell indices: the positions of a row are distinct, so every
+    # cell is read and written once
+    cells = positions + np.arange(0, rows * dim, dim)[:, None]
+    genes = parents.reshape(-1)  # a view: parents is C-contiguous
+    draws += draws >= genes[cells]  # skip the current allele
+    genes[cells] = draws
     return parents
 
 
@@ -83,9 +88,10 @@ def _cross_two(outside: np.ndarray, inside: np.ndarray, rng) -> np.ndarray:
     within [c1, c2) for two distinct cuts in [1, dim) and ``outside``
     elsewhere."""
     rows, dim = inside.shape
-    cuts = np.argpartition(rng.random((rows, dim - 1)), 1, axis=1)[:, :2] + 1
+    cuts = rng.random((rows, dim - 1)).argpartition(1, axis=1)[:, :2] + 1
     cols = np.arange(dim)
-    within = (cols >= cuts.min(axis=1)[:, None]) & (cols < cuts.max(axis=1)[:, None])
+    low, high = np.minimum(cuts[:, 0], cuts[:, 1]), np.maximum(cuts[:, 0], cuts[:, 1])
+    within = (cols >= low[:, None]) & (cols < high[:, None])
     return np.where(within, inside, outside)
 
 
@@ -106,11 +112,11 @@ def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
     dim = genomes.shape[1]
     best = best[None, :]
     children = np.empty_like(genomes)
-    mut_rows = np.flatnonzero(mutation)
+    mut_rows = mutation.nonzero()[0]
     if mut_rows.size:
         parents = np.where((r[mut_rows] >= 0.5)[:, None], best, genomes[mut_rows])
         children[mut_rows] = _mutate_rows(parents, n_candidates, mutation_rate, rng)
-    cross_rows = np.flatnonzero(~mutation)
+    cross_rows = np.logical_not(mutation).nonzero()[0]
     if cross_rows.size and dim < 2:
         children[cross_rows] = best
     elif cross_rows.size:
@@ -233,8 +239,8 @@ def igeo_optimize(
         # mutation offspring always become the new position (keeps the
         # population exploring); crossover offspring only when not worse
         accept = mutation | (fits <= fitnesses)
-        genomes[accept] = children[accept]
-        fitnesses[accept] = fits[accept]
+        np.copyto(genomes, children, where=accept[:, None])
+        np.copyto(fitnesses, fits, where=accept)
         fit_i = int(fits.argmin())
         if fits[fit_i] < best_fit:
             best_fit = float(fits[fit_i])

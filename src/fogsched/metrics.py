@@ -311,18 +311,20 @@ class Evaluator:
     def subset_context(self, task_ids: Sequence[int]):
         """Freeze a task subset for repeated evaluation: its EDF visit order
         (deadline, then task id) and, in that order, every task's execution
-        time and network delay (propagation plus transmission) on every
-        node, as ``(n, m)`` tables.  ``objectives`` of the returned context
-        is the one evaluation kernel of the optimizers."""
+        time and base response (propagation plus transmission plus
+        execution: the response before any queue wait) on every node, as
+        ``(n, m)`` tables.  ``objectives`` of the returned context is the
+        one evaluation kernel of the optimizers."""
         idx = np.array([self._task_index[t] for t in task_ids], dtype=np.intp)
         edf = np.lexsort((np.array(task_ids), self.deadline[idx]))
         visit = idx[edf]
+        execution = self.execution[visit]
         return _SubsetContext(
             edf_order=edf,
             restore=np.argsort(edf),
             cell_offset=np.arange(len(idx)) * self.m,
-            execution=self.execution[visit],
-            delay=self.propagation[visit] + self.transmission[visit],
+            execution=execution,
+            base_response=self.propagation[visit] + self.transmission[visit] + execution,
             deadline=self.deadline[idx],
             active=self.active,
             idle=self.idle,
@@ -347,7 +349,7 @@ class _SubsetContext:
     restore: np.ndarray  # inverse permutation of edf_order
     cell_offset: np.ndarray  # row offsets into the flattened (n, m) tables
     execution: np.ndarray  # (n, m) in EDF order, ms
-    delay: np.ndarray  # (n, m) in EDF order: propagation + transmission, ms
+    base_response: np.ndarray  # (n, m) in EDF order: propagation + transmission + execution, ms
     deadline: np.ndarray  # (n,) in subset order, ms
     active: np.ndarray  # (m,) alpha * active power
     idle: np.ndarray  # (m,) beta * idle power
@@ -382,8 +384,7 @@ class _SubsetContext:
         nodes = rows.take(self.edf_order, axis=1, out=w.nodes, mode="clip")  # EDF order
         cell = np.add(nodes, self.cell_offset, out=w.cell)
         execution = self.execution.take(cell, out=w.execution, mode="clip")
-        response = self.delay.take(cell, out=w.response, mode="clip")
-        response += execution
+        response = self.base_response.take(cell, out=w.response, mode="clip")
         queue, busy = _lane_queues(nodes, execution, m, self.work)
         response += queue
         # subset order, contiguous rows

@@ -13,7 +13,6 @@ import threading
 from dataclasses import dataclass
 from functools import partial
 from statistics import fmean
-from typing import Optional
 
 from .igeo import IgeoParams, igeo_optimize
 from .metrics import FitnessWeights, MetricsReport, evaluate
@@ -24,7 +23,6 @@ __all__ = [
     "TrafficClassification",
     "DeadlinePartition",
     "classify_nodes",
-    "reclassify",
     "partition_tasks",
     "rigeo_schedule",
 ]
@@ -38,7 +36,6 @@ class TrafficClassification:
     average_traffic: float
     low_traffic_nodes: frozenset
     high_traffic_nodes: frozenset
-    computed_at: int = 0
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class DeadlinePartition:
     high_deadline_tasks: frozenset
 
 
-def classify_nodes(topology: Topology, epoch: int = 0) -> TrafficClassification:
+def classify_nodes(topology: Topology) -> TrafficClassification:
     """Split nodes at the mean of their per-node traffic; strictly below the
     mean is low traffic.  A node without links carries traffic 0."""
     if not topology.nodes:
@@ -69,19 +66,7 @@ def classify_nodes(topology: Topology, epoch: int = 0) -> TrafficClassification:
         average_traffic=average,
         low_traffic_nodes=low,
         high_traffic_nodes=high,
-        computed_at=epoch,
     )
-
-
-def reclassify(
-    classification: TrafficClassification,
-    topology: Topology,
-    epoch: Optional[int] = None,
-) -> TrafficClassification:
-    """Recompute the partition on current traffic loads and stamp the epoch."""
-    if epoch is None:
-        epoch = classification.computed_at + 1
-    return classify_nodes(topology, epoch=epoch)
 
 
 def partition_tasks(tasks, threshold_policy="mean") -> DeadlinePartition:

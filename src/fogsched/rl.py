@@ -16,6 +16,13 @@ matrix as its ``(n, k)`` transpose.  The column totals add in numpy's
 pairwise order for a contiguous row of k entries, and the cumulative sums
 add row after row, so every sample, fitness and preference is bit for bit
 what the row-per-task layout computes (``tests/rl_reference.py``).
+
+The episode code calls numpy's ufuncs and C methods directly: no ndarray
+reduction method (``.sum``, ``.any``, ``.all``, ``.min``, ``.max``) and no
+``np.flatnonzero`` or ``np.*_along_axis``.  Those pay a Python-level
+wrapper on every call, and at 6 tasks x 3 nodes, where an array holds a few
+dozen numbers, the wrapper costs more than the arithmetic.
+``tests/test_hot_loops.py`` checks the rule.
 """
 
 from __future__ import annotations
@@ -136,8 +143,10 @@ def _pairwise_ops(matrix: np.ndarray):
         left, left_total = _pairwise_ops(matrix[:half])
         right, right_total = _pairwise_ops(matrix[half:])
         return left + right + [(np.add, (left_total, right_total, total))], total
-    if k < 8:
+    if k == 1:
         ops, tail = [(np.copyto, (total, matrix[0]))], matrix[1:]
+    elif k < 8:
+        ops, tail = [(np.add, (matrix[0], matrix[1], total))], matrix[2:]
     else:
         blocks = k - k % 8
         lanes = matrix[:8] if blocks == 8 else np.empty((8, n))
@@ -173,14 +182,18 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
     floor = min(config.probability_floor, 1.0 / k)
     scale = 1.0 - k * floor
     column_totals = _column_totals(preference)
-    # per-column cumulative sums, added row after row as numpy's cumsum
-    # adds along a row of the transpose
-    cum = np.empty((k, n))
+    # per-column cumulative sums of every row but the last, added row after
+    # row as numpy's cumsum adds along a row of the transpose.  A sample
+    # counts the sums below its uniform draw; the sums never decrease down
+    # a column, so leaving the last one out caps the count at k - 1, as
+    # clipping the count of all k would
+    cum = np.empty((k - 1, n))
+    first = (cum[:1], preference[:1])  # no rows when k = 1
     cum_steps = list(zip(cum[:-1], preference[1:], cum[1:]))
-    below = np.empty((k, n), dtype=bool)
-    # the narrowest unsigned type that counts to k: reducing the bool
+    below = np.empty((k - 1, n), dtype=bool)
+    # the narrowest unsigned type that counts to k - 1: reducing the bool
     # columns into it is ~3x cheaper than into intp
-    count_type = np.min_scalar_type(k)
+    count_type = np.min_scalar_type(k - 1)
 
     def step(assignment, fitness, exploration, rng):
         if rng.random() < exploration:
@@ -188,12 +201,11 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
             sampled[int(rng.integers(0, n))] = int(rng.integers(0, k))
         else:
             u = rng.random(n)
-            np.copyto(cum[0], preference[0])
+            np.copyto(*first)
             for previous, row, out in cum_steps:
                 np.add(previous, row, out=out)
             np.less(cum, u, out=below)
-            sampled = below.sum(axis=0, dtype=count_type).astype(np.intp)
-            np.minimum(sampled, k - 1, out=sampled)
+            sampled = np.add.reduce(below, 0, count_type).astype(np.intp)
         fit = fitness_of(sampled)
         index = sampled * n
         index += columns
@@ -207,10 +219,9 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
         np.subtract(preference, floor, out=preference)
         np.maximum(preference, 0.0, out=preference)
         totals = column_totals()
-        empty = totals == 0.0
-        if empty.any():
+        if np.count_nonzero(totals) < n:
             # columns with no mass above the floor fall back to uniform
-            np.copyto(preference, 1.0, where=empty)
+            np.copyto(preference, 1.0, where=totals == 0.0)
             totals = column_totals()
         np.multiply(preference, scale, out=preference)
         np.divide(preference, totals, out=preference)

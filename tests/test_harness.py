@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +268,17 @@ def test_random_baseline_worse_than_rigeo_on_average(unit_weights):
 def test_plan_counts_must_be_integers(tmp_path, field, value, message):
     with pytest.raises(ValueError, match=message):
         tiny_plan(tmp_path / "out", **{field: value}).validate()
+
+
+def test_import_loads_no_process_pool():
+    """The pool's modules (multiprocessing, sockets, subprocesses) load only
+    when a sweep runs with more than one worker, not on ``import fogsched``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys, fogsched; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

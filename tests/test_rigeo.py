@@ -19,7 +19,6 @@ from fogsched import (
     classify_nodes,
     igeo_optimize,
     partition_tasks,
-    reclassify,
     rigeo_schedule,
 )
 from fogsched import rigeo
@@ -72,21 +71,12 @@ def test_classify_isolated_node_is_low_traffic():
     assert 2 in c.low_traffic_nodes  # linkless node carries traffic 0
 
 
-def test_reclassify_idempotent_and_epoch():
-    topology = _line_topology([10.0, 30.0])
-    c0 = classify_nodes(topology)
-    c1 = reclassify(c0, topology)
-    assert c1.low_traffic_nodes == c0.low_traffic_nodes
-    assert c1.high_traffic_nodes == c0.high_traffic_nodes
-    assert c1.computed_at == c0.computed_at + 1
-
-
 def test_reclassify_traffic_shift():
     before = classify_nodes(_line_topology([10.0, 30.0]))
     assert 0 in before.low_traffic_nodes
     # raising the first link's traffic far above the rest moves node 0 high:
     # node traffics become 100, 65, 30 with average 65
-    after = reclassify(before, _line_topology([100.0, 30.0]))
+    after = classify_nodes(_line_topology([100.0, 30.0]))
     assert 0 in after.high_traffic_nodes
     assert 2 in after.low_traffic_nodes
 

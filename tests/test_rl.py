@@ -38,6 +38,18 @@ def test_rl_init_uniform(small_instance, unit_weights):
     assert state.best_seen[1] == state.fitness
 
 
+def test_empty_columns_fall_back_to_uniform(small_instance, unit_weights):
+    # one candidate and a floor of 1: the update leaves no mass above the
+    # floor in any column, so every episode takes the uniform fallback;
+    # without it the projection divides 0 by 0
+    config = RlConfig(probability_floor=1.0, rng_seed=3)
+    state = rl_init(small_instance, [0, 1, 2, 3, 4, 5], [1], config, unit_weights)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        state = rl_episode(state, small_instance, unit_weights, config, rng)
+        assert state.preference.tolist() == [[1.0]] * 6
+
+
 def test_rl_init_empty_tasks(small_instance, unit_weights):
     with pytest.raises(ValueError, match="task set must be nonempty"):
         rl_init(small_instance, [], [0, 1], RlConfig(rng_seed=0), unit_weights)
