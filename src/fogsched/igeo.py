@@ -6,6 +6,12 @@ Operator choice: cruise dominance (|r1*pa| < |r2*pc|) selects mutation,
 attack dominance selects crossover; an exact tie falls back to the sign of
 the summed step components.  Within each branch a fresh uniform draw picks
 the concrete operator.
+
+The signal is the step magnitudes: the shadow's positions are computed
+only to break an exact positive tie (a zero tie's step sum is +-0 or NaN,
+never negative).  So ``igeo_optimize`` skips the shadow's other draws and
+replays its moves from per-iteration generator checkpoints only on such a
+tie, with the same bits as moving it every iteration.
 """
 
 from __future__ import annotations
@@ -101,6 +107,20 @@ def _is_mutation(delta_sum, r1pa, r2pc):
     mutates when the step's component sum is negative."""
     abs_a, abs_c = np.abs(r1pa), np.abs(r2pc)
     return (abs_a < abs_c) | ((abs_a == abs_c) & (delta_sum < 0))
+
+
+def _skip_doubles(rng, count):
+    """Move ``rng`` past ``count`` float64 draws without making them, as
+    ``rng.random(count)`` would.  ``advance`` drops the buffered 32-bit
+    half, which a float draw keeps and a later integer draw reads, so it is
+    put back."""
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    bit_generator.advance(count)
+    if state["has_uint32"]:
+        ahead = bit_generator.state
+        ahead["has_uint32"], ahead["uinteger"] = 1, state["uinteger"]
+        bit_generator.state = ahead
 
 
 def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
@@ -217,7 +237,10 @@ def igeo_optimize(
 
     # drawn as intp (a narrower draw takes other random bits), bred in key_dtype
     genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp).astype(problem.key_dtype)
-    shadow = genomes.astype(float)
+    # the shadow swarm after ``moved`` moves, advanced only on a positive tie
+    shadow, moved = genomes.astype(float), 0
+    checkpoints = []  # the generator's state at the start of each iteration
+    bit_generator = rng.bit_generator
     fitnesses = problem.fitness_many(genomes)
     best_i = int(np.argmin(fitnesses))
     best_genome = genomes[best_i].copy()
@@ -225,11 +248,26 @@ def igeo_optimize(
 
     pa_sched, pc_sched = _propensities(params)
     for t in range(params.iterations):
-        perm = rng.permutation(pop)
-        shadow, delta_sum, r1pa, r2pc = _swarm_move(
-            shadow, shadow[perm], pa_sched[t], pc_sched[t], rng, upper
-        )
-        mutation = _is_mutation(delta_sum, r1pa, r2pc)
+        # the draws of a shadow move: perm, cruise, r1, r2, pick
+        checkpoints.append(bit_generator.state)
+        rng.permutation(pop)
+        _skip_doubles(rng, pop * dim)
+        r1pa = rng.random(pop) * pa_sched[t]
+        r2pc = rng.random(pop) * pc_sched[t]
+        _skip_doubles(rng, pop * dim)
+        mutation = _is_mutation(0.0, r1pa, r2pc)
+        if np.count_nonzero((r1pa == r2pc) & (r1pa > 0.0)):
+            # a positive tie reads the shadow: replay its moves up to this one
+            resume = bit_generator.state
+            while moved <= t:
+                bit_generator.state = checkpoints[moved]
+                perm = rng.permutation(pop)
+                shadow, delta_sum, _, _ = _swarm_move(
+                    shadow, shadow[perm], pa_sched[moved], pc_sched[moved], rng, upper
+                )
+                moved += 1
+            bit_generator.state = resume
+            mutation = _is_mutation(delta_sum, r1pa, r2pc)
         r = rng.random(pop)
         children = _offspring(
             genomes, best_genome, mutation, r, n_cand, params.mutation_rate, rng

@@ -3,8 +3,10 @@ pickled result on fixed seeded instances, pinned in
 ``fingerprint_pins.json``.
 
 GEO, IGEO-only and RL-only pin ``(sorted mapping items, fitness, trace)``;
-RIGEO pins its ``(assignment, report)``.  A change that moves one bit of a
-search fails here.  The pins hold for the numpy and Python versions stored
+RIGEO pins its ``(assignment, report)``.  One small sweep of every
+algorithm pins its ``records.csv``, ``summary.csv`` and ``reports/``, run
+with one worker and with two.  A change that moves one bit of a search
+fails here.  The pins hold for the numpy and Python versions stored
 with them (a ``Generator`` stream may change between numpy releases), and
 the test skips on any other pair.
 
@@ -19,12 +21,14 @@ import hashlib
 import json
 import pickle
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fogsched import (
+    ExperimentPlan,
     GeoParams,
     IgeoParams,
     RlConfig,
@@ -33,6 +37,7 @@ from fogsched import (
     igeo_optimize,
     rigeo_schedule,
     rl_optimize,
+    run_experiment,
 )
 
 from conftest import make_instance
@@ -92,6 +97,38 @@ def _digest(case):
     return hashlib.sha256(pickle.dumps(_run(*case))).hexdigest()
 
 
+# two task counts x two repetitions x every algorithm, with small budgets
+SWEEP = dict(
+    task_counts=(8, 40),
+    n_nodes=5,
+    repetitions=2,
+    geo=GeoParams(population_size=10, iterations=20),
+    igeo=IgeoParams(population_size=10, iterations=20),
+    rl=RlConfig(episodes=200),
+)
+SWEEP_WORKERS = (1, 2)
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _sweep_digests(workers, out):
+    """Run the sweep into ``out``; returns the sha256 of its records.csv
+    and summary.csv, and one of its reports/ (each file's name and bytes,
+    in name order)."""
+    run_experiment(ExperimentPlan(**SWEEP, workers=workers, output_dir=str(out)))
+    reports = b"".join(
+        path.name.encode() + b"\0" + path.read_bytes()
+        for path in sorted((out / "reports").iterdir())
+    )
+    return {
+        f"sweep-w{workers}-records.csv": _sha256((out / "records.csv").read_bytes()),
+        f"sweep-w{workers}-summary.csv": _sha256((out / "summary.csv").read_bytes()),
+        f"sweep-w{workers}-reports": _sha256(reports),
+    }
+
+
 @pytest.fixture(scope="module")
 def pins():
     stored = json.loads(PINS.read_text())
@@ -107,8 +144,19 @@ def test_optimizer_fingerprint(case, pins):
     assert _digest(case) == pins[_case_id(case)]
 
 
+@pytest.mark.parametrize("workers", SWEEP_WORKERS)
+def test_sweep_fingerprint(workers, pins, tmp_path):
+    digests = _sweep_digests(workers, tmp_path)
+    assert not (tmp_path / "failures.csv").exists()
+    assert digests == {key: pins[key] for key in digests}
+
+
 def _pin():
-    doc = {**_versions(), "pins": {_case_id(case): _digest(case) for case in CASES}}
+    pins = {_case_id(case): _digest(case) for case in CASES}
+    for workers in SWEEP_WORKERS:
+        with tempfile.TemporaryDirectory() as out:
+            pins.update(_sweep_digests(workers, Path(out)))
+    doc = {**_versions(), "pins": pins}
     PINS.write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -1,0 +1,142 @@
+"""``igeo_optimize`` moves its shadow swarm only when an exact positive tie
+of the step magnitudes reads it, and skips the shadow's draws otherwise.
+It must match the eager loop of ``igeo_reference`` bit for bit, on ties
+too; ties are forced here, since a continuous draw almost never makes one."""
+
+import numpy as np
+import pytest
+
+from fogsched import FitnessWeights, IgeoParams, igeo, igeo_optimize
+from fogsched.igeo import _skip_doubles
+
+import igeo_reference
+from conftest import make_instance
+from igeo_reference import reference_igeo_optimize
+
+POP, DIM = 7, 5
+
+# (what runs before the skip, whether it leaves a buffered 32-bit half)
+PREPARE = [
+    (lambda rng: None, False),
+    (lambda rng: rng.random(2), False),
+    (lambda rng: rng.integers(0, 5, 3), True),
+    (lambda rng: rng.permutation(6), True),
+    (lambda rng: rng.permutation(7), False),
+]
+
+
+def _live(state):
+    """A PCG64 state without the stale 32-bit half that no draw reads: an
+    unbuffered generator draws a fresh one, and ``advance`` zeroes it."""
+    if not state["has_uint32"]:
+        state = {**state, "uinteger": 0}
+    return state
+
+
+@pytest.mark.parametrize("prepare,buffered", PREPARE)
+@pytest.mark.parametrize(
+    "draw",
+    [lambda rng: rng.uniform(-1.0, 1.0, (POP, DIM)), lambda rng: rng.random((POP, DIM))],
+    ids=["uniform", "random"],
+)
+def test_skip_doubles_leaves_the_generator_where_drawing_does(prepare, buffered, draw):
+    drawn, skipped = np.random.default_rng(3), np.random.default_rng(3)
+    prepare(drawn)
+    prepare(skipped)
+    assert drawn.bit_generator.state["has_uint32"] == buffered
+    draw(drawn)
+    _skip_doubles(skipped, POP * DIM)
+    assert _live(skipped.bit_generator.state) == _live(drawn.bit_generator.state)
+    for follow in (
+        lambda rng: rng.integers(0, 9, 5),
+        lambda rng: rng.permutation(POP),
+        lambda rng: rng.random(3),
+    ):
+        assert follow(skipped).tobytes() == follow(drawn).tobytes()
+
+
+class TiedGenerator(np.random.Generator):
+    """Draws a float vector without moving the stream, so the loop's r2
+    repeats its r1 (and its operator draw r repeats both).  It keeps no
+    state of its own, so a replay from a checkpoint sees the same draws."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if not isinstance(size, int):
+            return super().random(size, dtype, out)
+        state = self.bit_generator.state
+        values = super().random(size)
+        self.bit_generator.state = state
+        return values
+
+
+def _tie_at(iterations):
+    """``_propensities`` with pc = pa at the given iterations."""
+    real = igeo._propensities
+
+    def propensities(params):
+        pa, pc = real(params)
+        pc[list(iterations)] = pa[list(iterations)]
+        return pa, pc
+
+    return propensities
+
+
+def _both(n_tasks, n_nodes, params):
+    """``(mapping items, fitness, trace)`` of the new loop and the reference."""
+    instance = make_instance(n_tasks, n_nodes, seed=n_tasks + n_nodes)
+    nodes = [n.id for n in instance.topology.nodes]
+    tasks = [t.id for t in instance.tasks]
+    runs = []
+    for optimize in (igeo_optimize, reference_igeo_optimize):
+        trace = []
+        assignment, fit = optimize(instance, nodes, tasks, params, FitnessWeights(), trace=trace)
+        runs.append((sorted(assignment.mapping.items()), fit, trace))
+    return runs
+
+
+@pytest.fixture
+def moves(monkeypatch):
+    """The shadow moves ``igeo_optimize`` makes, counted."""
+    made = []
+    real = igeo._swarm_move
+
+    def counted(*args):
+        made.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(igeo, "_swarm_move", counted)
+    return made
+
+
+SHAPES = [(2, 3), (6, 3), (40, 5)]
+
+
+@pytest.mark.parametrize("n_tasks,n_nodes", SHAPES)
+@pytest.mark.parametrize("ties", [(0,), (3, 4, 17), (1, 30, 39)])
+def test_positive_ties_replay_the_shadow(n_tasks, n_nodes, ties, monkeypatch, moves):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TiedGenerator(np.random.PCG64(seed)))
+    for module in (igeo, igeo_reference):
+        monkeypatch.setattr(module, "_propensities", _tie_at(ties))
+    ours, theirs = _both(n_tasks, n_nodes, IgeoParams(population_size=9, iterations=40, rng_seed=5))
+    assert ours == theirs
+    # the reference's moves are not counted; the new loop replays every
+    # move up to the last tie, each once
+    assert len(moves) == max(ties) + 1
+
+
+@pytest.mark.parametrize("n_tasks,n_nodes", SHAPES)
+@pytest.mark.parametrize(
+    "pa,pc",
+    [
+        # r1*pa == r2*pc == 0 for every eagle: a zero tie crosses over
+        ((0.0, 0.0), (0.0, 0.0)),
+        ((1.0, 1.0), (1.0, 1.0)),
+        (IgeoParams.pa_schedule, IgeoParams.pc_schedule),
+    ],
+    ids=["zero", "equal", "default"],
+)
+def test_untied_runs_never_move_the_shadow(n_tasks, n_nodes, pa, pc, moves):
+    params = IgeoParams(population_size=9, iterations=40, pa_schedule=pa, pc_schedule=pc, rng_seed=2)
+    ours, theirs = _both(n_tasks, n_nodes, params)
+    assert ours == theirs
+    assert not moves

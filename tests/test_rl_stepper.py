@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fogsched import FitnessWeights, RlConfig, rl_episode, rl_init, rl_optimize
+from fogsched import FitnessWeights, RlConfig, rl, rl_episode, rl_init, rl_optimize
 from fogsched.geo import _SubProblem
 from fogsched.rl import _column_totals, _stepper
 
@@ -64,16 +64,37 @@ def assert_replays_agree(runs, reference, final):
 
 @pytest.mark.parametrize("k", CANDIDATE_COUNTS)
 @pytest.mark.parametrize("n", TASK_COUNTS)
-def test_stepper_matches_reference_grid(n, k):
-    # a floor above 1/k is clamped to 1/k, so every column keeps no mass
-    # above it and falls back to uniform: the projection's rarely-taken branch
+def test_stepper_matches_reference_grid(n, k, monkeypatch):
+    # a floor of 0.9 is clamped to 1/k.  A column still keeps mass above
+    # it: a reinforced column on its sampled row, a decayed one on the rows
+    # its normalising divide lifts.  Only a floor of 1 with one candidate
+    # leaves a column no mass above the floor, which takes the projection's
+    # uniform fallback
+    zero_totals = []
+    column_totals = rl._column_totals
+
+    def watched(matrix):
+        totals = column_totals(matrix)
+
+        def call():
+            out = totals()
+            zero_totals.append(np.count_nonzero(out) < out.size)
+            return out
+
+        return call
+
+    monkeypatch.setattr(rl, "_column_totals", watched)
     for config in (
         RlConfig(rng_seed=0),
         RlConfig(exploration_rate=0.0, probability_floor=0.9, learning_rate=0.3),
+        RlConfig(probability_floor=1.0),
     ):
+        zero_totals.clear()
         runs, reference, final, branches = replay_both(n, k, config, episodes=30, seed=n * 1000 + k)
         assert_replays_agree(runs, reference, final)
         assert branches["reinforced"] > 0 and branches["decayed"] > 0
+        # a zero column total is the condition of the fallback branch
+        assert any(zero_totals) == (k == 1 and config.probability_floor == 1.0)
 
 
 @settings(max_examples=60, deadline=None)
