@@ -20,14 +20,13 @@ arithmetic.  Every replacement gives the same bits;
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .metrics import Evaluator, FitnessWeights, _evaluator
-from .model import Assignment, Instance, build_assignment
+from .model import Assignment, Instance, build_assignment, check_fields
 
 __all__ = [
     "GeoParams",
@@ -47,15 +46,7 @@ class GeoParams:
     pc_schedule: tuple = (1.0, 0.5)
     rng_seed: int = 0
 
-    def __post_init__(self):
-        for name, least in (("population_size", 2), ("iterations", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}")
-        for name in ("pa_schedule", "pc_schedule"):
-            schedule = getattr(self, name)
-            if len(schedule) != 2 or not all(math.isfinite(c) and c >= 0 for c in schedule):
-                raise ValueError(f"{name} must be two finite coefficients >= 0")
+    __post_init__ = check_fields
 
 
 def attack_vector(eagle_position: np.ndarray, prey_position: np.ndarray) -> np.ndarray:

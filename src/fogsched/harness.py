@@ -18,8 +18,8 @@ from statistics import fmean, stdev
 from .baselines import baseline_greedy, baseline_random
 from .geo import GeoParams, geo_optimize
 from .igeo import IgeoParams, igeo_optimize
-from .metrics import FitnessWeights, calibrate_weights, evaluate
-from .model import Instance, ScenarioConfig, _is_id, generate_scenario, scenario_to_dict
+from .metrics import calibrate_weights, evaluate
+from .model import ALGORITHMS, Instance, ScenarioConfig, check_fields, generate_scenario, scenario_to_dict
 from .rigeo import rigeo_schedule
 from .rl import RlConfig, rl_optimize
 
@@ -37,7 +37,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ALGORITHMS = ("RIGEO", "IGEO-only", "GEO", "RL-only", "RANDOM", "GREEDY")
 # the algorithms whose run_algorithm call fills a convergence trace
 TRACED_ALGORITHMS = ("IGEO-only", "GEO", "RL-only")
 
@@ -61,30 +60,7 @@ class ExperimentPlan:
     fitness_weights: tuple = (1.0, 1.0, 1.0)
     workers: int = 4
 
-    def validate(self) -> None:
-        if not self.task_counts:
-            raise ValueError("task_counts must be nonempty")
-        for count in self.task_counts:  # the scenario rules of every trial
-            problems = ScenarioConfig(n_tasks=count, n_nodes=self.n_nodes).validate()
-            if problems:
-                raise ValueError("; ".join(problems))
-        for name, least in (
-            ("repetitions", 1),
-            ("base_seed", 0),  # every trial seed is base_seed or more
-            ("workers", 1),
-        ):
-            value = getattr(self, name)
-            if not _is_id(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
-        if not self.algorithms:
-            raise ValueError("algorithms must be nonempty")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown:
-            raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        w_response, w_deadline, w_energy = self.fitness_weights  # as run_and_evaluate reads them
-        FitnessWeights(w_response, w_deadline, w_energy)  # raises on bad weights
+    validate = check_fields  # raises ValueError naming each field that breaks its rule
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,6 @@ POSITIVE = 1
 class IgeoParams(GeoParams):
     mutation_rate: float = 0.2
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in (0, 1]")
-
 
 @dataclass(frozen=True)
 class OperatorDraw:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Assignment, Instance, _non_finite_fields, _out_of_range_fields
+from .model import FIELD_RULES, Assignment, Instance, _instance_problems, check_fields
 
 __all__ = [
     "ResponseBreakdown",
@@ -110,15 +110,7 @@ class FitnessWeights:
     norm_deadline: float = 1.0
     norm_energy: float = 1.0
 
-    def __post_init__(self):
-        for name in ("w_response", "w_deadline", "w_energy"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative")
-        for name in ("norm_response", "norm_deadline", "norm_energy"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if self.w_response == self.w_deadline == self.w_energy == 0:
-            raise ValueError("at least one weight must be positive")
+    __post_init__ = check_fields
 
     def combine(self, response_total: float, dv_total: float, energy_total: float) -> float:
         return (
@@ -158,9 +150,7 @@ class Evaluator:
     """
 
     def __init__(self, instance: Instance):
-        problems = _non_finite_fields(instance.topology, instance.tasks)
-        problems += _out_of_range_fields(instance.topology, instance.tasks)
-        if problems:
+        if problems := _instance_problems(instance.topology, instance.tasks):
             raise ValueError("; ".join(problems))
         nodes = instance.topology.nodes
         self.m = len(nodes)
@@ -531,8 +521,8 @@ def response_breakdown(instance: Instance, assignment: Assignment, task_id: int)
 
 
 def deadline_violation(breakdown: ResponseBreakdown, deadline: float) -> float:
-    if deadline <= 0:
-        raise ValueError("deadline must be > 0")
+    if fault := FIELD_RULES["Task"]["deadline"]("deadline", deadline):
+        raise ValueError(fault)
     return max(0.0, breakdown.response - deadline)
 
 

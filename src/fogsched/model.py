@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field, asdict
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -102,43 +102,191 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def validate(self) -> list:
-        """One message per field, naming it, that would not generate an
-        instance ``validate_instance`` accepts: the counts must be integers,
-        and each range a pair of finite numbers, min <= max, whose min meets
-        its field's rule."""
-        problems = []
-        counts = (("n_tasks", 1, "> 0"), ("n_nodes", 1, "> 0"), ("rng_seed", 0, ">= 0"))
-        for name, least, rule in counts:
-            value = getattr(self, name)
-            if not _is_id(value):
-                problems.append(f"{name} must be an integer, got {value!r}")
-            elif value < least:
-                problems.append(f"{name} must be {rule}")
-        for name, strict in _RANGE_RULES.items():
-            pair = getattr(self, name)
-            pair_ok = isinstance(pair, (tuple, list)) and len(pair) == 2
-            if not (pair_ok and all(map(_is_finite, pair))):
-                problems.append(f"{name} must be a pair of finite numbers, got {pair!r}")
-            elif pair[0] > pair[1]:
-                problems.append(f"{name} must satisfy min <= max")
-            elif pair[0] < 0 or strict and pair[0] == 0:
-                problems.append(f"{name} must have min {'>' if strict else '>='} 0")
-        return problems
+        """One message per field that breaks its rule in ``FIELD_RULES``."""
+        return field_problems("ScenarioConfig", vars(self))
 
 
-# each ScenarioConfig range and whether validate_instance wants the values
-# it generates > 0 (True) or >= 0 (False); idle power is a fraction of the
-# active power, so active power >= 0 keeps active >= idle >= 0
-_RANGE_RULES = {
-    "mips_range": True,
-    "active_power_range": False,
-    "deadline_range": True,
-    "task_length_range": True,
-    "data_size_range": False,
-    "traffic_range": False,
-    "bandwidth_range": True,
-    "propagation_range": False,
+# ---------------------------------------------------------------------------
+# Field rules: the one statement of what each input field accepts; rule(name, value, instance)
+# returns the value's fault or None.  Scenario files check kinds only, so NaN and inf load.
+
+_FLOAT_MAX = sys.float_info.max
+ALGORITHMS = ("RIGEO", "IGEO-only", "GEO", "RL-only", "RANDOM", "GREEDY")
+
+
+class Number:
+    """An int (id, count or seed) or a finite float in [lo, hi], open at ``lo`` if ``lo_open``."""
+
+    def __init__(self, kind, lo=-_FLOAT_MAX, hi=_FLOAT_MAX, lo_open=False):
+        self.kind, self.high = kind, hi
+        # a closed bound to the same effect: no number lies between an open end and the next float
+        self.low = math.nextafter(lo, math.inf) if lo_open else lo
+        self.bounds = f"{'>' if lo_open else '>='} {lo:g}" if hi == _FLOAT_MAX else (
+            f"in {'(' if lo_open else '['}{lo:g}, {hi:g}]")
+
+    def is_kind(self, value) -> bool:
+        """An int within float range, or for a float rule any float; never a bool."""
+        if isinstance(value, (float, np.floating)):
+            return self.kind is float
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and (
+            -_FLOAT_MAX <= value <= _FLOAT_MAX)
+
+    def __call__(self, name, value, instance=False):
+        """What ``value`` breaks, or None; ``instance`` words it as validate_instance does."""
+        if not self.is_kind(value):
+            return f"{name} must be {'an integer' if self.kind is int else 'a number'}, got {value!r}"
+        value = float(value)  # a numpy float32 compared with float bounds would warn
+        if self.low <= value <= self.high:
+            return None
+        if instance:
+            return f"{name} {self.bounds} violated" if abs(value) <= _FLOAT_MAX else f"{name} must be finite"
+        words = {"> 0": "finite and positive", ">= 0": "finite and nonnegative"}
+        return f"{name} must be {words.get(self.bounds, self.bounds) if self.kind is float else self.bounds}"
+
+
+class Pair:
+    """Two numbers, each meeting ``item``; a range (``ordered``) has min <= max."""
+
+    def __init__(self, item: Number, ordered=False):
+        self.item, self.ordered = item, ordered
+
+    def is_kind(self, value) -> bool:
+        return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(self.item.is_kind, value))
+
+    def __call__(self, name, value, instance=False):
+        ends = tuple(map(float, value)) if self.is_kind(value) else ()
+        if not ends or not all(abs(end) <= _FLOAT_MAX for end in ends):
+            what = "integers" if self.item.kind is int else "finite numbers"
+            return f"{name} must be a pair of {what}, got {value!r}"
+        if self.ordered and ends[0] > ends[1]:
+            return f"{name} must satisfy min <= max"
+        if not all(self.item.low <= end <= self.item.high for end in ends):
+            return f"{name} must have both ends {self.item.bounds}"
+        return None
+
+
+def _each(rule, label):
+    """A nonempty tuple or list whose every value meets ``rule`` as ``label``."""
+    def check(name, value, instance=False):
+        if not (isinstance(value, (tuple, list)) and value):
+            return f"{name} must be a nonempty tuple, got {value!r}"
+        faults = [fault for item in value if (fault := rule(label, item))]
+        return f"{faults[0]} (in {name})" if faults else None
+    return check
+
+
+def _one_of(*options, types=False):
+    """One of ``options``; with ``types``, of a class named among them or a subclass of one."""
+    def check(name, value, instance=False):
+        found = [cls.__name__ for cls in type(value).__mro__] if types else [value]
+        if not any(option in found for option in options):
+            listed = " or ".join(options) if types else "one of " + ", ".join(options)
+            return f"{name} must be {listed}, got {value!r}"
+    return check
+
+
+def _weights(name, value, instance=False):
+    """The plan's three weights, unpacked as the trial body unpacks them."""
+    try:
+        w_response, w_deadline, w_energy = value
+    except (TypeError, ValueError) as exc:
+        return f"{name}: {exc}"
+    weights = dict(w_response=w_response, w_deadline=w_deadline, w_energy=w_energy)
+    faults = field_problems("FitnessWeights", weights)
+    return f"{faults[0]} (in {name})" if faults else None
+
+
+_ID, _SEED, _COUNT = Number(int), Number(int, 0), Number(int, 0, lo_open=True)
+_POSITIVE, _NONNEGATIVE = Number(float, 0.0, lo_open=True), Number(float, 0.0)
+_FRACTION, _RATE = Number(float, 0.0, 1.0), Number(float, 0.0, 1.0, lo_open=True)
+_TASK = dict(id=_ID, length=_POSITIVE, data_size=_NONNEGATIVE, deadline=_POSITIVE,
+             arrival_time=_NONNEGATIVE, source_device=_ID)
+_NODE = dict(id=_ID, mips=_POSITIVE, active_power=_NONNEGATIVE, idle_power=_NONNEGATIVE,
+             alpha=_NONNEGATIVE, beta=_NONNEGATIVE)
+_LINK = dict(endpoints=Pair(_ID), bandwidth=_POSITIVE, propagation_delay=_NONNEGATIVE,
+             traffic_load=_NONNEGATIVE)
+_GEO = dict(population_size=Number(int, 2), iterations=Number(int, 1), rng_seed=_SEED,
+            pa_schedule=Pair(_NONNEGATIVE), pc_schedule=Pair(_NONNEGATIVE))
+
+# dataclass name -> field -> rule.  A scenario range takes the rule of the field it
+# generates (idle power is drawn below active power), so valid configs make valid instances.
+FIELD_RULES = {
+    "Task": _TASK, "FogNode": _NODE, "Link": _LINK,
+    "ScenarioConfig": dict(n_tasks=_COUNT, n_nodes=_COUNT, rng_seed=_SEED, **{
+        name: Pair(rule, ordered=True) for name, rule in (
+            ("mips_range", _NODE["mips"]), ("active_power_range", _NODE["active_power"]),
+            ("deadline_range", _TASK["deadline"]), ("task_length_range", _TASK["length"]),
+            ("data_size_range", _TASK["data_size"]), ("traffic_range", _LINK["traffic_load"]),
+            ("bandwidth_range", _LINK["bandwidth"]), ("propagation_range", _LINK["propagation_delay"]),
+        )
+    }),
+    "GeoParams": _GEO, "IgeoParams": dict(_GEO, mutation_rate=_RATE),
+    "RlConfig": dict(
+        episodes=Number(int, 1), learning_rate=_RATE, exploration_rate=_FRACTION,
+        exploration_decay=_FRACTION, reward_value=_POSITIVE, penalty_value=_POSITIVE,
+        probability_floor=_FRACTION, rng_seed=_SEED,
+    ),
+    "FitnessWeights": dict(
+        w_response=_NONNEGATIVE, w_deadline=_NONNEGATIVE, w_energy=_NONNEGATIVE,
+        norm_response=_POSITIVE, norm_deadline=_POSITIVE, norm_energy=_POSITIVE,
+    ),
+    "ExperimentPlan": dict(
+        task_counts=_each(_COUNT, "n_tasks"), n_nodes=_COUNT,  # each trial's ScenarioConfig
+        repetitions=Number(int, 1), workers=Number(int, 1), base_seed=_SEED,
+        algorithms=_each(_one_of(*ALGORITHMS), "algorithm"), fitness_weights=_weights,
+        output_dir=_one_of("str", "PurePath", types=True), rl=_one_of("RlConfig", types=True),
+        geo=_one_of("GeoParams", types=True), igeo=_one_of("IgeoParams", types=True),
+    ),
 }
+
+# (message, test) rules across a dataclass's fields, tested once each field meets its own
+CROSS_RULES = {
+    "FogNode": [("active_power >= idle_power violated", lambda f: f["active_power"] >= f["idle_power"])],
+    "Link": [("endpoints must be distinct", lambda f: f["endpoints"][0] != f["endpoints"][1])],
+    # a penalty scales a preference by 1 - ratio: at a ratio of 1 or more a lone candidate is 0/0
+    "RlConfig": [("learning_rate * penalty_value / reward_value must be < 1",
+                  lambda f: f["learning_rate"] * f["penalty_value"] / f["reward_value"] < 1)],
+    "FitnessWeights": [("at least one weight must be positive",
+                        lambda f: f["w_response"] > 0 or f["w_deadline"] > 0 or f["w_energy"] > 0)],
+}
+
+
+def field_problems(table: str, values: Mapping, instance=False) -> list:
+    """One message per field (name -> value) breaking its rule in ``table``; else per cross rule."""
+    problems = [p for name, v in values.items() if (p := FIELD_RULES[table][name](name, v, instance))]
+    return problems or [message for message, holds in CROSS_RULES.get(table, ()) if not holds(values)]
+
+
+def check_fields(obj) -> None:
+    """Raise ValueError naming each field of dataclass ``obj`` that breaks its rule."""
+    if problems := field_problems(type(obj).__name__, vars(obj)):
+        raise ValueError("; ".join(problems))
+
+
+def _fits(rule, column) -> bool:
+    """Whether every value of ``column`` meets ``rule``, by C-level scans; False when unsure."""
+    if isinstance(rule, Pair):  # the ends of every pair as one column
+        pairs = set(map(type, column)) == {tuple} and set(map(len, column)) == {2}
+        return pairs and not rule.ordered and _fits(rule.item, [end for pair in column for end in pair])
+    return (
+        set(map(type, column)) == {rule.kind} and rule.low <= min(column) and max(column) <= rule.high
+        and (total := sum(column)) == total  # min and max can miss a NaN; a sum cannot
+    )
+
+
+def _instance_problems(topology: Topology, tasks: Sequence[Task]) -> list:
+    """One message per task, node or link field or cross rule an item breaks, naming the item."""
+    problems = []
+    for label, table, items in (("task", "Task", tasks), ("node", "FogNode", topology.nodes),
+                                ("link", "Link", topology.links)):
+        rules, cross = FIELD_RULES[table], CROSS_RULES.get(table, ())
+        columns_fit = all(_fits(rule, list(map(attrgetter(name), items))) for name, rule in rules.items())
+        if columns_fit and all(holds(vars(item)) for item in items for _, holds in cross):
+            continue
+        for item in items:
+            where = f"{label} {item.endpoints if label == 'link' else item.id}"
+            problems += [f"{where}: {fault}" for fault in field_problems(table, vars(item), True)]
+    return problems
 
 
 class Instance:
@@ -171,50 +319,9 @@ class ValidationResult:
     violations: tuple
 
 
-def _non_finite_fields(topology: Topology, tasks: Sequence[Task]) -> list:
-    """One message per NaN or infinite number in a task, node or link field,
-    naming the field and the task id, node id or link endpoints."""
-    problems = []
-    for label, items, names in (
-        ("task", tasks, ("length", "data_size", "deadline", "arrival_time")),
-        ("node", topology.nodes, ("mips", "active_power", "idle_power", "alpha", "beta")),
-        ("link", topology.links, ("bandwidth", "propagation_delay", "traffic_load")),
-    ):
-        for item in items:
-            where = item.endpoints if label == "link" else item.id
-            for name in names:
-                if not math.isfinite(getattr(item, name)):
-                    problems.append(f"{label} {where}: {name} must be finite")
-    return problems
-
-
-def _out_of_range_fields(topology: Topology, tasks: Sequence[Task]) -> list:
-    """One message per task, node or link field outside its range, naming
-    the rule and the task id, node id or link endpoints.  A NaN breaks only
-    the power rule here; ``_non_finite_fields`` reports it."""
-    problems = []
-    for label, items, rules in (
-        ("task", tasks, (("length", ">"), ("data_size", ">="), ("deadline", ">"), ("arrival_time", ">="))),
-        ("node", topology.nodes, (("mips", ">"),)),
-        ("link", topology.links, (("bandwidth", ">"), ("propagation_delay", ">="), ("traffic_load", ">="))),
-    ):
-        for item in items:
-            where = item.endpoints if label == "link" else item.id
-            for name, op in rules:
-                value = getattr(item, name)
-                if (value <= 0) if op == ">" else (value < 0):
-                    problems.append(f"{label} {where}: {name} {op} 0 violated")
-    for node in topology.nodes:
-        if not (node.active_power >= node.idle_power >= 0):
-            problems.append(f"node {node.id}: active_power >= idle_power >= 0 violated")
-        if node.alpha < 0 or node.beta < 0:
-            problems.append(f"node {node.id}: alpha, beta >= 0 violated")
-    return problems
-
-
 def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationResult:
     """Check every structural invariant; violations are data, not failures."""
-    violations = _non_finite_fields(topology, tasks) + _out_of_range_fields(topology, tasks)
+    violations = _instance_problems(topology, tasks)
 
     ids = [t.id for t in tasks]
     if sorted(ids) != list(range(len(tasks))):
@@ -232,9 +339,6 @@ def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationRe
             violations.append(f"gateway node {gw}: dangling endpoint")
 
     for link in topology.links:
-        a, b = link.endpoints
-        if a == b:
-            violations.append(f"link {link.endpoints}: endpoints must be distinct")
         for end in link.endpoints:
             if end not in node_ids:
                 violations.append(f"link {link.endpoints}: dangling endpoint {end}")
@@ -274,10 +378,7 @@ def generate_scenario(config: ScenarioConfig):
     The topology is a random spanning tree plus extra edges until the average
     node degree reaches 3, so multi-hop routing is always exercised.
     """
-    problems = config.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-
+    check_fields(config)
     rng = np.random.default_rng(config.rng_seed)
     m = config.n_nodes
 
@@ -386,60 +487,25 @@ def validate_assignment(instance: Instance, assignment: Assignment) -> Validatio
 
 
 def scenario_to_dict(config: ScenarioConfig, topology: Topology, tasks) -> dict:
+    """The scenario file's document; its tuples write as JSON lists."""
     return {
-        "config": {
-            **{k: list(v) if isinstance(v, tuple) else v for k, v in asdict(config).items()}
-        },
+        "config": asdict(config),
         "nodes": [asdict(n) for n in topology.nodes],
-        "links": [
-            {
-                "endpoints": list(l.endpoints),
-                "bandwidth": l.bandwidth,
-                "propagation_delay": l.propagation_delay,
-                "traffic_load": l.traffic_load,
-            }
-            for l in topology.links
-        ],
+        "links": [asdict(link) for link in topology.links],
         "tasks": [asdict(t) for t in tasks],
         "gateways": {str(dev): node for dev, node in sorted(topology.device_gateways.items())},
     }
 
 
-def _is_id(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A real number, not a bool, within float range (a huge int is not)."""
-    return (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
-def _build(cls, entry, where: str, numeric: bool = True):
-    """``cls(**entry)`` with JSON lists as tuples.  A non-object entry, an
-    unknown or missing key, an id (``id``, ``source_device``, each of the
-    ``endpoints`` pair) that is not an integer, or (when ``numeric``) any
-    other value that is not a number within float range raise ValueError
-    naming the key."""
+def _build(cls, entry, where: str):
+    """``cls(**entry)`` with JSON lists as tuples.  A non-object entry, an unknown or missing
+    key, or a value of the wrong kind for its field's rule raise ValueError naming the key."""
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {entry!r}")
+    rules = FIELD_RULES[cls.__name__]
     for key, value in entry.items():
-        if key == "endpoints":
-            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_id, value))):
-                raise ValueError(
-                    f"{where}: endpoints must be a pair of integer node ids, got {value!r}"
-                )
-        elif key in ("id", "source_device"):
-            if not _is_id(value):
-                raise ValueError(f"{where}: {key} must be an integer id, got {value!r}")
-        elif numeric and (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or isinstance(value, int) and abs(value) > sys.float_info.max
-        ):
-            raise ValueError(f"{where}: {key} must be a number, got {value!r}")
+        if key in rules and not rules[key].is_kind(value):
+            raise ValueError(f"{where}: {rules[key](key, value)}")
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()})
     except TypeError as exc:  # unknown or missing key
@@ -456,9 +522,8 @@ def scenario_from_dict(doc: dict):
             raise ValueError(f"scenario: missing section {section!r}")
         if not isinstance(doc[section], kind):
             raise ValueError(f"scenario: section {section!r} must be a JSON {kind.__name__}")
-    config = _build(ScenarioConfig, doc["config"], "config", numeric=False)
-    problems = config.validate()
-    if problems:
+    config = _build(ScenarioConfig, doc["config"], "config")
+    if problems := config.validate():
         raise ValueError("config: " + "; ".join(problems))
     nodes = tuple(_build(FogNode, n, f"nodes[{i}]") for i, n in enumerate(doc["nodes"]))
     links = tuple(_build(Link, l, f"links[{i}]") for i, l in enumerate(doc["links"]))
@@ -469,7 +534,7 @@ def scenario_from_dict(doc: dict):
             device = int(dev)
         except ValueError:
             raise ValueError(f"gateways: device {dev!r} must be an integer id") from None
-        if not _is_id(node):
+        if not _ID.is_kind(node):
             raise ValueError(f"gateways: device {dev} must map to a node id, got {node!r}")
         gateways[device] = node
     topology = Topology(nodes=nodes, links=links, device_gateways=gateways)

@@ -27,8 +27,6 @@ dozen numbers, the wrapper costs more than the arithmetic.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -36,7 +34,7 @@ import numpy as np
 
 from .geo import _SubProblem
 from .metrics import FitnessWeights
-from .model import Instance
+from .model import Instance, check_fields
 
 __all__ = ["RlConfig", "PolicyState", "rl_init", "rl_episode", "rl_optimize"]
 
@@ -52,24 +50,7 @@ class RlConfig:
     probability_floor: float = 0.01
     rng_seed: int = 0
 
-    def __post_init__(self):
-        # written so that NaN fails every range check
-        for name, least in (("episodes", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        for name in ("exploration_rate", "exploration_decay", "probability_floor"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("reward_value", "penalty_value"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if self.learning_rate * self.penalty_value / self.reward_value >= 1.0:
-            # the penalty scales a preference by 1 minus this; at 1 or more
-            # it wipes the mass out and a lone candidate's column divides 0/0
-            raise ValueError("learning_rate * penalty_value / reward_value must be < 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
