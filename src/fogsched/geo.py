@@ -96,7 +96,8 @@ def step_vector(
 def decode_position(position: np.ndarray, n_candidates: int) -> np.ndarray:
     """Round-half-up each clamped coordinate to a candidate index in the
     narrowest unsigned dtype; decodes one position or a ``(pop, dim)`` flock."""
-    clamped = np.clip(position, 0.0, n_candidates - 1.0)
+    clamped = np.maximum(position, 0.0)
+    np.minimum(clamped, n_candidates - 1.0, out=clamped)
     return np.floor(clamped + 0.5).astype(np.min_scalar_type(n_candidates - 1))
 
 
@@ -149,7 +150,9 @@ def _swarm_move(positions, prey, pa, pc, rng, upper):
     delta = _scaled_step(attack, cruise, r1pa, r2pc)
     delta_sum = np.add.reduce(delta, axis=1)
     new_positions = np.add(positions, delta, out=delta)  # over the step's buffer
-    return np.clip(new_positions, 0.0, upper, out=new_positions), delta_sum, r1pa, r2pc
+    np.maximum(new_positions, 0.0, out=new_positions)
+    np.minimum(new_positions, upper, out=new_positions)
+    return new_positions, delta_sum, r1pa, r2pc
 
 
 class _SubProblem:
@@ -163,6 +166,8 @@ class _SubProblem:
     bytes this way instead of 4,800 as ``intp``.  The kernel still reads
     ``intp`` node indices, gathered from ``candidate_idx`` by the same
     narrow genome the key holds, so a key names the genome that was scored.
+    ``fitness_many`` keys a whole batch in one call, viewing each row of a
+    C-contiguous genome matrix as one ``np.void`` value of its bytes.
     A NaN fitness (a zero weight times an inf objective) is cached as inf."""
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
@@ -188,6 +193,7 @@ class _SubProblem:
                 f"no route from gateway of task {task_id} to any candidate node"
             )
         self.key_dtype = np.min_scalar_type(len(self.candidates) - 1)
+        self._key_row = np.dtype((np.void, self.dim * self.key_dtype.itemsize))  # one genome
         cache_key = (tuple(self.task_ids), tuple(self.candidates), weights)
         self._cache = evaluator.fitness_caches.setdefault(cache_key, {})
 
@@ -204,7 +210,7 @@ class _SubProblem:
         key = genome.tobytes()
         cached = self._cache.get(key)
         if cached is None:
-            cached = self.ctx.fitness(self.candidate_idx[genome], self.weights)
+            cached = self.ctx.fitness(self.candidate_idx.take(genome), self.weights)
             cached = self._cache[key] = math.inf if math.isnan(cached) else cached
         return cached
 
@@ -212,15 +218,13 @@ class _SubProblem:
         """Fitness of every row of a ``(pop, dim)`` genome matrix.  Rows
         already cached are looked up; the distinct misses are scored in one
         kernel call, so a genome repeated in the batch is computed once."""
-        genomes = np.asarray(genomes).astype(self.key_dtype, copy=False)
-        raw = genomes.tobytes()
-        step = genomes.shape[1] * genomes.itemsize
-        keys = [raw[i : i + step] for i in range(0, len(raw), step)]
+        genomes = np.ascontiguousarray(genomes, dtype=self.key_dtype)
+        keys = genomes.view(self._key_row).ravel().tolist()  # each row's bytes
         cache = self._cache
         missing = {key: i for i, key in enumerate(keys) if key not in cache}
         if missing:
             rows = genomes[list(missing.values())]
-            values = self.ctx.fitness(self.candidate_idx[rows], self.weights)
+            values = self.ctx.fitness(self.candidate_idx.take(rows), self.weights)
             cache.update(zip(missing, np.fmin(values, np.inf).tolist()))
         return np.array([cache[key] for key in keys])
 

@@ -327,7 +327,7 @@ class _SubsetContext:
     ``objectives``, the optimizers' kernel over it.
 
     The context owns a ``_Workspace``: every kernel call writes its
-    ``(rows, n)`` intermediates and the padded lane matrix into buffers
+    ``(rows, n)`` intermediates and the lane matrix into buffers
     kept from call to call, so a batch call makes no large temporary
     (fresh memory the OS must fault in again after the allocator hands it
     back).  The buffers grow to the largest batch seen and are freed with
@@ -408,9 +408,11 @@ class _Workspace:
     rows of every ``(capacity, n)`` buffer, first growing them all to
     ``rows`` rows if the capacity is smaller, so they end as large as the
     largest batch seen.  It keeps the last row count's views, so repeated
-    one-genome calls cut nothing.  ``lanes`` is the flat padded lane
-    matrix, grown by ``_lane_queues`` to the largest ``rows * m * width``
-    seen.
+    one-genome calls cut nothing.  ``ramp`` holds ``k * rows * m`` at flat
+    position k, the row offset of the k-th entry in lane order in a lane
+    matrix of ``rows * m`` columns; ``cut`` writes it when the row count
+    changes.  ``lanes`` is the flat lane matrix, grown by ``_lane_queues``
+    to the largest ``(width + 1) * rows * m`` seen.
 
     Buffers whose uses in a call do not overlap share storage: ``slot``
     takes over ``nodes`` once the lanes are built from it, ``lane`` and
@@ -432,6 +434,7 @@ class _Workspace:
             views = self._buffers
             if rows < self.capacity:
                 views = _Views(*(b[:rows] for b in views))
+            np.multiply(self._count[:rows], rows * self.m, out=views.ramp)
             self._views = views
         return views
 
@@ -442,11 +445,18 @@ class _Workspace:
         self._buffers = _Views(
             nodes=nodes, cell=cell, execution=execution, response=np.empty(shape),
             ordered=execution, key=np.empty(shape, self.key_dtype), lane=cell, rank=cell,
-            slot=nodes, queue=np.empty(shape), ramp=np.arange(rows * self.n).reshape(shape),
+            slot=nodes, queue=np.empty(shape), ramp=np.empty(shape, np.intp),
             entry_offset=np.arange(rows)[:, None] * self.n,
             lane_offset=np.arange(rows)[:, None] * self.m,
         )
+        self._count = np.arange(rows * self.n).reshape(shape)
         self.capacity = rows
+
+
+# the lane count from which _lane_queues adds its lane matrix rank row by
+# rank row: one row add costs a fixed ~0.5 us, a column-wise accumulate
+# ~4 ns per cell (numpy 2.4 on a 2-CPU x86 VM; the two met at 140-200 lanes)
+_ROW_ADD_LANES = 160
 
 
 def _lane_queues(nodes: np.ndarray, execution: np.ndarray, m: int, work: _Workspace = None):
@@ -457,44 +467,59 @@ def _lane_queues(nodes: np.ndarray, execution: np.ndarray, m: int, work: _Worksp
     ``(rows, n)``, and each lane's busy time, as ``(rows, m)``.
 
     A stable sort of each row on its narrowest unsigned node key, plus the
-    row offsets, ranks every entry within the grouped lanes in visit order;
-    the lanes fill the right ends of the rows of a zero-padded matrix one
-    column wider than the longest lane.  A row-wise prefix sum adds left to
-    right, as ``busy += execution`` does, and a padding zero changes no
-    sum, so a queue wait is the prefix one slot before the entry's own and
-    a lane's busy time is its row's last value.
+    row offsets, ranks every entry within the grouped lanes in visit order.
+    The lanes are the columns of a zero-padded, C-contiguous ``(width + 1,
+    rows * m)`` matrix, ``width`` the longest lane's length; each lane
+    fills the bottom of its column, its last entry in the last row, so row
+    0 is padding.  A column-wise prefix sum adds each lane top to bottom,
+    as ``busy += execution`` does, and a padding zero changes no sum, so a
+    queue wait is the prefix one row above the entry and the last row holds
+    the busy times.  Below ``_ROW_ADD_LANES`` lanes (a one-genome call has
+    m) the prefix sum is one ``np.add.accumulate`` down the columns; from
+    there on, where that strided walk costs more per cell than a row add
+    costs per row, it adds each row into the next.  Both add every lane in
+    the same order, so they give the same bits.
 
     The intermediates and both results are views of ``work``, a context's
     workspace, valid until its next call; without one, the call makes a
-    workspace of its own.  The lane matrix changes width from call to
+    workspace of its own.  The lane matrix changes shape from call to
     call, so its padding is zeroed again every time."""
     rows, n = nodes.shape
     if work is None:
         work = _Workspace(n, m)
     w = work.cut(rows)
+    n_lanes = rows * m
     np.copyto(w.key, nodes, casting="unsafe")
     order = w.key.argsort(axis=1, kind="stable")
     if rows > 1:  # entry row * n + k
         order += w.entry_offset
     lane = np.add(nodes, w.lane_offset, out=w.lane)  # lane row * m + node
-    counts = np.bincount(lane.reshape(-1), minlength=rows * m)
-    width = int(np.maximum.reduce(counts, initial=0)) + 1
-    # the entry of rank k in lane order sits at base + k; slot is the
-    # column before it
-    base = np.arange(width - 1, rows * m * width, width) - np.add.accumulate(counts)
+    counts = np.bincount(lane.reshape(-1), minlength=n_lanes)
+    width = int(np.maximum.reduce(counts, initial=0))
+    # the entry of rank k in lane order sits at row width + k + 1 - end of
+    # its lane's column, where end is the rank that follows the lane's last
+    # entry; slot is the row before
+    end = np.add.accumulate(counts)
+    end *= n_lanes
+    base = np.arange(width * n_lanes, (width + 1) * n_lanes) - end
     slot = base.take(lane, out=w.slot, mode="clip")
-    w.rank.reshape(-1)[order] = w.ramp
+    w.rank.reshape(-1)[order] = w.ramp  # k * n_lanes
     slot += w.rank
-    size = rows * m * width
+    size = (width + 1) * n_lanes
     if work.lanes.size < size:
         work.lanes = np.empty(size)
     flat = work.lanes[:size]
     flat.fill(0.0)
-    flat[1:][slot] = execution
-    lanes = flat.reshape(rows * m, width)
-    np.add.accumulate(lanes, axis=1, out=lanes)
+    flat[n_lanes:][slot] = execution
+    lanes = flat.reshape(width + 1, n_lanes)
+    if n_lanes < _ROW_ADD_LANES:
+        np.add.accumulate(lanes, axis=0, out=lanes)
+    else:
+        ranks = list(lanes)
+        for prev, cur in zip(ranks, ranks[1:]):
+            cur += prev
     queue = flat.take(slot, out=w.queue, mode="clip")
-    return queue, lanes[:, -1].reshape(rows, m)
+    return queue, lanes[width].reshape(rows, m)
 
 
 def _sequential_sum(values: np.ndarray) -> float:

@@ -243,9 +243,10 @@ FIELD_RULES = {
 CROSS_RULES = {
     "FogNode": [("active_power >= idle_power violated", lambda f: f["active_power"] >= f["idle_power"])],
     "Link": [("endpoints must be distinct", lambda f: f["endpoints"][0] != f["endpoints"][1])],
-    # a penalty scales a preference by 1 - ratio: at a ratio of 1 or more a lone candidate is 0/0
-    "RlConfig": [("learning_rate * penalty_value / reward_value must be < 1",
-                  lambda f: f["learning_rate"] * f["penalty_value"] / f["reward_value"] < 1)],
+    # a penalty scales a preference by 1 - ratio: at a ratio of 1 or more a lone candidate is 0/0.
+    # Python floats, which overflow to inf where numpy scalars would warn
+    "RlConfig": [("learning_rate * penalty_value / reward_value must be < 1", lambda f: (
+        float(f["learning_rate"]) * float(f["penalty_value"]) / float(f["reward_value"]) < 1))],
     "FitnessWeights": [("at least one weight must be positive",
                         lambda f: f["w_response"] > 0 or f["w_deadline"] > 0 or f["w_energy"] > 0)],
 }
@@ -322,8 +323,14 @@ class ValidationResult:
 def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationResult:
     """Check every structural invariant; violations are data, not failures."""
     violations = _instance_problems(topology, tasks)
-
+    # the checks below sort and hash ids and unpack endpoints; the field rules
+    # above report an id or endpoint pair of the wrong kind
     ids = [t.id for t in tasks]
+    id_kinds = ids + [t.source_device for t in tasks] + [node.id for node in topology.nodes]
+    if not (all(map(_ID.is_kind, id_kinds))
+            and all(_LINK["endpoints"].is_kind(link.endpoints) for link in topology.links)):
+        return ValidationResult(ok=False, violations=tuple(violations))
+
     if sorted(ids) != list(range(len(tasks))):
         violations.append("task ids must be unique and contiguous from 0")
 

@@ -4,6 +4,7 @@ has one rule, and every check reads it."""
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,29 @@ def test_instance_kind_and_cross_rules_name_the_item():
     )
     with pytest.raises(ValueError, match="^task 1: length must be a number, got 'x'; node 1: "):
         Evaluator(Instance(topology, tasks))
+
+
+@pytest.mark.parametrize("item,change,fault", [
+    ("task", dict(id="a"), "task a: id must be an integer, got 'a'"),
+    ("link", dict(endpoints=(0, 1, 2)), "link (0, 1, 2): endpoints must be a pair of integers, got (0, 1, 2)"),
+], ids=["task-id", "link-endpoints"])
+def test_validate_instance_reports_an_id_of_the_wrong_kind(item, change, fault):
+    # the structural checks (contiguous ids, dangling endpoints, connectivity)
+    # cannot sort a str id or unpack a triple; the fault is reported, not raised
+    topology, tasks = generate_scenario(ScenarioConfig(n_tasks=3, n_nodes=3, rng_seed=1))
+    if item == "task":
+        tasks[1] = replace(tasks[1], **change)
+    else:
+        topology = replace(topology, links=(replace(topology.links[0], **change),) + topology.links[1:])
+    result = validate_instance(topology, tasks)
+    assert (result.ok, result.violations) == (False, (fault,))
+
+
+def test_rl_ratio_rule_computes_in_python_floats():
+    # numpy scalars would overflow with a RuntimeWarning, an error under pytest
+    with pytest.raises(ValueError, match=r"^learning_rate \* penalty_value / reward_value must be < 1$"):
+        RlConfig(penalty_value=np.float64(1e308), reward_value=np.float64(1e-10))
+    RlConfig(learning_rate=np.float32(0.5), penalty_value=np.float64(1.0), reward_value=np.int64(2))
 
 
 def _plan(**changes):

@@ -2,12 +2,14 @@
 
 At 6 tasks x 3 nodes an array holds a few dozen numbers, so a step costs
 what its numpy calls cost.  The ndarray reduction methods (``.sum``,
-``.any``, ``.all``, ``.min``, ``.max``), ``np.flatnonzero`` and the
-``np.*_along_axis`` helpers each pay a Python-level wrapper on every call,
-more than their arithmetic at that size.  This test walks the source of the
-per-step functions and of the optimizers' loop bodies and fails on any such
-call; the ufunc equivalents (``np.add.reduce``, ``np.logical_and.reduce``,
-``np.count_nonzero``, ``.nonzero()[0]``, flat indexing) give the same bits.
+``.any``, ``.all``, ``.min``, ``.max``), ``np.flatnonzero``, ``np.clip``
+and the ``np.*_along_axis`` helpers each pay a Python-level wrapper on every
+call, more than their arithmetic at that size.  This test walks the source of
+the per-step functions and of the optimizers' loop bodies and fails on any
+such call; the ufunc equivalents (``np.add.reduce``,
+``np.logical_and.reduce``, ``np.count_nonzero``, ``.nonzero()[0]``, flat
+indexing, ``np.maximum`` then ``np.minimum`` for a clip of non-NaN values)
+give the same bits.
 """
 
 import ast
@@ -49,7 +51,7 @@ PER_STEP = {
 LOOPS = {rl: ("rl_optimize",), geo: ("geo_optimize",), igeo: ("igeo_optimize",)}
 
 WRAPPED_METHODS = {"sum", "any", "all", "min", "max"}
-WRAPPED_FUNCTIONS = {"flatnonzero", "take_along_axis", "put_along_axis"}
+WRAPPED_FUNCTIONS = {"flatnonzero", "take_along_axis", "put_along_axis", "clip"}
 
 
 def _tree(module):
@@ -147,6 +149,7 @@ def test_no_positional_out_for_minimum_or_maximum():
         "np.flatnonzero(m)",
         "np.take_along_axis(a, i, axis=1)",
         "np.put_along_axis(a, i, v, axis=1)",
+        "np.clip(x, 0.0, 1.0, out=x)",
     ],
 )
 def test_the_check_finds_each_wrapper(source):

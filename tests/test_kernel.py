@@ -100,23 +100,31 @@ def sequential_lanes(nodes, execution, m):
     return queue, busy
 
 
-@pytest.mark.parametrize("m", [1, 3, 256, 257])
-def test_lane_queues_match_a_sequential_loop(m):
-    # row 0 queues every entry on one node, so the padded width is n + 1;
-    # one row takes no row offsets, four rows do, and rows of 257 nodes are
-    # sorted on uint16 keys
+@pytest.mark.parametrize("m", [1, 3, 20, 256, 257])
+def test_lane_queues_match_a_sequential_loop(monkeypatch, m):
+    # the lane matrix is summed rank row by rank row from _ROW_ADD_LANES
+    # lanes on and in one accumulate below; each spelling runs on lane
+    # counts just below and at the crossover.  Row 0 queues every entry on
+    # one node, the widest lane; one row takes no row offsets, more rows do,
+    # and rows of 257 nodes are sorted on uint16 keys
+    crossover = metrics._ROW_ADD_LANES
+    below, at = (crossover - 1) // m, -(-crossover // m)
+    assert below * m < crossover <= at * m
+    row_counts = sorted({1, 2, 31, below, at} - {0})
     rng = np.random.default_rng(m)
     n = 40
-    nodes = rng.integers(0, m, size=(4, n))
+    nodes = rng.integers(0, m, size=(max(row_counts), n))
     nodes[0] = m - 1
     nodes[1, ::2] = 0
-    execution = rng.uniform(0.1, 900.0, size=(4, n))
+    execution = rng.uniform(0.1, 900.0, size=nodes.shape)
     expected = sequential_lanes(nodes, execution, m)
-    for rows in (slice(0, 1), slice(1, 2), slice(0, 4)):
-        queue, busy = metrics._lane_queues(nodes[rows], execution[rows], m)
-        assert queue.shape == nodes[rows].shape and busy.shape == (len(queue), m)
-        assert bits(queue.ravel()) == bits(expected[0][rows].ravel())
-        assert bits(busy.ravel()) == bits(expected[1][rows].ravel())
+    for threshold in (crossover, 0, 10**9):  # by lane count, row adds only, accumulate only
+        monkeypatch.setattr(metrics, "_ROW_ADD_LANES", threshold)
+        for rows in row_counts:
+            queue, busy = metrics._lane_queues(nodes[:rows], execution[:rows], m)
+            assert queue.shape == (rows, n) and busy.shape == (rows, m)
+            assert bits(queue.ravel()) == bits(expected[0][:rows].ravel())
+            assert bits(busy.ravel()) == bits(expected[1][:rows].ravel())
 
 
 def test_kernel_every_task_on_one_node():
@@ -259,6 +267,25 @@ def test_fitness_many_scores_a_repeated_genome_once():
     assert fits[0] == fits[2]
     fresh = _SubProblem(make_instance(10, 3, seed=5), [0, 1, 2], range(10), FitnessWeights())
     assert bits(fits) == bits([fresh.fitness_of(other), fresh.fitness_of(genome), fresh.fitness_of(other)])
+
+
+@pytest.mark.parametrize("layout", ["column slice", "transposed"])
+@pytest.mark.parametrize("narrow", [False, True])
+def test_fitness_many_keys_a_strided_matrix_as_its_contiguous_copy(layout, narrow):
+    draws = np.random.default_rng(12).integers(0, 4, size=(14, 14))
+    if narrow:  # already in the key dtype: no astype copy
+        draws = draws.astype(np.uint8)
+    genomes = draws[1:8, 2:14] if layout == "column slice" else draws[:12, 3:10].T
+    assert genomes.shape == (7, 12) and not genomes.flags.c_contiguous
+
+    def scored(matrix):
+        problem = _SubProblem(make_instance(12, 4, seed=7), range(4), range(12), FitnessWeights())
+        return bits(problem.fitness_many(matrix)), list(problem._cache)
+
+    fits, keys = scored(genomes)
+    assert (fits, keys) == scored(np.ascontiguousarray(genomes))
+    rows = np.ascontiguousarray(genomes, dtype=np.uint8)
+    assert keys == list(dict.fromkeys(row.tobytes() for row in rows))
 
 
 @pytest.fixture
