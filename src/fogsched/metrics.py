@@ -429,7 +429,7 @@ class _Workspace:
     def cut(self, rows: int) -> _Views:
         views = self._views
         if views is None or len(views.nodes) != rows:
-            if rows > self.capacity:
+            if rows > self.capacity or views is None:  # a first call may cut 0 rows
                 self._grow(rows)
             views = self._buffers
             if rows < self.capacity:

@@ -287,6 +287,31 @@ def _instance_problems(topology: Topology, tasks: Sequence[Task]) -> list:
         for item in items:
             where = f"{label} {item.endpoints if label == 'link' else item.id}"
             problems += [f"{where}: {fault}" for fault in field_problems(table, vars(item), True)]
+    return problems + _gateway_problems(topology, tasks)
+
+
+def _gateway_problems(topology: Topology, tasks: Sequence[Task]) -> list:
+    """The gateway rule: ``device_gateways`` maps device ids to node ids, each
+    naming a node, and every task's source device has a gateway."""
+    gateways = topology.device_gateways
+    if not isinstance(gateways, Mapping):
+        return [f"device_gateways must be a mapping, got {gateways!r}"]
+    node_ids = {node.id for node in topology.nodes if _ID.is_kind(node.id)}
+    devices, nodes = list(gateways), list(gateways.values())
+    problems = []
+    if not (_fits(_ID, devices) and _fits(_ID, nodes) and node_ids.issuperset(nodes)):
+        for device, node in gateways.items():
+            fault = _ID("device id", device) or _ID("gateway", node) or (
+                None if node in node_ids else f"gateway {node} names no node")
+            if fault:
+                problems.append(f"device {device!r}: {fault}")
+    # a source device of the wrong kind is the task rule's to report
+    sources = [t.source_device for t in tasks]
+    if not (_fits(_ID, sources) and gateways.keys() >= set(sources)):
+        problems += [
+            f"task {t.id}: unknown source device {t.source_device}" for t in tasks
+            if _ID.is_kind(t.source_device) and t.source_device not in gateways
+        ]
     return problems
 
 
@@ -340,19 +365,10 @@ def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationRe
             violations.append(f"node {node.id}: duplicate id")
         node_ids.add(node.id)
 
-    gateway_nodes = set(topology.device_gateways.values())
-    for gw in gateway_nodes:
-        if gw not in node_ids:
-            violations.append(f"gateway node {gw}: dangling endpoint")
-
     for link in topology.links:
         for end in link.endpoints:
             if end not in node_ids:
                 violations.append(f"link {link.endpoints}: dangling endpoint {end}")
-
-    for t in tasks:
-        if t.source_device not in topology.device_gateways:
-            violations.append(f"task {t.id}: unknown source device {t.source_device}")
 
     if topology.nodes and not _is_connected(topology):
         violations.append("topology: node graph is not connected")

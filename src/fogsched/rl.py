@@ -23,11 +23,27 @@ reduction method (``.sum``, ``.any``, ``.all``, ``.min``, ``.max``) and no
 wrapper on every call, and at 6 tasks x 3 nodes, where an array holds a few
 dozen numbers, the wrapper costs more than the arithmetic.
 ``tests/test_hot_loops.py`` checks the rule.
+
+Even so, a numpy episode is some 35 calls whatever the policy's size, so
+on a small policy it costs its fixed call overhead.  ``rl_optimize``
+therefore steps a policy of at most ``_LIST_POLICY_CELLS`` cells k * n on
+the same matrix held as a flat Python list (``_list_stepper``), whose cost
+grows with the cell count instead: at 6 x 3 with a warm fitness cache an
+episode took about 0.65x the numpy one, and the two met at about 40
+cells.  Both layouts give the same bits: every preference goes through the
+same IEEE double operations in the same order (a Python float operation
+rounds as the numpy one does), the list's column totals add in
+``_pairwise_ops``' order, the uniform draws are the same numpy calls, and a
+sample is keyed with ``bytes(sampled)``, which equals ``_SubProblem``'s
+uint8 key.  ``rl_episode`` keeps the numpy stepper, so comparing it with
+``rl_optimize`` cross-checks the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -62,6 +78,9 @@ class PolicyState:
     best_seen: tuple  # (assignment array, fitness)
     fitness: float  # fitness of the current assignment
     exploration: float
+    # the sub-problem the state was scored on, reused by rl_episode for the
+    # same instance and weights
+    _problem: Optional[_SubProblem] = field(default=None, compare=False, repr=False)
 
 
 def rl_init(
@@ -89,6 +108,7 @@ def _initial_state(problem: _SubProblem, config: RlConfig) -> PolicyState:
         best_seen=(assignment.copy(), fit),
         fitness=fit,
         exploration=config.exploration_rate,
+        _problem=problem,
     )
 
 
@@ -146,6 +166,43 @@ def _pairwise_ops(matrix: np.ndarray):
     return ops, total
 
 
+# the largest policy, in cells k * n, that rl_optimize steps on a Python
+# list.  A list step pays per cell, a numpy step per call.  With a warm
+# fitness cache (numpy 2.4, Python 3.11, a 2-CPU x86 VM) the list took
+# 0.64-0.97x the numpy time at every shape of up to 36 cells with two or
+# more tasks, and 1.02-1.27x at 40; one task on 24 or 36 candidates took
+# 1.2x and 1.1x, an episode of a few us either way
+_LIST_POLICY_CELLS = 36
+
+
+def _pairwise_sum(values) -> float:
+    """The sum of the floats ``values`` in the order ``_pairwise_ops`` adds
+    a column of ``len(values)`` entries: numpy's pairwise order."""
+    k = len(values)
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    if k < 8:
+        return reduce(add, values)
+    blocks = k - k % 8
+    lanes = values[:8]
+    for start in range(8, blocks, 8):
+        lanes = [a + b for a, b in zip(lanes, values[start:start + 8])]
+    r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+    return reduce(add, values[blocks:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+
+
+def _rates(config: RlConfig, k: int) -> tuple:
+    """``(lr, keep, fade, floor, scale)`` of both steppers: the learning
+    rate, the reward's and the penalty's factors on a preference, the
+    projection's floor and the share of mass above it, computed from the
+    config's own values (numpy scalars stay numpy scalars)."""
+    lr = config.learning_rate
+    decay = lr * config.penalty_value / config.reward_value
+    floor = min(config.probability_floor, 1.0 / k)
+    return lr, 1.0 - lr, 1.0 - decay, floor, 1.0 - k * floor
+
+
 def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
     """The episode function of the C-contiguous ``(k, n)`` policy matrix
     ``preference`` (one row per candidate, one column per task):
@@ -158,10 +215,7 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
     k, n = preference.shape
     flat = preference.reshape(-1)
     columns = np.arange(n)
-    lr = config.learning_rate
-    decay = lr * config.penalty_value / config.reward_value
-    floor = min(config.probability_floor, 1.0 / k)
-    scale = 1.0 - k * floor
+    lr, keep, fade, floor, scale = _rates(config, k)
     column_totals = _column_totals(preference)
     # per-column cumulative sums of every row but the last, added row after
     # row as numpy's cumsum adds along a row of the transpose.  A sample
@@ -192,10 +246,10 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
         index += columns
         if fit < fitness:
             chosen = flat[index]
-            np.multiply(preference, 1.0 - lr, out=preference)
+            np.multiply(preference, keep, out=preference)
             flat[index] = chosen + lr * (1.0 - chosen)
         else:
-            flat[index] *= 1.0 - decay
+            flat[index] *= fade
             np.divide(preference, column_totals(), out=preference)
         np.subtract(preference, floor, out=preference)
         np.maximum(preference, 0.0, out=preference)
@@ -207,6 +261,67 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
         np.multiply(preference, scale, out=preference)
         np.divide(preference, totals, out=preference)
         np.add(preference, floor, out=preference)
+        return sampled, fit
+
+    return step
+
+
+def _list_stepper(fitness_of, cache: dict, config: RlConfig, policy: list, n: int):
+    """``_stepper`` on the policy matrix held in ``policy``, a flat Python
+    list of its k rows of n preferences (the ``(k, n)`` matrix's ravel),
+    updated in place; an assignment is a list of candidate indices below
+    256.  A sample's fitness is looked up in ``cache`` under
+    ``bytes(sampled)``, the uint8 key of ``_SubProblem``; a miss goes to
+    ``fitness_of``.  Every preference goes through the IEEE operations of
+    ``_stepper`` in the same order, so both return the same samples and
+    fitnesses and leave the same preferences."""
+    k = len(policy) // n
+    lr, keep, fade, floor, scale = map(float, _rates(config, k))
+    rows = [slice(i * n, (i + 1) * n) for i in range(k)]
+    first, middle = rows[0], rows[1:-1]
+
+    def totals(p):
+        """Every column's total, repeated for each of its k cells."""
+        if k < 8:  # one running sum, as _pairwise_sum adds, row after row
+            total = p[first]
+            for r in rows[1:]:
+                total = list(map(add, total, p[r]))
+            return total * k
+        return list(map(_pairwise_sum, zip(*map(p.__getitem__, rows)))) * k
+
+    def step(assignment, fitness, exploration, rng):
+        if rng.random() < exploration:
+            sampled = assignment.copy()
+            sampled[int(rng.integers(0, n))] = int(rng.integers(0, k))
+        else:
+            # count the cumulative sums below the draw, row after row; as in
+            # _stepper the last row is left out, capping the count at k - 1
+            u = rng.random(n).tolist()
+            cum = policy[first]
+            sampled = [1 if c < x else 0 for c, x in zip(cum, u)] if k > 1 else [0] * n
+            for r in middle:
+                cum = list(map(add, cum, policy[r]))
+                sampled = [s + 1 if c < x else s for s, c, x in zip(sampled, cum, u)]
+        fit = cache.get(bytes(sampled))
+        if fit is None:
+            fit = fitness_of(sampled)
+        # each "0.0 if d < 0.0 else d" is np.maximum(d, 0.0), NaN and -0.0 included
+        if fit < fitness:
+            p = [0.0 if (d := q * keep - floor) < 0.0 else d for q in policy]
+            for j, s in enumerate(sampled):
+                chosen = policy[s * n + j]
+                d = chosen + lr * (1.0 - chosen) - floor
+                p[s * n + j] = 0.0 if d < 0.0 else d
+        else:
+            for j, s in enumerate(sampled):
+                policy[s * n + j] *= fade
+            p = [0.0 if (d := q / t - floor) < 0.0 else d for q, t in zip(policy, totals(policy))]
+        cell_totals = totals(p)
+        if 0.0 in cell_totals:
+            # columns with no mass above the floor fall back to uniform
+            p = [1.0 if t == 0.0 else q for q, t in zip(p, cell_totals)]
+            cell_totals = totals(p)
+        policy[:] = [q * scale / t + floor for q, t in zip(p, cell_totals)]
         return sampled, fit
 
     return step
@@ -231,7 +346,15 @@ def rl_episode(
             f"assignment must be {n} integer candidate indices in [0, {k})"
         )
     exploration = state.exploration * config.exploration_decay
-    problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
+    problem = state._problem
+    if not (
+        problem is not None
+        and problem.instance is instance
+        and problem.weights == weights
+        and tuple(problem.task_ids) == state.task_ids
+        and tuple(problem.candidates) == state.candidate_nodes
+    ):
+        problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
     # a fresh (k, n) buffer: np.ascontiguousarray would hand back the
     # input state's own matrix and the step would overwrite it
     preference = state.preference.T.copy()
@@ -245,6 +368,7 @@ def rl_episode(
         best_seen=best,
         fitness=fit,
         exploration=exploration,
+        _problem=problem,
     )
 
 
@@ -269,7 +393,12 @@ def rl_optimize(
     fitness = state.fitness
     best_genome, best_fit = state.best_seen
     exploration = state.exploration
-    step = _stepper(problem.fitness_of, config, np.ascontiguousarray(state.preference.T))
+    matrix = np.ascontiguousarray(state.preference.T)
+    if matrix.size <= _LIST_POLICY_CELLS:
+        assignment = assignment.tolist()
+        step = _list_stepper(problem.fitness_of, problem._cache, config, matrix.ravel().tolist(), problem.dim)
+    else:
+        step = _stepper(problem.fitness_of, config, matrix)
     for episode in range(config.episodes):
         assignment, fitness = step(assignment, fitness, exploration, rng)
         if fitness < best_fit:

@@ -2,6 +2,7 @@
 has one rule, and every check reads it."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_validate_instance_reports_an_id_of_the_wrong_kind(item, change, fault):
         topology = replace(topology, links=(replace(topology.links[0], **change),) + topology.links[1:])
     result = validate_instance(topology, tasks)
     assert (result.ok, result.violations) == (False, (fault,))
+
+
+@pytest.mark.parametrize("change,fault", [
+    (lambda gateways, tasks: {**gateways, 0: [1]}, "device 0: gateway must be an integer, got [1]"),
+    (lambda gateways, tasks: {**gateways, 0: 999}, "device 0: gateway 999 names no node"),
+    (lambda gateways, tasks: {**gateways, "0": 0}, "device '0': device id must be an integer, got '0'"),
+    (lambda gateways, tasks: tasks.__setitem__(1, replace(tasks[1], source_device=77)) or gateways,
+     "task 1: unknown source device 77"),
+    (lambda gateways, tasks: [(0, 0)], "device_gateways must be a mapping, got [(0, 0)]"),
+], ids=["unhashable", "dangling", "device-kind", "unknown-device", "not-a-mapping"])
+def test_a_bad_gateway_is_named_by_every_check(change, fault):
+    # a library-built topology: validate_instance reports the gateway, and
+    # the evaluator behind evaluate and every optimizer refuses it
+    topology, tasks = generate_scenario(ScenarioConfig(n_tasks=3, n_nodes=3, rng_seed=1))
+    topology = replace(topology, device_gateways=change(dict(topology.device_gateways), tasks))
+    assert validate_instance(topology, tasks).violations == (fault,)
+    instance = Instance(topology, tasks)
+    assignment = build_assignment(tasks, {t.id: 0 for t in tasks})
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        evaluate(instance, assignment, FitnessWeights())
 
 
 def test_rl_ratio_rule_computes_in_python_floats():

@@ -154,6 +154,18 @@ def test_one_row_batch_equals_the_genome():
     assert bits(ctx.objectives(genome)) == bits(reference_objectives(instance, range(300), genome))
 
 
+def test_zero_row_batch_returns_four_empty_arrays():
+    # a first call of zero rows, and one after a wider batch
+    instance = make_instance(6, 3, seed=8)
+    ctx = metrics.Evaluator(instance).subset_context(range(6))
+    for _ in range(2):
+        result = ctx.objectives(np.empty((0, 6), np.intp))
+        assert [r.shape for r in result] == [(0,)] * 4
+        ctx.objectives(np.zeros((3, 6), np.intp))
+    genome = np.array([0, 1, 2, 0, 1, 2])
+    assert bits(ctx.objectives(genome)) == bits(reference_objectives(instance, range(6), genome))
+
+
 def test_workspace_keeps_the_bits():
     """One context runs batches of changing row count and lane width through
     its reused buffers: every result equals a fresh context's and the

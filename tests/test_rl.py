@@ -202,6 +202,34 @@ def test_rl_optimize_builds_one_subproblem(monkeypatch, small_instance, unit_wei
     assert len(built) == 1
 
 
+def test_chained_rl_episodes_build_one_subproblem(monkeypatch, small_instance, unit_weights):
+    from fogsched import rl
+
+    built = []
+
+    class Counting(rl._SubProblem):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rl, "_SubProblem", Counting)
+    config = RlConfig(rng_seed=2)
+    state = rl_init(small_instance, range(6), [0, 1, 2], config, unit_weights)
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        state = rl_episode(state, small_instance, unit_weights, config, rng)
+    assert len(built) == 1
+    # equal weights share the sub-problem; another instance or other weights
+    # get their own, scored on what the call names
+    rl_episode(state, small_instance, FitnessWeights(), config, rng)
+    assert len(built) == 1
+    other = make_instance(6, 3, seed=8)
+    for instance, weights in ((other, unit_weights), (small_instance, FitnessWeights(w_energy=2.0))):
+        nxt = rl_episode(state, instance, weights, config, np.random.default_rng(5))
+        assert nxt._problem.instance is instance and nxt._problem.weights == weights
+    assert len(built) == 3
+
+
 def test_rl_config_validation():
     with pytest.raises(ValueError):
         RlConfig(episodes=0)

@@ -1,6 +1,10 @@
-"""The task-minor ``(k, n)`` RL stepper against the ``(n, k)`` stepper it
-replaced: from the same generator both must sample the same assignments,
-see the same fitnesses and end with the same preferences, bit for bit."""
+"""Both RL steppers, the numpy one on a ``(k, n)`` matrix and the one on a
+flat Python list, against the ``(n, k)`` stepper they replaced: from the
+same generator each must sample the same assignments, see the same
+fitnesses and end with the same preferences, bit for bit."""
+
+import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,13 +13,14 @@ from hypothesis import strategies as st
 
 from fogsched import FitnessWeights, RlConfig, rl, rl_episode, rl_init, rl_optimize
 from fogsched.geo import _SubProblem
-from fogsched.rl import _column_totals, _stepper
+from fogsched.rl import _LIST_POLICY_CELLS, _column_totals, _list_stepper, _pairwise_sum, _stepper
 
 from conftest import make_instance
 from rl_reference import reference_stepper
 
 TASK_COUNTS = (1, 2, 6, 300)
 CANDIDATE_COUNTS = (1, 2, 3, 7, 8, 9, 16, 17, 20, 129, 130)
+STEPPERS = ("numpy", "list")
 
 
 def synthetic_fitness(n, k, seed):
@@ -26,20 +31,26 @@ def synthetic_fitness(n, k, seed):
     return lambda sampled: float(cost[tasks, sampled].sum())
 
 
-def replay_both(n, k, config, episodes, seed, fitness_of=None):
-    """Run both steppers from uniform preferences and the same generator
-    seed; returns per-episode (sampled, fitness) of each, both final
-    preference matrices in ``(n, k)`` form and how often each branch ran."""
+def replay_both(n, k, config, episodes, seed, fitness_of=None, stepper="numpy", cache=None):
+    """Run the reference and ``stepper`` from uniform preferences and the
+    same generator seed; returns per-episode (sampled, fitness) of each,
+    both final preference matrices in ``(n, k)`` form and how often each
+    branch ran.  The list stepper looks fitnesses up in ``cache`` first."""
     fitness_of = fitness_of or synthetic_fitness(n, k, seed)
     reference = np.full((n, k), 1.0 / k)
     matrix = np.full((k, n), 1.0 / k)
     ref_step = reference_stepper(fitness_of, config, n, k)
-    new_step = _stepper(fitness_of, config, matrix)
+    if stepper == "numpy":
+        new_step, start = _stepper(fitness_of, config, matrix), np.zeros(n, dtype=np.intp)
+    else:
+        policy = matrix.ravel().tolist()
+        cache = {} if cache is None else cache
+        new_step, start = _list_stepper(fitness_of, cache, config, policy, n), [0] * n
     runs = []
     branches = {"reinforced": 0, "decayed": 0}
-    for take in (lambda *a: ref_step(reference, *a), new_step):
+    ref_start = np.zeros(n, dtype=np.intp)
+    for take, assignment in ((lambda *a: ref_step(reference, *a), ref_start), (new_step, start)):
         rng = np.random.default_rng(seed)
-        assignment = np.zeros(n, dtype=np.intp)
         fitness = np.inf
         exploration = config.exploration_rate
         rows = []
@@ -50,12 +61,17 @@ def replay_both(n, k, config, episodes, seed, fitness_of=None):
             assignment, fitness = sampled, fit
             exploration *= config.exploration_decay
         runs.append(rows)
+    if stepper == "list":
+        matrix = np.array(policy).reshape(k, n)
     return runs, reference, matrix.T, branches
 
 
 def assert_replays_agree(runs, reference, final):
     for (ref_sampled, ref_fit), (sampled, fit) in zip(*runs):
-        assert sampled.dtype == ref_sampled.dtype
+        if isinstance(sampled, list):
+            assert set(map(type, sampled)) == {int}
+        else:
+            assert sampled.dtype == ref_sampled.dtype
         assert np.array_equal(sampled, ref_sampled)
         assert fit == ref_fit
     assert len(runs[0]) == len(runs[1])
@@ -69,7 +85,9 @@ def test_stepper_matches_reference_grid(n, k, monkeypatch):
     # it: a reinforced column on its sampled row, a decayed one on the rows
     # its normalising divide lifts.  Only a floor of 1 with one candidate
     # leaves a column no mass above the floor, which takes the projection's
-    # uniform fallback
+    # uniform fallback.  The list stepper's totals are watched through the
+    # zero check's "in", which a fallback that never ran would turn into a
+    # ZeroDivisionError
     zero_totals = []
     column_totals = rl._column_totals
 
@@ -84,17 +102,21 @@ def test_stepper_matches_reference_grid(n, k, monkeypatch):
         return call
 
     monkeypatch.setattr(rl, "_column_totals", watched)
-    for config in (
+    configs = (
         RlConfig(rng_seed=0),
         RlConfig(exploration_rate=0.0, probability_floor=0.9, learning_rate=0.3),
         RlConfig(probability_floor=1.0),
-    ):
+    )
+    for stepper, config in itertools.product(STEPPERS, configs):
         zero_totals.clear()
-        runs, reference, final, branches = replay_both(n, k, config, episodes=30, seed=n * 1000 + k)
+        runs, reference, final, branches = replay_both(
+            n, k, config, episodes=30, seed=n * 1000 + k, stepper=stepper
+        )
         assert_replays_agree(runs, reference, final)
         assert branches["reinforced"] > 0 and branches["decayed"] > 0
-        # a zero column total is the condition of the fallback branch
-        assert any(zero_totals) == (k == 1 and config.probability_floor == 1.0)
+        if stepper == "numpy":
+            # a zero column total is the condition of the fallback branch
+            assert any(zero_totals) == (k == 1 and config.probability_floor == 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,48 +138,65 @@ def test_stepper_matches_reference(data):
     )
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     episodes = data.draw(st.integers(1, 40), label="episodes")
-    assert_replays_agree(*replay_both(n, k, config, episodes, seed)[:3])
+    stepper = data.draw(st.sampled_from(STEPPERS), label="stepper")
+    assert_replays_agree(*replay_both(n, k, config, episodes, seed, stepper=stepper)[:3])
 
 
 @pytest.mark.parametrize("n_tasks,n_nodes", [(6, 3), (40, 9), (200, 20)])
 def test_stepper_matches_reference_on_instance(n_tasks, n_nodes):
-    # real fitnesses from the optimizers' sub-problem
+    # real fitnesses from the optimizers' sub-problem; the list stepper
+    # finds the reference's samples in its cache
     instance = make_instance(n_tasks, n_nodes, seed=n_tasks)
     problem = _SubProblem(
         instance, [node.id for node in instance.topology.nodes],
         [t.id for t in instance.tasks], FitnessWeights(),
     )
-    runs, reference, final, branches = replay_both(
-        n_tasks, n_nodes, RlConfig(), episodes=150, seed=3, fitness_of=problem.fitness_of
-    )
-    assert_replays_agree(runs, reference, final)
-    assert branches["reinforced"] > 0 and branches["decayed"] > 0
+    for stepper in STEPPERS:
+        runs, reference, final, branches = replay_both(
+            n_tasks, n_nodes, RlConfig(), episodes=150, seed=3, fitness_of=problem.fitness_of,
+            stepper=stepper, cache=problem._cache,
+        )
+        assert_replays_agree(runs, reference, final)
+        assert branches["reinforced"] > 0 and branches["decayed"] > 0
 
 
-def test_rl_optimize_replays_reference_loop(unit_weights):
-    # rl_optimize's trace and result equal the old loop on the old stepper
-    instance = make_instance(30, 6, seed=2)
-    nodes = [1, 2, 4, 5]
-    task_ids = [t.id for t in instance.tasks]
-    config = RlConfig(episodes=300, rng_seed=4)
-    trace = []
-    _, fit = rl_optimize(instance, nodes, task_ids, config, unit_weights, trace=trace)
+def _log_call(log, name, function, *args):
+    log.append(name)
+    return function(*args)
 
-    state = rl_init(instance, task_ids, nodes, config, unit_weights)
-    problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, unit_weights)
-    preference = np.array(state.preference)
-    step = reference_stepper(problem.fitness_of, config, *preference.shape)
-    rng = np.random.default_rng(config.rng_seed + 1)
-    assignment, fitness, best = state.assignment, state.fitness, state.best_seen[1]
-    exploration = state.exploration
-    expected = []
-    for episode in range(config.episodes):
-        assignment, fitness = step(preference, assignment, fitness, exploration, rng)
-        best = min(best, fitness)
-        exploration *= config.exploration_decay
-        expected.append((episode, float(fitness), float(best), exploration))
-    assert trace == expected
-    assert fit == best
+
+def test_rl_optimize_replays_reference_loop(monkeypatch, unit_weights):
+    # rl_optimize's trace and result equal the old loop on the old stepper,
+    # stepping a policy of at most _LIST_POLICY_CELLS cells k * n on a list
+    picked = []
+    for name in ("_stepper", "_list_stepper"):
+        monkeypatch.setattr(rl, name, partial(_log_call, picked, name, getattr(rl, name)))
+    shapes = [(30, [1, 2, 4, 5]), (_LIST_POLICY_CELLS // 2, [1, 2]), (_LIST_POLICY_CELLS // 2 + 1, [1, 2])]
+    for n_tasks, nodes in shapes:
+        picked.clear()
+        instance = make_instance(n_tasks, 6, seed=2)
+        task_ids = [t.id for t in instance.tasks]
+        config = RlConfig(episodes=300, rng_seed=4)
+        trace = []
+        _, fit = rl_optimize(instance, nodes, task_ids, config, unit_weights, trace=trace)
+        small = len(nodes) * n_tasks <= _LIST_POLICY_CELLS
+        assert picked == ["_list_stepper" if small else "_stepper"]
+
+        state = rl_init(instance, task_ids, nodes, config, unit_weights)
+        problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, unit_weights)
+        preference = np.array(state.preference)
+        step = reference_stepper(problem.fitness_of, config, *preference.shape)
+        rng = np.random.default_rng(config.rng_seed + 1)
+        assignment, fitness, best = state.assignment, state.fitness, state.best_seen[1]
+        exploration = state.exploration
+        expected = []
+        for episode in range(config.episodes):
+            assignment, fitness = step(preference, assignment, fitness, exploration, rng)
+            best = min(best, fitness)
+            exploration *= config.exploration_decay
+            expected.append((episode, float(fitness), float(best), exploration))
+        assert trace == expected
+        assert fit == best
 
 
 @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 130, 256, 300])
@@ -166,8 +205,9 @@ def test_column_totals_add_in_numpy_pairwise_order(k):
     rng = np.random.default_rng(k)
     for n in (1, 5, 64):
         matrix = rng.random((k, n)) * rng.choice([1e-6, 1.0, 1e6], size=(k, n))
-        totals = _column_totals(matrix)()
-        assert totals.tobytes() == np.ascontiguousarray(matrix.T).sum(axis=1).tobytes()
+        expected = np.ascontiguousarray(matrix.T).sum(axis=1)
+        assert _column_totals(matrix)().tobytes() == expected.tobytes()
+        assert list(map(_pairwise_sum, matrix.T.tolist())) == expected.tolist()
 
 
 def test_column_totals_follow_matrix_updates():
