@@ -9,9 +9,17 @@ the concrete operator.
 
 The signal is the step magnitudes: the shadow's positions are computed
 only to break an exact positive tie (a zero tie's step sum is +-0 or NaN,
-never negative).  So ``igeo_optimize`` skips the shadow's other draws and
-replays its moves from per-iteration generator checkpoints only on such a
-tie, with the same bits as moving it every iteration.
+never negative).  So ``igeo_optimize`` skips the shadow's other draws with
+``PCG64.advance``, reading the generator state once an iteration, after
+the shadow's permutation.  That state and the permutation are the
+iteration's checkpoint: only on such a tie does the loop replay the
+shadow's moves from them, with the same bits as moving it every iteration.
+
+Every operator builds its children with one select (``_offspring``): a
+child is its parent genome inside a window [low, high) and the best genome
+outside it, whole for a mutation of the parent, empty for a mutation of
+the best, and between the cut points for a crossover; a mutation then
+redraws some of its child's genes in one scatter.
 """
 
 from __future__ import annotations
@@ -56,46 +64,6 @@ class OperatorDraw:
     r: float
 
 
-def _mutate_rows(parents: np.ndarray, n_candidates: int, mutation_rate: float, rng):
-    """Reassign k = max(1, ceil(rate * dim)) distinct random genes of every
-    row of the C-contiguous ``parents``, in place, each to a different
-    candidate index.  With a single candidate there is no alternative allele
-    and the rows stay unchanged."""
-    rows, dim = parents.shape
-    if n_candidates < 2 or dim == 0:
-        return parents
-    k = min(dim, max(1, math.ceil(mutation_rate * dim)))
-    positions = rng.random((rows, dim)).argpartition(k - 1, axis=1)[:, :k]
-    draws = rng.integers(0, n_candidates - 1, size=(rows, k))
-    # flat cell indices: the positions of a row are distinct, so every
-    # cell is read and written once
-    cells = positions + np.arange(0, rows * dim, dim)[:, None]
-    genes = parents.reshape(-1)  # a view: parents is C-contiguous
-    draws += draws >= genes[cells]  # skip the current allele
-    genes[cells] = draws
-    return parents
-
-
-def _cross_one(first: np.ndarray, second: np.ndarray, rng) -> np.ndarray:
-    """One-point crossover per row of ``second``: the child takes ``first``
-    (one row, or one per row) before a cut in [1, dim) and ``second`` after."""
-    rows, dim = second.shape
-    cuts = rng.integers(1, dim, size=rows)
-    return np.where(np.arange(dim) < cuts[:, None], first, second)
-
-
-def _cross_two(outside: np.ndarray, inside: np.ndarray, rng) -> np.ndarray:
-    """Two-point crossover per row of ``inside``: the child takes ``inside``
-    within [c1, c2) for two distinct cuts in [1, dim) and ``outside``
-    elsewhere."""
-    rows, dim = inside.shape
-    cuts = rng.random((rows, dim - 1)).argpartition(1, axis=1)[:, :2] + 1
-    cols = np.arange(dim)
-    low, high = np.minimum(cuts[:, 0], cuts[:, 1]), np.maximum(cuts[:, 0], cuts[:, 1])
-    within = (cols >= low[:, None]) & (cols < high[:, None])
-    return np.where(within, inside, outside)
-
-
 def _is_mutation(delta_sum, r1pa, r2pc):
     """Branch rule: cruise dominance (|r1*pa| < |r2*pc|) means exploration
     (mutation), attack dominance exploitation (crossover); an exact tie
@@ -104,18 +72,23 @@ def _is_mutation(delta_sum, r1pa, r2pc):
     return (abs_a < abs_c) | ((abs_a == abs_c) & (delta_sum < 0))
 
 
-def _skip_doubles(rng, count):
-    """Move ``rng`` past ``count`` float64 draws without making them, as
-    ``rng.random(count)`` would.  ``advance`` drops the buffered 32-bit
-    half, which a float draw keeps and a later integer draw reads, so it is
-    put back."""
+def _branch_draws(rng, pop: int, dim: int):
+    """Draw r1 and r2 of a shadow move whose permutation ``rng`` has just
+    drawn, skipping the ``(pop, dim)`` cruise before them and pick after
+    them, and return ``(state, r1, r2)`` with ``state`` the generator's
+    state before the skip: a shadow replay resumes from it.  ``advance``
+    drops the buffered 32-bit half, which float draws keep and a later
+    integer draw reads, so it is put back."""
     bit_generator = rng.bit_generator
     state = bit_generator.state
-    bit_generator.advance(count)
+    bit_generator.advance(pop * dim)
+    r1, r2 = rng.random(pop), rng.random(pop)
+    bit_generator.advance(pop * dim)
     if state["has_uint32"]:
         ahead = bit_generator.state
         ahead["has_uint32"], ahead["uinteger"] = 1, state["uinteger"]
         bit_generator.state = ahead
+    return state, r1, r2
 
 
 def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
@@ -123,24 +96,47 @@ def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
     Mutation rows mutate ``best`` (r >= 0.5) or their own genome; the other
     rows cross ``best`` with their genome, one-point for r >= 0.5 and
     two-point otherwise.  Genomes too short for a crossover fall back to the
-    next simpler operator (two-point -> one-point -> copy of ``best``)."""
-    dim = genomes.shape[1]
-    best = best[None, :]
-    children = np.empty_like(genomes)
+    next simpler operator (two-point -> one-point -> copy of ``best``).
+
+    Every child is one select: its row's genome inside a window [low, high)
+    and ``best`` outside it.  The window is the whole genome for a mutation
+    of it, empty for a mutation or a copy of ``best``, [cut, dim) for a
+    one-point cut in [1, dim) and [c1, c2) for two distinct two-point cuts.
+    A mutation then reassigns k = max(1, ceil(rate * dim)) distinct random
+    genes of its child, each to a different candidate index; with a single
+    candidate there is no other allele and the child stays as it is.  The
+    draws come in that order: mutation positions and alleles, then
+    one-point and then two-point cuts, each in row order."""
+    rows, dim = genomes.shape
+    upper = r >= 0.5
+    window = np.full((rows, 2), dim)  # empty
+    window[mutation & ~upper, 0] = 0  # the whole genome
     mut_rows = mutation.nonzero()[0]
-    if mut_rows.size:
-        parents = np.where((r[mut_rows] >= 0.5)[:, None], best, genomes[mut_rows])
-        children[mut_rows] = _mutate_rows(parents, n_candidates, mutation_rate, rng)
-    cross_rows = np.logical_not(mutation).nonzero()[0]
-    if cross_rows.size and dim < 2:
-        children[cross_rows] = best
-    elif cross_rows.size:
-        single = (r[cross_rows] >= 0.5) | (dim < 3)
-        one_rows, two_rows = cross_rows[single], cross_rows[~single]
+    mutated = mut_rows.size > 0 and n_candidates > 1 and dim > 0
+    if mutated:
+        k = min(dim, max(1, math.ceil(mutation_rate * dim)))
+        positions = rng.random((mut_rows.size, dim)).argpartition(k - 1, axis=1)[:, :k]
+        draws = rng.integers(0, n_candidates - 1, size=(mut_rows.size, k))
+    if dim >= 2:
+        cross = ~mutation
+        single = cross & upper if dim >= 3 else cross
+        one_rows = single.nonzero()[0]
         if one_rows.size:
-            children[one_rows] = _cross_one(best, genomes[one_rows], rng)
+            window[one_rows, 0] = rng.integers(1, dim, size=one_rows.size)
+        two_rows = (cross ^ single).nonzero()[0]
         if two_rows.size:
-            children[two_rows] = _cross_two(best, genomes[two_rows], rng)
+            cuts = rng.random((two_rows.size, dim - 1)).argpartition(1, axis=1)[:, :2] + 1
+            cuts.sort(axis=1)
+            window[two_rows] = cuts
+    cols = np.arange(dim)
+    children = np.where((cols >= window[:, :1]) & (cols < window[:, 1:]), genomes, best)
+    if mutated:
+        # flat cell indices: the positions of a row are distinct, so every
+        # cell is read and written once
+        cells = positions + (mut_rows * dim)[:, None]
+        genes = children.reshape(-1)  # a view: np.where's result is C-contiguous
+        draws += draws >= genes[cells]  # skip the current allele
+        genes[cells] = draws
     return children
 
 
@@ -154,31 +150,35 @@ def mutate(
     candidate indices.  With a single candidate there is no alternative
     allele and the genome is returned unchanged."""
     child = np.array(genome, dtype=np.intp, ndmin=2)
-    return _mutate_rows(child, n_candidates, mutation_rate, rng)[0]
+    mutation, r = np.ones(len(child), dtype=bool), np.zeros(len(child))  # of the genome itself
+    return _offspring(child, child[0], mutation, r, n_candidates, mutation_rate, rng)[0]
 
 
-def _parent_rows(parent_a, parent_b, min_length: int, name: str):
+def _crossover(parent_a, parent_b, r: float, rng, min_length: int, name: str):
+    """The crossover row of ``_offspring`` that crosses ``parent_a``, as
+    best, with ``parent_b``: one-point for r >= 0.5, two-point otherwise."""
     parent_a = np.asarray(parent_a, dtype=np.intp)
     parent_b = np.asarray(parent_b, dtype=np.intp)
     if parent_a.shape != parent_b.shape:
         raise ValueError("parents must have equal length")
     if len(parent_a) < min_length:
         raise ValueError(f"{name} crossover needs length >= {min_length}")
-    return parent_a[None, :], parent_b[None, :]
+    crossing = np.zeros(1, dtype=bool)
+    return _offspring(parent_b[None, :], parent_a, crossing, np.array([r]), 1, 0.0, rng)[0]
 
 
 def crossover_single(
     parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """One-point crossover: child takes a up to the cut, b after it."""
-    return _cross_one(*_parent_rows(parent_a, parent_b, 2, "single-point"), rng)[0]
+    return _crossover(parent_a, parent_b, 1.0, rng, 2, "single-point")
 
 
 def crossover_two(
     parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Two-point crossover: child takes b inside [c1, c2), a outside."""
-    return _cross_two(*_parent_rows(parent_a, parent_b, 3, "two-point"), rng)[0]
+    return _crossover(parent_a, parent_b, 0.0, rng, 3, "two-point")
 
 
 def classify_step(delta_sum: float, r1pa: float, r2pc: float) -> int:
@@ -234,7 +234,8 @@ def igeo_optimize(
     genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp).astype(problem.key_dtype)
     # the shadow swarm after ``moved`` moves, advanced only on a positive tie
     shadow, moved = genomes.astype(float), 0
-    checkpoints = []  # the generator's state at the start of each iteration
+    # each iteration's permutation and the generator's state after it
+    checkpoints = []
     bit_generator = rng.bit_generator
     fitnesses = problem.fitness_many(genomes)
     best_i = int(np.argmin(fitnesses))
@@ -244,19 +245,18 @@ def igeo_optimize(
     pa_sched, pc_sched = _propensities(params)
     for t in range(params.iterations):
         # the draws of a shadow move: perm, cruise, r1, r2, pick
-        checkpoints.append(bit_generator.state)
-        rng.permutation(pop)
-        _skip_doubles(rng, pop * dim)
-        r1pa = rng.random(pop) * pa_sched[t]
-        r2pc = rng.random(pop) * pc_sched[t]
-        _skip_doubles(rng, pop * dim)
-        mutation = _is_mutation(0.0, r1pa, r2pc)
+        perm = rng.permutation(pop)
+        state, r1, r2 = _branch_draws(rng, pop, dim)
+        checkpoints.append((perm, state))
+        r1pa, r2pc = r1 * pa_sched[t], r2 * pc_sched[t]
+        # the schedules are nonnegative, so this is |r1pa| < |r2pc|: a tie
+        # at zero never mutates, one above zero reads the shadow
+        mutation = r1pa < r2pc
         if np.count_nonzero((r1pa == r2pc) & (r1pa > 0.0)):
             # a positive tie reads the shadow: replay its moves up to this one
             resume = bit_generator.state
             while moved <= t:
-                bit_generator.state = checkpoints[moved]
-                perm = rng.permutation(pop)
+                perm, bit_generator.state = checkpoints[moved]
                 shadow, delta_sum, _, _ = _swarm_move(
                     shadow, shadow[perm], pa_sched[moved], pc_sched[moved], rng, upper
                 )

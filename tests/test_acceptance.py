@@ -140,10 +140,13 @@ def test_criterion_3_rl_small_instance_optimality(capsys, small_instances, small
 
 
 def test_criterion_4_full_scale_algorithm_ordering(capsys):
-    """20 paired seeds at 200 tasks / 20 nodes with equal evaluation budgets
-    (1000 fitness evaluations per optimizer): the two-stage scheduler and the
-    discrete variant must beat the continuous swarm on every mean metric, and
-    win a one-sided paired sign test on fitness."""
+    """20 paired seeds at 200 tasks / 20 nodes.  GEO and IGEO-only each
+    spend 1000 fitness evaluations (population 20 x 50 iterations, after 20
+    for the initial flock); RIGEO spends as many on its IGEO half and 1000
+    RL episodes on its relaxed half, so about twice the budget.  The
+    two-stage scheduler and the discrete variant must beat the continuous
+    swarm on every mean metric, and win a one-sided paired sign test on
+    fitness."""
     pop, iters, episodes = 20, 50, 1000
     start = time.perf_counter()
     results = {"RIGEO": [], "IGEO": [], "GEO": []}

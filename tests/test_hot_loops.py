@@ -32,14 +32,7 @@ PER_STEP = {
         "_SubProblem.fitness_of",
         "_SubProblem.fitness_many",
     ),
-    igeo: (
-        "_mutate_rows",
-        "_cross_one",
-        "_cross_two",
-        "_is_mutation",
-        "_skip_doubles",
-        "_offspring",
-    ),
+    igeo: ("_is_mutation", "_branch_draws", "_offspring"),
     metrics: (
         "_SubsetContext.objectives",
         "_SubsetContext.fitness",

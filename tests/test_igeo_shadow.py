@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from fogsched import FitnessWeights, IgeoParams, igeo, igeo_optimize
-from fogsched.igeo import _skip_doubles
+from fogsched.igeo import _branch_draws
 
 import igeo_reference
 from conftest import make_instance
-from igeo_reference import reference_igeo_optimize
+from igeo_reference import _skip_doubles, reference_igeo_optimize
 
 POP, DIM = 7, 5
 
@@ -40,12 +40,44 @@ def _live(state):
     ids=["uniform", "random"],
 )
 def test_skip_doubles_leaves_the_generator_where_drawing_does(prepare, buffered, draw):
+    """The frozen skip: ``advance`` drops the buffered 32-bit half and float
+    draws never touch it, which ``_branch_draws`` relies on too."""
     drawn, skipped = np.random.default_rng(3), np.random.default_rng(3)
     prepare(drawn)
     prepare(skipped)
     assert drawn.bit_generator.state["has_uint32"] == buffered
     draw(drawn)
     _skip_doubles(skipped, POP * DIM)
+    assert _live(skipped.bit_generator.state) == _live(drawn.bit_generator.state)
+    for follow in (
+        lambda rng: rng.integers(0, 9, 5),
+        lambda rng: rng.permutation(POP),
+        lambda rng: rng.random(3),
+    ):
+        assert follow(skipped).tobytes() == follow(drawn).tobytes()
+
+
+@pytest.mark.parametrize("prepare,buffered", PREPARE)
+@pytest.mark.parametrize(
+    "cruise",
+    [lambda rng: rng.uniform(-1.0, 1.0, (POP, DIM)), lambda rng: rng.random((POP, DIM))],
+    ids=["uniform", "random"],
+)
+def test_branch_draws_leave_the_generator_where_drawing_does(prepare, buffered, cruise):
+    """``_branch_draws`` after a permutation (``prepare``) returns the r1 and
+    r2 of a shadow move that draws its cruise, r1, r2 and pick, the state
+    before them, and leaves the generator where those draws do."""
+    drawn, skipped = np.random.default_rng(3), np.random.default_rng(3)
+    prepare(drawn)
+    prepare(skipped)
+    before = drawn.bit_generator.state
+    assert before["has_uint32"] == buffered
+    cruise(drawn)
+    r1, r2 = drawn.random(POP), drawn.random(POP)
+    drawn.random((POP, DIM))  # the pick
+    state, s1, s2 = _branch_draws(skipped, POP, DIM)
+    assert state == before
+    assert (s1.tobytes(), s2.tobytes()) == (r1.tobytes(), r2.tobytes())
     assert _live(skipped.bit_generator.state) == _live(drawn.bit_generator.state)
     for follow in (
         lambda rng: rng.integers(0, 9, 5),
