@@ -12,8 +12,8 @@ only to break an exact positive tie (a zero tie's step sum is +-0 or NaN,
 never negative).  So ``igeo_optimize`` skips the shadow's other draws with
 ``PCG64.advance``, reading the generator state once an iteration, after
 the shadow's permutation.  That state and the permutation are the
-iteration's checkpoint: only on such a tie does the loop replay the
-shadow's moves from them, with the same bits as moving it every iteration.
+iteration's checkpoint: a tie replays the shadow's moves since its last
+one from them and drops them, the same bits as moving it each iteration.
 
 Every operator builds its children with one select (``_offspring``): a
 child is its parent genome inside a window [low, high) and the best genome
@@ -234,8 +234,8 @@ def igeo_optimize(
     genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp).astype(problem.key_dtype)
     # the shadow swarm after ``moved`` moves, advanced only on a positive tie
     shadow, moved = genomes.astype(float), 0
-    # each iteration's permutation and the generator's state after it
-    checkpoints = []
+    # (permutation in its narrowest dtype, state after it) since the shadow moved
+    checkpoints, perm_dtype = [], np.min_scalar_type(pop - 1)
     bit_generator = rng.bit_generator
     fitnesses = problem.fitness_many(genomes)
     best_i = int(np.argmin(fitnesses))
@@ -247,7 +247,7 @@ def igeo_optimize(
         # the draws of a shadow move: perm, cruise, r1, r2, pick
         perm = rng.permutation(pop)
         state, r1, r2 = _branch_draws(rng, pop, dim)
-        checkpoints.append((perm, state))
+        checkpoints.append((perm.astype(perm_dtype), state))
         r1pa, r2pc = r1 * pa_sched[t], r2 * pc_sched[t]
         # the schedules are nonnegative, so this is |r1pa| < |r2pc|: a tie
         # at zero never mutates, one above zero reads the shadow
@@ -255,12 +255,12 @@ def igeo_optimize(
         if np.count_nonzero((r1pa == r2pc) & (r1pa > 0.0)):
             # a positive tie reads the shadow: replay its moves up to this one
             resume = bit_generator.state
-            while moved <= t:
-                perm, bit_generator.state = checkpoints[moved]
+            for perm, bit_generator.state in checkpoints:
                 shadow, delta_sum, _, _ = _swarm_move(
                     shadow, shadow[perm], pa_sched[moved], pc_sched[moved], rng, upper
                 )
                 moved += 1
+            checkpoints.clear()
             bit_generator.state = resume
             mutation = _is_mutation(delta_sum, r1pa, r2pc)
         r = rng.random(pop)

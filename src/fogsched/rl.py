@@ -81,9 +81,6 @@ class PolicyState:
     # the sub-problem the state was scored on, reused by rl_episode for the
     # same instance and weights
     _problem: Optional[_SubProblem] = field(default=None, compare=False, repr=False)
-    # rl_episode's (problem, rates, (k, n) buffer, step) of that sub-problem,
-    # reused for a config with the same _rates
-    _stepping: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def rl_init(
@@ -358,27 +355,20 @@ def rl_episode(
         and tuple(problem.candidates) == state.candidate_nodes
     ):
         problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
-    # the stepper reads the config only through _rates, and steps its own
-    # (k, n) buffer: the state's preferences are copied in and a copy of
-    # the result goes out, so no two states share a matrix
-    rates = _rates(config, k)
-    stepping = state._stepping
-    if stepping is None or stepping[0] is not problem or stepping[1] != rates:
-        buffer = np.empty((k, n))
-        stepping = (problem, rates, buffer, _stepper(problem.fitness_of, config, buffer))
-    _, _, preference, step = stepping
-    np.copyto(preference, state.preference.T)
+    # a fresh (k, n) buffer: np.ascontiguousarray would hand back the
+    # input state's own matrix and the step would overwrite it
+    preference = state.preference.T.copy()
+    step = _stepper(problem.fitness_of, config, preference)
     sampled, fit = step(assignment, state.fitness, state.exploration, rng)
     best = (sampled.copy(), fit) if fit < state.best_seen[1] else state.best_seen
     return replace(
         state,
         assignment=sampled,
-        preference=preference.copy().T,
+        preference=preference.T,
         best_seen=best,
         fitness=fit,
         exploration=exploration,
         _problem=problem,
-        _stepping=stepping,
     )
 
 

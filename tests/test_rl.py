@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -230,40 +232,18 @@ def test_chained_rl_episodes_build_one_subproblem(monkeypatch, small_instance, u
     assert len(built) == 3
 
 
-def test_chained_rl_episodes_build_one_stepper(monkeypatch, small_instance, unit_weights):
-    from fogsched import rl
-
-    built = []
-    real = rl._stepper
-
-    def counting(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(rl, "_stepper", counting)
-    config = RlConfig(rng_seed=3)
-    state = fresh = rl_init(small_instance, range(6), [0, 1, 2], config, unit_weights)
-    rng, fresh_rng = np.random.default_rng(3), np.random.default_rng(3)
-    for _ in range(2000):
-        preference = state.preference.copy()
-        nxt = rl_episode(state, small_instance, unit_weights, config, rng)
-        assert state.preference.tobytes() == preference.tobytes()
-        assert not np.shares_memory(nxt.preference, nxt._stepping[2])
-        # the same episode on a freshly built stepper
-        fresh = rl_episode(replace(fresh, _stepping=None), small_instance, unit_weights, config, fresh_rng)
-        assert nxt.assignment.tobytes() == fresh.assignment.tobytes()
-        assert nxt.preference.tobytes() == fresh.preference.tobytes()
-        assert (nxt.fitness, nxt.exploration) == (fresh.fitness, fresh.exploration)
-        assert nxt.best_seen[1] == fresh.best_seen[1]
-        state = nxt
-    # one for the chain, one per call of the fresh one
-    assert len(built) == 1 + 2000
-    # the stepper reads only the config's rates: another seed or episode
-    # count reuses it, another learning rate gets its own
-    state = rl_episode(state, small_instance, unit_weights, replace(config, rng_seed=9, episodes=5), rng)
-    assert len(built) == 1 + 2000
-    rl_episode(state, small_instance, unit_weights, replace(config, learning_rate=0.3), rng)
-    assert len(built) == 2 + 2000
+def test_a_stepped_state_pickles_and_copies(small_instance, unit_weights):
+    # the state keeps its sub-problem, so it must stay plain data: a pickled
+    # or deep-copied state steps as the original does
+    config = RlConfig(rng_seed=4)
+    state = rl_init(small_instance, range(6), [0, 1, 2], config, unit_weights)
+    state = rl_episode(state, small_instance, unit_weights, config, np.random.default_rng(4))
+    want = rl_episode(state, small_instance, unit_weights, config, np.random.default_rng(7))
+    for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        got = rl_episode(twin, small_instance, unit_weights, config, np.random.default_rng(7))
+        assert got.assignment.tobytes() == want.assignment.tobytes()
+        assert got.preference.tobytes() == want.preference.tobytes()
+        assert (got.fitness, got.best_seen[1]) == (want.fitness, want.best_seen[1])
 
 
 def test_rl_config_validation():
