@@ -15,6 +15,7 @@ def baseline_random(instance: Instance, seed: int, weights: FitnessWeights) -> t
     """Each task on a uniformly drawn node: on a generated instance, the draw
     ``calibrate_weights(seed=seed)`` normalizes by, so RANDOM's fitness is the
     weight sum and only its three term columns carry information."""
+    _evaluator(instance)  # refuses an instance that breaks a rule
     rng = np.random.default_rng(seed)
     node_ids = sorted(n.id for n in instance.topology.nodes)
     mapping = {

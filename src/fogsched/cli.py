@@ -48,18 +48,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deadline-aware fog task-scheduling workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config, plan = ScenarioConfig(), ExperimentPlan()
 
     gen = sub.add_parser("generate", help="write a seeded scenario file")
-    gen.add_argument("--tasks", type=int, default=200)
-    gen.add_argument("--nodes", type=int, default=20)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--tasks", type=int, default=config.n_tasks)
+    gen.add_argument("--nodes", type=int, default=config.n_nodes)
+    gen.add_argument("--seed", type=int, default=config.rng_seed)
     gen.add_argument("--out", required=True, help="output scenario JSON path")
 
     run = sub.add_parser("run", help="run one algorithm on a scenario file")
     run.add_argument("scenario", help="scenario JSON path")
     run.add_argument("--algorithm", choices=ALGORITHMS, default="RIGEO")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--weights", type=_parse_weights, default=(1.0, 1.0, 1.0),
+    run.add_argument("--weights", type=_parse_weights, default=plan.fitness_weights,
                      help="w_response,w_deadline,w_energy")
     run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--trace", action="store_true",
@@ -67,17 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
                           f"({', '.join(TRACED_ALGORITHMS)} only)")
 
     exp = sub.add_parser("experiment", help="run a full sweep")
-    exp.add_argument("--tasks", type=_parse_int_list, default=(200, 300, 400, 500, 600))
-    exp.add_argument("--nodes", type=int, default=20)
-    exp.add_argument("--reps", type=int, default=50)
-    exp.add_argument("--algorithms", default="RIGEO,IGEO-only,GEO,RL-only,RANDOM,GREEDY")
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--weights", type=_parse_weights, default=(1.0, 1.0, 1.0))
-    exp.add_argument("--out", default="results")
-    exp.add_argument("--workers", type=int, default=4)
-    exp.add_argument("--pop", type=int, default=30)
-    exp.add_argument("--iters", type=int, default=200)
-    exp.add_argument("--episodes", type=int, default=2000)
+    exp.add_argument("--tasks", type=_parse_int_list, default=plan.task_counts)
+    exp.add_argument("--nodes", type=int, default=plan.n_nodes)
+    exp.add_argument("--reps", type=int, default=plan.repetitions)
+    exp.add_argument("--algorithms", default=",".join(ALGORITHMS))
+    exp.add_argument("--seed", type=int, default=plan.base_seed)
+    exp.add_argument("--weights", type=_parse_weights, default=plan.fitness_weights)
+    exp.add_argument("--out", default=plan.output_dir)
+    exp.add_argument("--workers", type=int, default=plan.workers)
+    exp.add_argument("--pop", type=int, default=plan.geo.population_size)
+    exp.add_argument("--iters", type=int, default=plan.geo.iterations)
+    exp.add_argument("--episodes", type=int, default=plan.rl.episodes)
 
     agg = sub.add_parser("aggregate", help="summarize a records.csv file")
     agg.add_argument("records", help="records.csv path")

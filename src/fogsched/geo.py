@@ -175,11 +175,11 @@ class _SubProblem:
             raise ValueError("candidate node set must be nonempty")
         if not tasks:
             raise ValueError("task set must be nonempty")
+        evaluator: Evaluator = _evaluator(instance)  # refuses an instance that breaks a rule
         self.instance = instance
         self.weights = weights
         self.task_ids = sorted(tasks)
         self.candidates = sorted(candidate_nodes)
-        evaluator: Evaluator = _evaluator(instance)
         self.candidate_idx = np.array(
             [evaluator.node_index(c) for c in self.candidates], dtype=np.intp
         )

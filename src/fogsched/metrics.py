@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FIELD_RULES, Assignment, Instance, _instance_problems, check_fields
+from .model import FIELD_RULES, Assignment, Instance, _instance_problems, build_assignment, check_fields
 
 __all__ = [
     "ResponseBreakdown",
@@ -157,8 +157,6 @@ class Evaluator:
         self._node_index = {n.id: k for k, n in enumerate(nodes)}
         self._node_ids = [n.id for n in nodes]
         mips = np.array([n.mips for n in nodes])
-        self.active = np.array([n.alpha for n in nodes]) * np.array([n.active_power for n in nodes])
-        self.idle = np.array([n.beta for n in nodes]) * np.array([n.idle_power for n in nodes])
 
         tasks = instance.tasks
         self.n = len(tasks)
@@ -173,7 +171,9 @@ class Evaluator:
         path_prop, path_bw = self._route_all_pairs(instance.topology.links)
         bw = path_bw[gateway]
         self.propagation = path_prop[gateway]
-        with np.errstate(over="ignore"):  # checked below
+        with np.errstate(over="ignore"):  # tables checked below; report names an inf energy
+            self.active = np.array([n.alpha for n in nodes]) * np.array([n.active_power for n in nodes])
+            self.idle = np.array([n.beta for n in nodes]) * np.array([n.idle_power for n in nodes])
             self.execution = np.array([t.length for t in tasks])[:, None] / mips * 1000.0
             self.transmission = np.where(
                 np.isinf(bw), 0.0, np.array([t.data_size for t in tasks])[:, None] / bw
@@ -196,10 +196,7 @@ class Evaluator:
     def _route_all_pairs(self, links):
         adjacency = {k: [] for k in range(self.m)}
         for link in links:
-            a = self._node_index.get(link.endpoints[0])
-            b = self._node_index.get(link.endpoints[1])
-            if a is None or b is None:
-                continue
+            a, b = map(self._node_index.__getitem__, link.endpoints)
             adjacency[a].append((b, link.propagation_delay, link.bandwidth))
             adjacency[b].append((a, link.propagation_delay, link.bandwidth))
         for k in adjacency:
@@ -595,8 +592,6 @@ def calibrate_weights(
     mapping = {
         t.id: node_ids[int(rng.integers(0, len(node_ids)))] for t in instance.tasks
     }
-    from .model import build_assignment
-
     report = evaluate(instance, build_assignment(instance.tasks, mapping), FitnessWeights())
     return FitnessWeights(
         w_response=w_response,

@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -107,7 +108,7 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Field rules: the one statement of what each input field accepts; rule(name, value, instance)
+# Field rules: the one statement of what each input field accepts; rule(name, value)
 # returns the value's fault or None.  Scenario files check kinds only, so NaN and inf load.
 
 _FLOAT_MAX = sys.float_info.max
@@ -131,15 +132,13 @@ class Number:
         return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and (
             -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
-    def __call__(self, name, value, instance=False):
-        """What ``value`` breaks, or None; ``instance`` words it as validate_instance does."""
+    def __call__(self, name, value):
+        """What ``value`` breaks, or None."""
         if not self.is_kind(value):
             return f"{name} must be {'an integer' if self.kind is int else 'a number'}, got {value!r}"
         value = float(value)  # a numpy float32 compared with float bounds would warn
         if self.low <= value <= self.high:
             return None
-        if instance:
-            return f"{name} {self.bounds} violated" if abs(value) <= _FLOAT_MAX else f"{name} must be finite"
         words = {"> 0": "finite and positive", ">= 0": "finite and nonnegative"}
         return f"{name} must be {words.get(self.bounds, self.bounds) if self.kind is float else self.bounds}"
 
@@ -153,7 +152,7 @@ class Pair:
     def is_kind(self, value) -> bool:
         return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(self.item.is_kind, value))
 
-    def __call__(self, name, value, instance=False):
+    def __call__(self, name, value):
         ends = tuple(map(float, value)) if self.is_kind(value) else ()
         if not ends or not all(abs(end) <= _FLOAT_MAX for end in ends):
             what = "integers" if self.item.kind is int else "finite numbers"
@@ -167,7 +166,7 @@ class Pair:
 
 def _each(rule, label):
     """A nonempty tuple or list whose every value meets ``rule`` as ``label``."""
-    def check(name, value, instance=False):
+    def check(name, value):
         if not (isinstance(value, (tuple, list)) and value):
             return f"{name} must be a nonempty tuple, got {value!r}"
         faults = [fault for item in value if (fault := rule(label, item))]
@@ -177,7 +176,7 @@ def _each(rule, label):
 
 def _one_of(*options, types=False):
     """One of ``options``; with ``types``, of a class named among them or a subclass of one."""
-    def check(name, value, instance=False):
+    def check(name, value):
         found = [cls.__name__ for cls in type(value).__mro__] if types else [value]
         if not any(option in found for option in options):
             listed = " or ".join(options) if types else "one of " + ", ".join(options)
@@ -185,7 +184,7 @@ def _one_of(*options, types=False):
     return check
 
 
-def _weights(name, value, instance=False):
+def _weights(name, value):
     """The plan's three weights, unpacked as the trial body unpacks them."""
     try:
         w_response, w_deadline, w_energy = value
@@ -252,9 +251,9 @@ CROSS_RULES = {
 }
 
 
-def field_problems(table: str, values: Mapping, instance=False) -> list:
+def field_problems(table: str, values: Mapping) -> list:
     """One message per field (name -> value) breaking its rule in ``table``; else per cross rule."""
-    problems = [p for name, v in values.items() if (p := FIELD_RULES[table][name](name, v, instance))]
+    problems = [p for name, v in values.items() if (p := FIELD_RULES[table][name](name, v))]
     return problems or [message for message, holds in CROSS_RULES.get(table, ()) if not holds(values)]
 
 
@@ -276,27 +275,43 @@ def _fits(rule, column) -> bool:
 
 
 def _instance_problems(topology: Topology, tasks: Sequence[Task]) -> list:
-    """One message per task, node or link field or cross rule an item breaks, naming the item."""
-    problems = []
+    """One message per task, node or link field or cross rule an item breaks, per repeated
+    task or node id and per link endpoint that names no node, naming the item."""
+    problems, keys = [], []
     for label, table, items in (("task", "Task", tasks), ("node", "FogNode", topology.nodes),
                                 ("link", "Link", topology.links)):
         rules, cross = FIELD_RULES[table], CROSS_RULES.get(table, ())
-        columns_fit = all(_fits(rule, list(map(attrgetter(name), items))) for name, rule in rules.items())
-        if columns_fit and all(holds(vars(item)) for item in items for _, holds in cross):
-            continue
-        for item in items:
-            where = f"{label} {item.endpoints if label == 'link' else item.id}"
-            problems += [f"{where}: {fault}" for fault in field_problems(table, vars(item), True)]
-    return problems + _gateway_problems(topology, tasks)
+        columns = {name: list(map(attrgetter(name), items)) for name in rules}
+        fits = {name: _fits(rule, columns[name]) for name, rule in rules.items()}
+        if not (all(fits.values()) and all(holds(vars(item)) for item in items for _, holds in cross)):
+            for item in items:
+                where = f"{label} {item.endpoints if label == 'link' else item.id}"
+                problems += [f"{where}: {fault}" for fault in field_problems(table, vars(item))]
+        # the id rules skip an id or endpoint pair of the wrong kind, which its field rule reports
+        key = "endpoints" if label == "link" else "id"
+        keys.append(columns[key] if fits[key] else list(filter(rules[key].is_kind, columns[key])))
+    task_ids, node_ids, ends = keys
+    problems += _repeated("task", task_ids) + _repeated("node", node_ids)
+    node_ids = set(node_ids)
+    if not set().union(*ends) <= node_ids:
+        problems += [f"link {pair}: dangling endpoint {end}"
+                     for pair in ends for end in pair if end not in node_ids]
+    return problems + _gateway_problems(topology, tasks, node_ids)
 
 
-def _gateway_problems(topology: Topology, tasks: Sequence[Task]) -> list:
+def _repeated(label: str, ids: list) -> list:
+    """One message per id of ``ids`` that an earlier one repeats."""
+    seen = set()  # seen.add returns None, so the test below adds each id not seen yet
+    return [] if len(set(ids)) == len(ids) else [
+        f"{label} {id_}: duplicate id" for id_ in ids if id_ in seen or seen.add(id_)]
+
+
+def _gateway_problems(topology: Topology, tasks: Sequence[Task], node_ids: set) -> list:
     """The gateway rule: ``device_gateways`` maps device ids to node ids, each
-    naming a node, and every task's source device has a gateway."""
+    naming a node of ``node_ids``, and every task's source device has a gateway."""
     gateways = topology.device_gateways
     if not isinstance(gateways, Mapping):
         return [f"device_gateways must be a mapping, got {gateways!r}"]
-    node_ids = {node.id for node in topology.nodes if _ID.is_kind(node.id)}
     devices, nodes = list(gateways), list(gateways.values())
     problems = []
     if not (_fits(_ID, devices) and _fits(_ID, nodes) and node_ids.issuperset(nodes)):
@@ -322,8 +337,6 @@ class Instance:
     def __init__(self, topology: Topology, tasks: Sequence[Task]):
         self.topology = topology
         self.tasks = tuple(tasks)
-        self._task_by_id = {t.id: t for t in self.tasks}
-        self._node_by_id = {n.id: n for n in topology.nodes}
         # the metrics.Evaluator of this instance, built on first use by
         # metrics._evaluator
         self._evaluator_cache = None
@@ -331,6 +344,11 @@ class Instance:
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
+
+    @cached_property
+    def _task_by_id(self) -> dict:
+        """Built on first use, so an instance with an unhashable id is made, and its check refuses it."""
+        return {t.id: t for t in self.tasks}
 
     def task(self, task_id: int) -> Task:
         return self._task_by_id[task_id]
@@ -346,52 +364,28 @@ class ValidationResult:
 
 
 def validate_instance(topology: Topology, tasks: Sequence[Task]) -> ValidationResult:
-    """Check every structural invariant; violations are data, not failures."""
+    """Check every structural invariant; violations are data, not failures.  The graph-wide rules
+    (task ids contiguous from 0, a connected node graph) run once every item meets its rules."""
     violations = _instance_problems(topology, tasks)
-    # the checks below sort and hash ids and unpack endpoints; the field rules
-    # above report an id or endpoint pair of the wrong kind
-    ids = [t.id for t in tasks]
-    id_kinds = ids + [t.source_device for t in tasks] + [node.id for node in topology.nodes]
-    if not (all(map(_ID.is_kind, id_kinds))
-            and all(_LINK["endpoints"].is_kind(link.endpoints) for link in topology.links)):
-        return ValidationResult(ok=False, violations=tuple(violations))
-
-    if sorted(ids) != list(range(len(tasks))):
-        violations.append("task ids must be unique and contiguous from 0")
-
-    node_ids = set()
-    for node in topology.nodes:
-        if node.id in node_ids:
-            violations.append(f"node {node.id}: duplicate id")
-        node_ids.add(node.id)
-
-    for link in topology.links:
-        for end in link.endpoints:
-            if end not in node_ids:
-                violations.append(f"link {link.endpoints}: dangling endpoint {end}")
-
-    if topology.nodes and not _is_connected(topology):
-        violations.append("topology: node graph is not connected")
-
+    if not violations:
+        if sorted(t.id for t in tasks) != list(range(len(tasks))):
+            violations.append("task ids must be unique and contiguous from 0")
+        if topology.nodes and not _is_connected(topology):
+            violations.append("topology: node graph is not connected")
     return ValidationResult(ok=not violations, violations=tuple(violations))
 
 
 def _is_connected(topology: Topology) -> bool:
     adjacency = {node.id: set() for node in topology.nodes}
-    for link in topology.links:
-        a, b = link.endpoints
-        if a in adjacency and b in adjacency:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    start = topology.nodes[0].id
-    seen = {start}
-    stack = [start]
+    for a, b in (link.endpoints for link in topology.links):
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen = {topology.nodes[0].id}
+    stack = list(seen)
     while stack:
-        current = stack.pop()
-        for nxt in adjacency[current]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        for nxt in adjacency[stack.pop()] - seen:
+            seen.add(nxt)
+            stack.append(nxt)
     return len(seen) == len(topology.nodes)
 
 
@@ -485,13 +479,11 @@ def merge_assignments(tasks: Iterable[Task], *parts: Assignment) -> Assignment:
 
 def validate_assignment(instance: Instance, assignment: Assignment) -> ValidationResult:
     violations = []
-    node_ids = set(instance.topology.device_gateways.values()) | {
-        n.id for n in instance.topology.nodes
-    }
+    node_ids = {n.id for n in instance.topology.nodes}
     for task_id, node_id in assignment.mapping.items():
         if task_id not in instance._task_by_id:
             violations.append(f"mapping references unknown task {task_id}")
-        if node_id not in instance._node_by_id:
+        if node_id not in node_ids:
             violations.append(f"task {task_id} mapped to unknown node {node_id}")
     for node_id, sequence in assignment.order.items():
         mapped = sorted(t for t, nd in assignment.mapping.items() if nd == node_id)

@@ -15,7 +15,7 @@ from functools import partial
 from statistics import fmean
 
 from .igeo import IgeoParams, igeo_optimize
-from .metrics import FitnessWeights, MetricsReport, evaluate
+from .metrics import FitnessWeights, MetricsReport, _evaluator, evaluate
 from .model import Assignment, Instance, Topology, merge_assignments
 from .rl import RlConfig, rl_optimize
 
@@ -112,6 +112,7 @@ def rigeo_schedule(
     An empty node class falls back to the full node set for its sub-problem.
     Returns (assignment, metrics report) for the merged schedule.
     """
+    _evaluator(instance)  # refuses an instance that breaks a rule; the RL half's fork inherits it
     all_nodes = frozenset(n.id for n in instance.topology.nodes)
     if not instance.tasks:
         empty = Assignment(mapping={}, order={})

@@ -26,15 +26,16 @@ dozen numbers, the wrapper costs more than the arithmetic.
 
 Even so, a numpy episode is some 35 calls whatever the policy's size, so
 on a small policy it costs its fixed call overhead.  ``rl_optimize``
-therefore steps a policy of at most ``_LIST_POLICY_CELLS`` cells k * n on
-the same matrix held as a flat Python list (``_list_stepper``), whose cost
-grows with the cell count instead: at 6 x 3 with a warm fitness cache an
-episode took about 0.65x the numpy one, and the two met at about 40
-cells.  Both layouts give the same bits: every preference goes through the
-same IEEE double operations in the same order (a Python float operation
-rounds as the numpy one does), the list's column totals add in
-``_pairwise_ops``' order, the uniform draws are the same numpy calls, and a
-sample is keyed with ``bytes(sampled)``, which equals ``_SubProblem``'s
+therefore steps a policy of fewer than 8 candidates and at most
+``_LIST_POLICY_CELLS`` cells k * n on the same matrix held as a flat
+Python list (``_list_stepper``), whose cost grows with the cell count
+instead: at 6 x 3 with a warm fitness cache an episode took about 0.65x
+the numpy one, and the two met at about 40 cells.  Both layouts give the
+same bits: every preference goes through the same IEEE double operations
+in the same order (a Python float operation rounds as the numpy one
+does), the list's column totals add row after row as ``_pairwise_ops``
+adds fewer than 8 rows, the uniform draws are the same numpy calls, and
+a sample is keyed with ``bytes(sampled)``, which equals ``_SubProblem``'s
 uint8 key.  ``rl_episode`` keeps the numpy stepper, so comparing it with
 ``rl_optimize`` cross-checks the two.
 """
@@ -42,7 +43,6 @@ uint8 key.  ``rl_episode`` keeps the numpy stepper, so comparing it with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from operator import add
 from typing import Optional
 
@@ -166,30 +166,13 @@ def _pairwise_ops(matrix: np.ndarray):
     return ops, total
 
 
-# the largest policy, in cells k * n, that rl_optimize steps on a Python
-# list.  A list step pays per cell, a numpy step per call.  With a warm
-# fitness cache (numpy 2.4, Python 3.11, a 2-CPU x86 VM) the list took
-# 0.64-0.97x the numpy time at every shape of up to 36 cells with two or
-# more tasks, and 1.02-1.27x at 40; one task on 24 or 36 candidates took
-# 1.2x and 1.1x, an episode of a few us either way
+# the largest policy, in cells k * n, that rl_optimize steps on a Python list
+# if it has fewer than 8 candidates.  A list step pays per cell, a numpy step
+# per call.  With a warm fitness cache (numpy 2.4, Python 3.11, 2-CPU x86 VM)
+# the list took 0.64-0.97x the numpy time at every shape of up to 36 cells
+# with two or more tasks and 1.02-1.27x at 40; with 8 to 36 candidates, which
+# no workload runs, 1.05-1.57x at five shapes and 0.68-0.90x at three
 _LIST_POLICY_CELLS = 36
-
-
-def _pairwise_sum(values) -> float:
-    """The sum of the floats ``values`` in the order ``_pairwise_ops`` adds
-    a column of ``len(values)`` entries: numpy's pairwise order."""
-    k = len(values)
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    if k < 8:
-        return reduce(add, values)
-    blocks = k - k % 8
-    lanes = values[:8]
-    for start in range(8, blocks, 8):
-        lanes = [a + b for a, b in zip(lanes, values[start:start + 8])]
-    r0, r1, r2, r3, r4, r5, r6, r7 = lanes
-    return reduce(add, values[blocks:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
 
 
 def _rates(config: RlConfig, k: int) -> tuple:
@@ -268,26 +251,24 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
 
 def _list_stepper(fitness_of, cache: dict, config: RlConfig, policy: list, n: int):
     """``_stepper`` on the policy matrix held in ``policy``, a flat Python
-    list of its k rows of n preferences (the ``(k, n)`` matrix's ravel),
-    updated in place; an assignment is a list of candidate indices below
-    256.  A sample's fitness is looked up in ``cache`` under
-    ``bytes(sampled)``, the uint8 key of ``_SubProblem``; a miss goes to
-    ``fitness_of``.  Every preference goes through the IEEE operations of
-    ``_stepper`` in the same order, so both return the same samples and
-    fitnesses and leave the same preferences."""
+    list of its k < 8 rows of n preferences (the ``(k, n)`` matrix's ravel),
+    updated in place; an assignment is a list of candidate indices.  A
+    sample's fitness is looked up in ``cache`` under ``bytes(sampled)``, the
+    uint8 key of ``_SubProblem``; a miss goes to ``fitness_of``.  Every
+    preference goes through the IEEE operations of ``_stepper`` in the same
+    order, so both return the same samples and fitnesses and leave the same
+    preferences."""
     k = len(policy) // n
     lr, keep, fade, floor, scale = map(float, _rates(config, k))
     rows = [slice(i * n, (i + 1) * n) for i in range(k)]
     first, middle = rows[0], rows[1:-1]
 
     def totals(p):
-        """Every column's total, repeated for each of its k cells."""
-        if k < 8:  # one running sum, as _pairwise_sum adds, row after row
-            total = p[first]
-            for r in rows[1:]:
-                total = list(map(add, total, p[r]))
-            return total * k
-        return list(map(_pairwise_sum, zip(*map(p.__getitem__, rows)))) * k
+        """Every column's total, repeated for each of its k cells; a running sum, row after row."""
+        total = p[first]
+        for r in rows[1:]:
+            total = list(map(add, total, p[r]))
+        return total * k
 
     def step(assignment, fitness, exploration, rng):
         if rng.random() < exploration:
@@ -394,7 +375,7 @@ def rl_optimize(
     best_genome, best_fit = state.best_seen
     exploration = state.exploration
     matrix = np.ascontiguousarray(state.preference.T)
-    if matrix.size <= _LIST_POLICY_CELLS:
+    if len(matrix) < 8 and matrix.size <= _LIST_POLICY_CELLS:
         assignment = assignment.tolist()
         step = _list_stepper(problem.fitness_of, problem._cache, config, matrix.ravel().tolist(), problem.dim)
     else:

@@ -48,9 +48,9 @@ def test_every_field_has_exactly_one_rule(cls):
 
 
 @pytest.mark.parametrize("value,fault", [
-    (math.nan, "length must be finite"),
-    (-math.inf, "length must be finite"),
-    (-1.0, "length > 0 violated"),
+    (math.nan, "length must be finite and positive"),
+    (-math.inf, "length must be finite and positive"),
+    (-1.0, "length must be finite and positive"),
     (True, "length must be a number, got True"),
     ("7", "length must be a number, got '7'"),
     (7, None),
@@ -99,8 +99,9 @@ def test_instance_kind_and_cross_rules_name_the_item():
     ("link", dict(endpoints=(0, 1, 2)), "link (0, 1, 2): endpoints must be a pair of integers, got (0, 1, 2)"),
 ], ids=["task-id", "link-endpoints"])
 def test_validate_instance_reports_an_id_of_the_wrong_kind(item, change, fault):
-    # the structural checks (contiguous ids, dangling endpoints, connectivity)
-    # cannot sort a str id or unpack a triple; the fault is reported, not raised
+    # the graph-wide checks (contiguous ids, connectivity) and the dangling
+    # endpoint check cannot sort a str id or unpack a triple; the fault is
+    # reported, not raised
     topology, tasks = generate_scenario(ScenarioConfig(n_tasks=3, n_nodes=3, rng_seed=1))
     if item == "task":
         tasks[1] = replace(tasks[1], **change)
@@ -110,19 +111,35 @@ def test_validate_instance_reports_an_id_of_the_wrong_kind(item, change, fault):
     assert (result.ok, result.violations) == (False, (fault,))
 
 
+def _gateways(change):
+    """A change of the topology's gateways, given them as a dict and the task list."""
+    return lambda topology, tasks: replace(
+        topology, device_gateways=change(dict(topology.device_gateways), tasks))
+
+
 @pytest.mark.parametrize("change,fault", [
-    (lambda gateways, tasks: {**gateways, 0: [1]}, "device 0: gateway must be an integer, got [1]"),
-    (lambda gateways, tasks: {**gateways, 0: 999}, "device 0: gateway 999 names no node"),
-    (lambda gateways, tasks: {**gateways, "0": 0}, "device '0': device id must be an integer, got '0'"),
-    (lambda gateways, tasks: tasks.__setitem__(1, replace(tasks[1], source_device=77)) or gateways,
+    (_gateways(lambda gateways, tasks: {**gateways, 0: [1]}),
+     "device 0: gateway must be an integer, got [1]"),
+    (_gateways(lambda gateways, tasks: {**gateways, 0: 999}), "device 0: gateway 999 names no node"),
+    (_gateways(lambda gateways, tasks: {**gateways, "0": 0}),
+     "device '0': device id must be an integer, got '0'"),
+    (_gateways(lambda gateways, tasks: tasks.__setitem__(1, replace(tasks[1], source_device=77)) or gateways),
      "task 1: unknown source device 77"),
-    (lambda gateways, tasks: [(0, 0)], "device_gateways must be a mapping, got [(0, 0)]"),
-], ids=["unhashable", "dangling", "device-kind", "unknown-device", "not-a-mapping"])
+    (_gateways(lambda gateways, tasks: [(0, 0)]), "device_gateways must be a mapping, got [(0, 0)]"),
+    (lambda topology, tasks: replace(topology, nodes=topology.nodes + (topology.nodes[1],)),
+     "node 1: duplicate id"),
+    (lambda topology, tasks: tasks.__setitem__(2, replace(tasks[2], id=1)) or topology,
+     "task 1: duplicate id"),
+    (lambda topology, tasks: replace(
+        topology, links=topology.links + (replace(topology.links[0], endpoints=(0, 999)),)),
+     "link (0, 999): dangling endpoint 999"),
+], ids=["unhashable", "dangling", "device-kind", "unknown-device", "not-a-mapping",
+        "node-id-repeated", "task-id-repeated", "link-endpoint-dangling"])
 def test_a_bad_gateway_is_named_by_every_check(change, fault):
-    # a library-built topology: validate_instance reports the gateway, and
-    # the evaluator behind evaluate and every optimizer refuses it
+    # a library-built topology: validate_instance reports the gateway or id,
+    # and the evaluator behind evaluate and every optimizer refuses it
     topology, tasks = generate_scenario(ScenarioConfig(n_tasks=3, n_nodes=3, rng_seed=1))
-    topology = replace(topology, device_gateways=change(dict(topology.device_gateways), tasks))
+    topology = change(topology, tasks)
     assert validate_instance(topology, tasks).violations == (fault,)
     instance = Instance(topology, tasks)
     assignment = build_assignment(tasks, {t.id: 0 for t in tasks})

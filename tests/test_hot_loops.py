@@ -23,7 +23,7 @@ from fogsched import geo, igeo, metrics, rl
 
 # the functions that run once or more per episode or iteration
 PER_STEP = {
-    rl: ("_column_totals", "_pairwise_ops", "_stepper", "_pairwise_sum", "_list_stepper"),
+    rl: ("_column_totals", "_pairwise_ops", "_stepper", "_list_stepper"),
     geo: (
         "decode_position",
         "_orthogonal_cruise",

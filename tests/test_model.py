@@ -46,7 +46,7 @@ def test_validate_flags_zero_deadline():
     topology = Topology(nodes=(node,), links=(), device_gateways={0: 0})
     result = validate_instance(topology, bad)
     assert not result.ok
-    assert any("deadline > 0" in v and "task 0" in v for v in result.violations)
+    assert any("deadline must be finite and positive" in v and "task 0" in v for v in result.violations)
     assert validate_instance(topology, tasks).ok
 
 
@@ -187,7 +187,7 @@ def test_evaluator_rejects_non_finite_field(section, name, value):
     entry[name] = value
     _, topology, tasks = scenario_from_dict(doc)
     where = tuple(entry["endpoints"]) if section == "links" else entry["id"]
-    rule = "must be finite" if value else "> 0 violated"
+    rule = "must be finite" if value else "must be finite and positive"
     with pytest.raises(ValueError, match=re.escape(f"{section[:-1]} {where}: {name} {rule}")):
         Evaluator(Instance(topology, tasks))
 
