@@ -5,6 +5,16 @@ Positions live in [0, m'-1]^d where m' is the number of candidate nodes; a
 position decodes to an assignment by rounding each coordinate to the nearest
 candidate index.
 
+A swarm moves as a ``_Flock``, which keeps its positions and one float
+buffer for a whole run.  The buffer holds the attack directions, then the
+cruise directions, r1, r2 and the pick scores; the last four are a move's
+draws in the order they are drawn, so one ``rng.random(out=...)`` fills
+them.  ``uniform(-1, 1)`` would draw ``-1 + 2u`` from the same ``u``; ``2u``
+is exact, so the move's ``(u + u) - 1`` has the same bits.  The attack and
+cruise directions are stacked, so one multiply, reduce, sqrt and scale
+pass covers both.  The move clamps its positions, so the loop rounds them
+without clamping them again.
+
 The per-iteration code here and in ``igeo`` (the swarm step, the genetic
 operators, the fitness lookups and the optimizers' loop bodies) calls
 numpy's ufuncs and C methods directly: ``np.add.reduce`` rather than
@@ -68,9 +78,12 @@ def cruise_vector(attack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     attack = np.asarray(attack, dtype=float)
     if not attack.any():
         raise ValueError("cruise vector is undefined for a zero attack vector")
-    cruise = rng.uniform(-1.0, 1.0, size=(1, attack.size))
-    pick = rng.random((1, attack.size))
-    return _orthogonal_cruise(attack[None, :], cruise, pick)[0]
+    eagle = _Flock(np.zeros((1, attack.size)), 0.0)
+    eagle.attack[0] = attack
+    rng.random(out=eagle.cruise)
+    rng.random(out=eagle.pick)
+    eagle.orthogonal_cruise()
+    return eagle.cruise[0]
 
 
 def step_vector(
@@ -83,14 +96,17 @@ def step_vector(
     """Movement for one eagle: scalar-weighted sum of the attack and cruise
     unit directions.  Returns (delta, r1*pa, r2*pc); the two magnitude
     products drive the discrete operator choice downstream."""
-    attack = np.array(attack, dtype=float, ndmin=2)  # copies: scaled in place
-    cruise = np.array(cruise, dtype=float, ndmin=2)
-    if not (attack.any() and cruise.any()):
+    attack, cruise = np.asarray(attack, dtype=float), np.asarray(cruise, dtype=float)
+    if attack.shape != cruise.shape:
+        raise ValueError("attack and cruise vectors must have equal length")
+    eagle = _Flock(np.zeros((1, attack.size)), 0.0)
+    eagle.attack[0], eagle.cruise[0] = attack, cruise  # copies: scaled in place
+    if not (eagle.attack.any() and eagle.cruise.any()):
         raise ValueError("attack and cruise vectors must be nonzero")
     r1pa = float(rng.random()) * pa
     r2pc = float(rng.random()) * pc
-    delta = _scaled_step(attack, cruise, np.array([r1pa]), np.array([r2pc]))
-    return delta[0], r1pa, r2pc
+    eagle.lengths[:, 0] = r1pa, r2pc
+    return eagle.scaled_step()[0], r1pa, r2pc
 
 
 def decode_position(position: np.ndarray, n_candidates: int) -> np.ndarray:
@@ -98,7 +114,13 @@ def decode_position(position: np.ndarray, n_candidates: int) -> np.ndarray:
     narrowest unsigned dtype; decodes one position or a ``(pop, dim)`` flock."""
     clamped = np.maximum(position, 0.0)
     np.minimum(clamped, n_candidates - 1.0, out=clamped)
-    return np.floor(clamped + 0.5).astype(np.min_scalar_type(n_candidates - 1))
+    return _round_half_up(clamped, np.empty(clamped.shape, np.min_scalar_type(n_candidates - 1)))
+
+
+def _round_half_up(positions, out):
+    """Round nonnegative ``positions`` half up into the integer array
+    ``out``: the cast to it truncates, which is the floor of ``x + 0.5``."""
+    return np.add(positions, 0.5, out=out, casting="unsafe")
 
 
 def _propensities(params: GeoParams):
@@ -107,52 +129,74 @@ def _propensities(params: GeoParams):
     return pa, pc
 
 
-def _orthogonal_cruise(attack, cruise, pick):
-    """Make every row of ``cruise`` orthogonal to its ``attack`` row, in
-    place, overwriting ``pick``: the row's nonzero attack coordinate with the
-    highest ``pick`` score (a uniform choice for uniform scores) is solved
-    from the orthogonality equation; rows with a zero attack get zeros."""
-    zero = attack == 0.0
-    still = np.logical_and.reduce(zero, axis=1)
-    pick[zero] = -1.0
-    rows = np.logical_not(still).nonzero()[0]
-    solved = (rows, pick.argmax(axis=1)[rows])
-    cruise[still] = 0.0
-    cruise[solved] = 0.0
-    dot = np.add.reduce(np.multiply(attack, cruise, out=pick), axis=1)
-    cruise[solved] = -dot[rows] / attack[solved]
-    return cruise
+class _Flock:
+    """A swarm's positions and the one buffer its moves reuse (see the
+    module docstring).  The flock copies the positions it starts from and
+    moves its copy in place."""
 
+    def __init__(self, positions, upper: float):
+        pop, dim = positions.shape
+        cells = pop * dim
+        self.positions = np.array(positions, dtype=float)
+        self.upper = upper
+        buffer = np.empty(3 * cells + 2 * pop)
+        self.pair = buffer[: 2 * cells].reshape(2, pop, dim)
+        self.attack, self.cruise = self.pair
+        self.flat_attack, self.flat_cruise = buffer[:cells], buffer[cells : 2 * cells]
+        self.draws = buffer[cells:]
+        self.lengths = buffer[2 * cells : 2 * cells + 2 * pop].reshape(2, pop)  # r1, r2
+        self.pick = buffer[2 * cells + 2 * pop :].reshape(pop, dim)
+        self.rows = np.arange(0, cells, dim)  # the flat index of each row's first cell
 
-def _scaled_step(attack, cruise, r1pa, r2pc):
-    """Per-row ``r1pa`` times the attack unit direction plus ``r2pc`` times
-    the cruise unit direction; a zero row contributes nothing.  Both are
-    scaled in place, and the step is returned in ``attack``'s buffer."""
-    for vector, length in ((attack, r1pa), (cruise, r2pc)):
-        norm = np.sqrt(np.add.reduce(vector * vector, axis=1))
-        np.multiply(vector, (length / np.where(norm > 0.0, norm, np.inf))[:, None], out=vector)
-    return np.add(attack, cruise, out=attack)
+    def move(self, source, perm, pa_pc, rng):
+        """Move each eagle ``i`` toward its prey ``source[perm[i]]`` by
+        r1*pa along the attack unit direction plus r2*pc along a random
+        cruise direction orthogonal to it, then clamp to [0, upper];
+        ``pa_pc`` is ``(pa, pc)`` shaped ``(2, 1)``.  An eagle on its
+        prey does not move.  Returns the step, in the attack buffer, which
+        holds it until the next move."""
+        attack = self.attack
+        source.take(perm, axis=0, out=attack, mode="clip")
+        np.subtract(attack, self.positions, out=attack)
+        rng.random(out=self.draws)
+        np.multiply(self.lengths, pa_pc, out=self.lengths)
+        self.orthogonal_cruise()
+        delta = self.scaled_step()
+        positions = np.add(self.positions, delta, out=self.positions)
+        np.maximum(positions, 0.0, out=positions)
+        np.minimum(positions, self.upper, out=positions)
+        return delta
 
+    def orthogonal_cruise(self):
+        """Turn the uniform [0, 1) draws in ``cruise`` into directions
+        orthogonal to the ``attack`` rows, overwriting ``pick``.  A cruise
+        coordinate is ``(u + u) - 1``, the bits of ``uniform(-1, 1)``.  Per
+        row, the nonzero attack coordinate with the highest ``pick`` score
+        (a uniform choice for uniform scores) is solved from the
+        orthogonality equation; rows with a zero attack get zeros."""
+        attack, cruise, pick, flat_cruise = self.attack, self.cruise, self.pick, self.flat_cruise
+        np.add(cruise, cruise, out=cruise)
+        np.subtract(cruise, 1.0, out=cruise)
+        np.copyto(pick, -1.0, where=np.equal(attack, 0.0))
+        cells = np.add(pick.argmax(axis=1), self.rows)
+        solved = self.flat_attack[cells]  # zero only where the whole row is
+        still = np.equal(solved, 0.0)
+        flat_cruise[cells] = 0.0
+        dot = np.add.reduce(np.multiply(attack, cruise, out=pick), axis=1)
+        # -dot / attack is dot / -attack; a still row divides by 1 and is zeroed
+        flat_cruise[cells] = np.divide(dot, np.subtract(still, solved, out=solved), out=dot)
+        np.copyto(cruise, 0.0, where=still[:, None])
 
-def _swarm_move(positions, prey, pa, pc, rng, upper):
-    """Vectorized one-iteration move for the whole flock.
-
-    Returns the new positions plus per-eagle (delta_sum, r1*pa, r2*pc),
-    which the discrete variant consumes for operator selection.  Eagles that
-    sit exactly on their prey do not move.
-    """
-    pop, dim = positions.shape
-    attack = prey - positions
-    cruise = rng.uniform(-1.0, 1.0, size=(pop, dim))
-    r1pa = rng.random(pop) * pa
-    r2pc = rng.random(pop) * pc
-    _orthogonal_cruise(attack, cruise, rng.random((pop, dim)))
-    delta = _scaled_step(attack, cruise, r1pa, r2pc)
-    delta_sum = np.add.reduce(delta, axis=1)
-    new_positions = np.add(positions, delta, out=delta)  # over the step's buffer
-    np.maximum(new_positions, 0.0, out=new_positions)
-    np.minimum(new_positions, upper, out=new_positions)
-    return new_positions, delta_sum, r1pa, r2pc
+    def scaled_step(self):
+        """Per row, ``lengths[0]`` times the attack unit direction plus
+        ``lengths[1]`` times the cruise unit direction; a zero row
+        contributes nothing.  Both are scaled in place, and the step is
+        returned in the attack buffer."""
+        pair = self.pair
+        norm = np.sqrt(np.add.reduce(np.multiply(pair, pair), axis=2))
+        np.divide(self.lengths, np.where(np.greater(norm, 0.0), norm, np.inf), out=norm)
+        np.multiply(pair, norm[:, :, None], out=pair)
+        return np.add(self.attack, self.cruise, out=self.attack)
 
 
 class _SubProblem:
@@ -221,12 +265,14 @@ class _SubProblem:
         genomes = np.ascontiguousarray(genomes, dtype=self.key_dtype)
         keys = genomes.view(self._key_row).ravel().tolist()  # each row's bytes
         cache = self._cache
-        missing = {key: i for i, key in enumerate(keys) if key not in cache}
-        if missing:
+        values = list(map(cache.get, keys))  # a fitness is never None
+        if None in values:
+            missing = {key: i for i, key in enumerate(keys) if key not in cache}
             rows = genomes[list(missing.values())]
-            values = self.ctx.fitness(self.candidate_idx.take(rows), self.weights)
-            cache.update(zip(missing, np.fmin(values, np.inf).tolist()))
-        return np.array([cache[key] for key in keys])
+            fits = self.ctx.fitness(self.candidate_idx.take(rows), self.weights)
+            cache.update(zip(missing, np.fmin(fits, np.inf).tolist()))
+            values = list(map(cache.__getitem__, keys))
+        return np.array(values)
 
     def to_assignment(self, genome) -> Assignment:
         mapping = {
@@ -254,25 +300,20 @@ def geo_optimize(
     pop, dim = params.population_size, problem.dim
     upper = float(problem.n_candidates - 1)
 
-    positions = rng.uniform(0.0, upper, size=(pop, dim))
-    genomes = decode_position(positions, problem.n_candidates)
-    fitnesses = problem.fitness_many(genomes)
-    memory_pos = positions.copy()
-    memory_fit = fitnesses.copy()
-    best_i = int(np.argmin(fitnesses))
-    best_genome = genomes[best_i]
-    best_fit = float(fitnesses[best_i])
+    memory_pos = rng.uniform(0.0, upper, size=(pop, dim))
+    flock = _Flock(memory_pos, upper)
+    positions = flock.positions
+    genomes = decode_position(positions, problem.n_candidates)  # rewritten each iteration
+    memory_fit = problem.fitness_many(genomes)
+    best_i = int(np.argmin(memory_fit))
+    best_genome = genomes[best_i].copy()
+    best_fit = float(memory_fit[best_i])
 
-    pa_sched, pc_sched = _propensities(params)
+    pa_pc = np.stack(_propensities(params), axis=1)[:, :, None]
     for t in range(params.iterations):
-        perm = rng.permutation(pop)
-        prey = memory_pos[perm]
-        positions, _, _, _ = _swarm_move(
-            positions, prey, pa_sched[t], pc_sched[t], rng, upper
-        )
-        genomes = decode_position(positions, problem.n_candidates)
-        fits = problem.fitness_many(genomes)
-        improved = fits < memory_fit
+        flock.move(memory_pos, rng.permutation(pop), pa_pc[t], rng)
+        fits = problem.fitness_many(_round_half_up(positions, genomes))  # clamped by the move
+        improved = np.less(fits, memory_fit)
         np.copyto(memory_fit, fits, where=improved)
         np.copyto(memory_pos, positions, where=improved[:, None])
         # the first eagle holding the iteration's minimum, as a sequential
@@ -280,7 +321,7 @@ def geo_optimize(
         fit_i = int(fits.argmin())
         if fits[fit_i] < best_fit:
             best_fit = float(fits[fit_i])
-            best_genome = genomes[fit_i]
+            best_genome = genomes[fit_i].copy()
         if trace is not None:
             trace.append((t, best_fit))
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geo import GeoParams, _SubProblem, _propensities, _swarm_move
+from .geo import GeoParams, _Flock, _SubProblem, _propensities
 from .metrics import FitnessWeights
 from .model import Instance
 
@@ -233,7 +233,7 @@ def igeo_optimize(
     # drawn as intp (a narrower draw takes other random bits), bred in key_dtype
     genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp).astype(problem.key_dtype)
     # the shadow swarm after ``moved`` moves, advanced only on a positive tie
-    shadow, moved = genomes.astype(float), 0
+    shadow, moved = _Flock(genomes, upper), 0
     # (permutation in its narrowest dtype, state after it) since the shadow moved
     checkpoints, perm_dtype = [], np.min_scalar_type(pop - 1)
     bit_generator = rng.bit_generator
@@ -256,13 +256,12 @@ def igeo_optimize(
             # a positive tie reads the shadow: replay its moves up to this one
             resume = bit_generator.state
             for perm, bit_generator.state in checkpoints:
-                shadow, delta_sum, _, _ = _swarm_move(
-                    shadow, shadow[perm], pa_sched[moved], pc_sched[moved], rng, upper
-                )
+                pa_pc = np.array([[pa_sched[moved]], [pc_sched[moved]]])
+                delta = shadow.move(shadow.positions, perm, pa_pc, rng)
                 moved += 1
             checkpoints.clear()
             bit_generator.state = resume
-            mutation = _is_mutation(delta_sum, r1pa, r2pc)
+            mutation = _is_mutation(np.add.reduce(delta, axis=1), r1pa, r2pc)
         r = rng.random(pop)
         children = _offspring(
             genomes, best_genome, mutation, r, n_cand, params.mutation_rate, rng

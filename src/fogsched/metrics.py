@@ -185,6 +185,15 @@ class Evaluator:
                     f"{name} time of task {tasks[i].id} on node {self._node_ids[j]}"
                     " overflowed float range"
                 )
+        # a reached pair has a finite bottleneck bandwidth, so an inf delay
+        # there is a sum of link delays beyond float range, not a missing route
+        overflowed = np.argwhere(np.isinf(self.propagation) & np.isfinite(bw))
+        if overflowed.size:
+            i, j = overflowed[0]
+            raise ValueError(
+                f"propagation delay from gateway {self._node_ids[gateway[i]]} to node"
+                f" {self._node_ids[j]} overflowed float range"
+            )
         # (task ids, candidate ids, weights) -> {genome bytes: fitness}; the
         # optimizers' _SubProblem shares it across runs on this instance.  A
         # key is the genome in the narrowest unsigned type that holds every
@@ -197,28 +206,30 @@ class Evaluator:
         adjacency = {k: [] for k in range(self.m)}
         for link in links:
             a, b = map(self._node_index.__getitem__, link.endpoints)
-            adjacency[a].append((b, link.propagation_delay, link.bandwidth))
-            adjacency[b].append((a, link.propagation_delay, link.bandwidth))
+            delay = float(link.propagation_delay)
+            adjacency[a].append((b, delay, link.bandwidth))
+            adjacency[b].append((a, delay, link.bandwidth))
         for k in adjacency:
             adjacency[k].sort(key=lambda e: e[0])
 
         prop = np.full((self.m, self.m), np.inf)
         bw = np.full((self.m, self.m), np.inf)
         for src in range(self.m):
-            prop[src, src] = 0.0
+            # Python floats: a sum beyond float range is inf without a warning,
+            # and the reached pair's finite bandwidth tells it from no route
+            path = {src: (0.0, math.inf)}
             frontier = [src]
-            seen = {src}
             while frontier:
                 nxt = []
                 for u in frontier:
                     for v, p, b in adjacency[u]:
-                        if v in seen:
+                        if v in path:
                             continue
-                        seen.add(v)
-                        prop[src, v] = prop[src, u] + p
-                        bw[src, v] = min(bw[src, u], b)
+                        path[v] = (path[u][0] + p, min(path[u][1], b))
                         nxt.append(v)
                 frontier = nxt
+            for v, (p, b) in path.items():
+                prop[src, v], bw[src, v] = p, b
         return prop, bw
 
     def node_index(self, node_id: int) -> int:

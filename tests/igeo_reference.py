@@ -1,6 +1,7 @@
 """Reference IGEO loop: the eager loop that ``igeo.igeo_optimize``
-replaced.  It moves the continuous shadow swarm every iteration and reads
-the operator branch from the move's ``(delta_sum, r1*pa, r2*pc)``.  The new
+replaced.  It moves the continuous shadow swarm every iteration, with the
+frozen step of ``geo_reference``, and reads the operator branch from the
+move's ``(delta_sum, r1*pa, r2*pc)``.  The new
 loop draws only ``r1*pa`` and ``r2*pc`` and rebuilds the shadow only on an
 exact positive tie; it must match this one bit for bit: mapping, fitness
 and trace.
@@ -16,7 +17,8 @@ import math
 
 import numpy as np
 
-from fogsched.geo import _SubProblem, _propensities, _swarm_move
+from fogsched.geo import _SubProblem, _propensities
+from geo_reference import _swarm_move
 
 
 def _mutate_rows(parents: np.ndarray, n_candidates: int, mutation_rate: float, rng):

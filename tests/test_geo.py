@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fogsched import GeoParams, IgeoParams, attack_vector, cruise_vector, geo_optimize, step_vector
-from fogsched.geo import _swarm_move, decode_position
+from fogsched.geo import _Flock, decode_position
 from fogsched.model import validate_assignment
 
 from conftest import make_instance
@@ -77,6 +77,12 @@ def test_step_vector_rejects_zero_norm():
         step_vector(np.zeros(2), np.ones(2), 1.0, 1.0, np.random.default_rng(0))
 
 
+def test_step_vector_rejects_unequal_lengths():
+    # a one-coordinate cruise would otherwise spread over every coordinate
+    with pytest.raises(ValueError, match="equal length"):
+        step_vector([1.0, 0.0, 0.0], [1.0], 1.0, 1.0, np.random.default_rng(0))
+
+
 def test_swarm_step_leaves_its_inputs_unchanged():
     # the step writes into arrays it created, never into the caller's
     rng = np.random.default_rng(5)
@@ -91,7 +97,9 @@ def test_swarm_step_leaves_its_inputs_unchanged():
     prey = positions[::-1].copy()
     prey[2] = positions[2]  # an eagle on its prey: a zero attack row
     kept = positions.copy(), prey.copy()
-    moved, _, _, _ = _swarm_move(positions, prey, 1.0, 1.0, rng, 4.0)
+    flock = _Flock(positions, 4.0)
+    flock.move(prey, np.arange(5), np.ones((2, 1)), rng)
+    moved = flock.positions
     assert np.array_equal(positions, kept[0]) and np.array_equal(prey, kept[1])
     assert moved is not positions and np.array_equal(moved[2], positions[2])
     assert ((moved >= 0.0) & (moved <= 4.0)).all()

@@ -26,9 +26,10 @@ PER_STEP = {
     rl: ("_column_totals", "_pairwise_ops", "_stepper", "_list_stepper"),
     geo: (
         "decode_position",
-        "_orthogonal_cruise",
-        "_scaled_step",
-        "_swarm_move",
+        "_round_half_up",
+        "_Flock.move",
+        "_Flock.orthogonal_cruise",
+        "_Flock.scaled_step",
         "_SubProblem.fitness_of",
         "_SubProblem.fitness_many",
     ),

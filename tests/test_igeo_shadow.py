@@ -6,7 +6,7 @@ too; ties are forced here, since a continuous draw almost never makes one."""
 import numpy as np
 import pytest
 
-from fogsched import FitnessWeights, IgeoParams, igeo, igeo_optimize
+from fogsched import FitnessWeights, IgeoParams, geo, igeo, igeo_optimize
 from fogsched.igeo import _branch_draws
 
 import igeo_reference
@@ -89,10 +89,23 @@ def test_branch_draws_leave_the_generator_where_drawing_does(prepare, buffered, 
 
 class TiedGenerator(np.random.Generator):
     """Draws a float vector without moving the stream, so the loop's r2
-    repeats its r1 (and its operator draw r repeats both).  It keeps no
-    state of its own, so a replay from a checkpoint sees the same draws."""
+    repeats its r1 (and its operator draw r repeats both).  A shadow move
+    draws its cruise, r1, r2 and pick into one buffer; there the ``pop``
+    values after the cruise are drawn twice without moving the stream in
+    the same way.  It keeps no state of its own, so a replay from a
+    checkpoint sees the same draws."""
+
+    def __init__(self, bit_generator, pop):
+        super().__init__(bit_generator)
+        self.pop = pop
 
     def random(self, size=None, dtype=np.float64, out=None):
+        if out is not None:  # a shadow move: cruise, r1, r2, pick
+            cells = (out.size - 2 * self.pop) // 2
+            super().random(out=out[:cells])
+            out[cells : cells + self.pop] = out[cells + self.pop : -cells] = self.random(self.pop)
+            super().random(out=out[-cells:])
+            return out
         if not isinstance(size, int):
             return super().random(size, dtype, out)
         state = self.bit_generator.state
@@ -130,13 +143,13 @@ def _both(n_tasks, n_nodes, params):
 def moves(monkeypatch):
     """The shadow moves ``igeo_optimize`` makes, counted."""
     made = []
-    real = igeo._swarm_move
+    real = geo._Flock.move
 
     def counted(*args):
         made.append(1)
         return real(*args)
 
-    monkeypatch.setattr(igeo, "_swarm_move", counted)
+    monkeypatch.setattr(geo._Flock, "move", counted)
     return made
 
 
@@ -146,10 +159,12 @@ SHAPES = [(2, 3), (6, 3), (40, 5)]
 @pytest.mark.parametrize("n_tasks,n_nodes", SHAPES)
 @pytest.mark.parametrize("ties", [(0,), (3, 4, 17), (1, 30, 39)])
 def test_positive_ties_replay_the_shadow(n_tasks, n_nodes, ties, monkeypatch, moves):
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: TiedGenerator(np.random.PCG64(seed)))
+    params = IgeoParams(population_size=9, iterations=40, rng_seed=5)
+    tied = lambda seed: TiedGenerator(np.random.PCG64(seed), params.population_size)
+    monkeypatch.setattr(np.random, "default_rng", tied)
     for module in (igeo, igeo_reference):
         monkeypatch.setattr(module, "_propensities", _tie_at(ties))
-    ours, theirs = _both(n_tasks, n_nodes, IgeoParams(population_size=9, iterations=40, rng_seed=5))
+    ours, theirs = _both(n_tasks, n_nodes, params)
     assert ours == theirs
     # the reference's moves are not counted; the new loop replays every
     # move up to the last tie, each once

@@ -398,3 +398,15 @@ def test_evaluator_names_an_execution_time_that_overflows():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^execution time of task 1 on node 0 overflowed"):
             metrics.Evaluator(line_instance(tasks, n_nodes=2, mips=1e-3))
+
+
+def test_evaluator_names_a_propagation_delay_that_overflows():
+    # two 1e308 ms links in a line: node 2 is reached, but its path's delay
+    # sums beyond float range, which is not a missing route
+    instance = line_instance(simple_tasks([(1000.0, 1.0, 500.0)] * 3), prop=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError, match="^propagation delay from gateway 0 to node 2 overflowed float range$"
+        ):
+            evaluate(instance, build_assignment(instance.tasks, {0: 0, 1: 1, 2: 2}), FitnessWeights())
