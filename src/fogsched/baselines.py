@@ -5,23 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import FitnessWeights, _evaluator, evaluate
+from .metrics import FitnessWeights, _evaluator, _random_assignment, evaluate
 from .model import Instance, build_assignment
 
 __all__ = ["baseline_random", "baseline_greedy"]
 
 
 def baseline_random(instance: Instance, seed: int, weights: FitnessWeights) -> tuple:
-    """Each task on a uniformly drawn node: on a generated instance, the draw
-    ``calibrate_weights(seed=seed)`` normalizes by, so RANDOM's fitness is the
-    weight sum and only its three term columns carry information."""
-    _evaluator(instance)  # refuses an instance that breaks a rule
-    rng = np.random.default_rng(seed)
-    node_ids = sorted(n.id for n in instance.topology.nodes)
-    mapping = {
-        t.id: node_ids[int(rng.integers(0, len(node_ids)))] for t in instance.tasks
-    }
-    assignment = build_assignment(instance.tasks, mapping)
+    """``_random_assignment(instance, seed)``, the draw
+    ``calibrate_weights(seed=seed)`` normalizes by, so RANDOM's fitness is
+    the weight sum and only its three term columns carry information."""
+    assignment = _random_assignment(instance, seed)
     return assignment, evaluate(instance, assignment, weights).fitness
 
 

@@ -589,6 +589,17 @@ def _evaluator(instance: Instance) -> Evaluator:
     return instance._evaluator_cache
 
 
+def _random_assignment(instance: Instance, seed: int) -> Assignment:
+    """Each task, in instance order, on a node drawn uniformly from the
+    nodes in topology order by ``default_rng(seed)``; an instance that
+    breaks a rule is refused before the draw."""
+    _evaluator(instance)
+    rng = np.random.default_rng(seed)
+    node_ids = [n.id for n in instance.topology.nodes]
+    mapping = {t.id: node_ids[int(rng.integers(0, len(node_ids)))] for t in instance.tasks}
+    return build_assignment(instance.tasks, mapping)
+
+
 def calibrate_weights(
     instance: Instance,
     w_response: float = 1.0,
@@ -596,14 +607,10 @@ def calibrate_weights(
     w_energy: float = 1.0,
     seed: int = 0,
 ) -> FitnessWeights:
-    """Normalize each fitness term by its value under a seeded random
-    assignment, so the three terms are commensurate on this instance."""
-    rng = np.random.default_rng(seed)
-    node_ids = [n.id for n in instance.topology.nodes]
-    mapping = {
-        t.id: node_ids[int(rng.integers(0, len(node_ids)))] for t in instance.tasks
-    }
-    report = evaluate(instance, build_assignment(instance.tasks, mapping), FitnessWeights())
+    """Normalize each fitness term by its value under
+    ``_random_assignment(instance, seed)``, so the three terms are
+    commensurate on this instance."""
+    report = evaluate(instance, _random_assignment(instance, seed), FitnessWeights())
     return FitnessWeights(
         w_response=w_response,
         w_deadline=w_deadline,

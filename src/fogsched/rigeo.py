@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import pickle
 import signal
@@ -16,7 +17,7 @@ from statistics import fmean
 
 from .igeo import IgeoParams, igeo_optimize
 from .metrics import FitnessWeights, MetricsReport, _evaluator, evaluate
-from .model import Assignment, Instance, Topology, merge_assignments
+from .model import Assignment, Instance, Number, Topology, merge_assignments
 from .rl import RlConfig, rl_optimize
 
 __all__ = [
@@ -45,9 +46,27 @@ class DeadlinePartition:
     high_deadline_tasks: frozenset
 
 
+def _split_at_mean(values: dict, name: str) -> tuple:
+    """``(fmean of the values, frozenset of the keys whose value is strictly
+    below the exact mean)``, the split of nodes and tasks.  ``fmean`` rounds,
+    and can land above every one of equal values (three 0.1s)."""
+    doubles = [float(v) for v in values.values()]
+    if not all(map(math.isfinite, doubles)):
+        raise ValueError(f"{name} must be finite to split at their mean")
+    # a double is an integer over a power of two: scaled by the largest
+    # denominator, the values and their sum are integers, and an integer is
+    # below sum / count exactly when it is below its ceiling
+    ratios = list(map(float.as_integer_ratio, doubles))
+    shift = max(denominator for _, denominator in ratios).bit_length()
+    scaled = [numerator << (shift - denominator.bit_length()) for numerator, denominator in ratios]
+    ceiling = -(-sum(scaled) // len(scaled))
+    low = frozenset(key for key, value in zip(values, scaled) if value < ceiling)
+    return fmean(doubles), low
+
+
 def classify_nodes(topology: Topology) -> TrafficClassification:
-    """Split nodes at the mean of their per-node traffic; strictly below the
-    mean is low traffic.  A node without links carries traffic 0."""
+    """Split nodes at the mean of their per-node traffic (``_split_at_mean``).
+    A node without links carries traffic 0."""
     if not topology.nodes:
         raise ValueError("topology has no nodes")
     incident = {node.id: [] for node in topology.nodes}
@@ -58,34 +77,33 @@ def classify_nodes(topology: Topology) -> TrafficClassification:
     node_traffic = {
         nid: (fmean(loads) if loads else 0.0) for nid, loads in incident.items()
     }
-    average = fmean(node_traffic.values())
-    low = frozenset(nid for nid, tr in node_traffic.items() if tr < average)
-    high = frozenset(node_traffic) - low
+    average, low = _split_at_mean(node_traffic, "node traffics")
     return TrafficClassification(
         node_traffic=node_traffic,
         average_traffic=average,
         low_traffic_nodes=low,
-        high_traffic_nodes=high,
+        high_traffic_nodes=frozenset(node_traffic) - low,
     )
 
 
 def partition_tasks(tasks, threshold_policy="mean") -> DeadlinePartition:
     """Split tasks at a deadline threshold; strictly below is low deadline.
-    ``threshold_policy`` is either the string "mean" or an explicit
-    threshold in milliseconds."""
+    ``threshold_policy`` is either the string "mean" (``_split_at_mean``) or
+    an explicit finite threshold in milliseconds."""
     tasks = list(tasks)
     if not tasks:
         raise ValueError("task set must be nonempty")
     if threshold_policy == "mean":
-        threshold = fmean(t.deadline for t in tasks)
-    else:
+        threshold, low = _split_at_mean({t.id: t.deadline for t in tasks}, "deadlines")
+    elif Number(float).is_kind(threshold_policy) and math.isfinite(threshold_policy):
         threshold = float(threshold_policy)
-    low = frozenset(t.id for t in tasks if t.deadline < threshold)
-    high = frozenset(t.id for t in tasks) - low
+        low = frozenset(t.id for t in tasks if t.deadline < threshold)
+    else:
+        raise ValueError(f'threshold_policy must be "mean" or a finite number, got {threshold_policy!r}')
     return DeadlinePartition(
         deadline_threshold=threshold,
         low_deadline_tasks=low,
-        high_deadline_tasks=high,
+        high_deadline_tasks=frozenset(t.id for t in tasks) - low,
     )
 
 
@@ -109,11 +127,12 @@ def rigeo_schedule(
     inline instead where ``os.fork`` does not exist or where more than one
     thread runs (a fork copies locks other threads may hold).
 
-    An empty node class falls back to the full node set for its sub-problem.
+    An empty low-traffic class (every node at the mean) falls back to the
+    full node set for the IGEO half; the high-traffic class holds at least
+    the busiest node.
     Returns (assignment, metrics report) for the merged schedule.
     """
     _evaluator(instance)  # refuses an instance that breaks a rule; the RL half's fork inherits it
-    all_nodes = frozenset(n.id for n in instance.topology.nodes)
     if not instance.tasks:
         empty = Assignment(mapping={}, order={})
         return empty, evaluate(instance, empty, weights)
@@ -122,13 +141,10 @@ def rigeo_schedule(
     partition = partition_tasks(instance.tasks, threshold_policy)
 
     low_nodes = classification.low_traffic_nodes
-    high_nodes = classification.high_traffic_nodes
+    high_nodes = classification.high_traffic_nodes  # never empty
     if not low_nodes:
         logger.warning("no low-traffic nodes; tight-deadline tasks use all nodes")
-        low_nodes = all_nodes
-    if not high_nodes:
-        logger.warning("no high-traffic nodes; relaxed-deadline tasks use all nodes")
-        high_nodes = all_nodes
+        low_nodes = high_nodes  # every node, each at the mean
 
     parts = []
     igeo_fitness = None

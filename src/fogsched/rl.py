@@ -25,7 +25,8 @@ dozen numbers, the wrapper costs more than the arithmetic.
 ``tests/test_hot_loops.py`` checks the rule.
 
 Even so, a numpy episode is some 35 calls whatever the policy's size, so
-on a small policy it costs its fixed call overhead.  ``rl_optimize``
+on a small policy it costs its fixed call overhead.  The one episode
+loop, ``_run``, which ``rl_episode`` and ``rl_optimize`` both run,
 therefore steps a policy of fewer than 8 candidates and at most
 ``_LIST_POLICY_CELLS`` cells k * n on the same matrix held as a flat
 Python list (``_list_stepper``), whose cost grows with the cell count
@@ -36,13 +37,13 @@ in the same order (a Python float operation rounds as the numpy one
 does), the list's column totals add row after row as ``_pairwise_ops``
 adds fewer than 8 rows, the uniform draws are the same numpy calls, and
 a sample is keyed with ``bytes(sampled)``, which equals ``_SubProblem``'s
-uint8 key.  ``rl_episode`` keeps the numpy stepper, so comparing it with
-``rl_optimize`` cross-checks the two.
+uint8 key.  A ``PolicyState`` holds only its values: ``rl_episode`` scores
+on the instance and weights it is called with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import add
 from typing import Optional
 
@@ -78,9 +79,6 @@ class PolicyState:
     best_seen: tuple  # (assignment array, fitness)
     fitness: float  # fitness of the current assignment
     exploration: float
-    # the sub-problem the state was scored on, reused by rl_episode for the
-    # same instance and weights
-    _problem: Optional[_SubProblem] = field(default=None, compare=False, repr=False)
 
 
 def rl_init(
@@ -94,6 +92,7 @@ def rl_init(
     return _initial_state(_SubProblem(instance, candidate_nodes, tasks, weights), config)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as geo.geo_optimize
 def _initial_state(problem: _SubProblem, config: RlConfig) -> PolicyState:
     rng = np.random.default_rng(config.rng_seed)
     k, n = problem.n_candidates, problem.dim
@@ -108,7 +107,6 @@ def _initial_state(problem: _SubProblem, config: RlConfig) -> PolicyState:
         best_seen=(assignment.copy(), fit),
         fitness=fit,
         exploration=config.exploration_rate,
-        _problem=problem,
     )
 
 
@@ -166,7 +164,7 @@ def _pairwise_ops(matrix: np.ndarray):
     return ops, total
 
 
-# the largest policy, in cells k * n, that rl_optimize steps on a Python list
+# the largest policy, in cells k * n, that _run steps on a Python list
 # if it has fewer than 8 candidates.  A list step pays per cell, a numpy step
 # per call.  With a warm fitness cache (numpy 2.4, Python 3.11, 2-CPU x86 VM)
 # the list took 0.64-0.97x the numpy time at every shape of up to 36 cells
@@ -308,6 +306,37 @@ def _list_stepper(fitness_of, cache: dict, config: RlConfig, policy: list, n: in
     return step
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as geo.geo_optimize
+def _run(problem: _SubProblem, config: RlConfig, state: PolicyState, episodes: int,
+         rng: np.random.Generator, trace: Optional[list] = None) -> PolicyState:
+    """Run ``episodes`` episodes from ``state``, which is left unchanged,
+    and return the state they end in.  Each episode appends ``(episode,
+    fitness, best fitness, exploration)`` to ``trace``."""
+    matrix = state.preference.T.copy()  # a fresh (k, n) buffer: the steps write it in place
+    assignment, fitness = np.asarray(state.assignment), state.fitness
+    best_genome, best_fit = state.best_seen
+    exploration = state.exploration
+    on_list = len(matrix) < 8 and matrix.size <= _LIST_POLICY_CELLS
+    if on_list:
+        policy, assignment = matrix.ravel().tolist(), assignment.tolist()
+        step = _list_stepper(problem.fitness_of, problem._cache, config, policy, problem.dim)
+    else:
+        step = _stepper(problem.fitness_of, config, matrix)
+    for episode in range(episodes):
+        assignment, fitness = step(assignment, fitness, exploration, rng)
+        if fitness < best_fit:
+            best_fit = fitness
+            best_genome = assignment.copy()
+        exploration *= config.exploration_decay
+        if trace is not None:
+            trace.append((episode, float(fitness), float(best_fit), exploration))
+    if on_list:
+        matrix = np.array(policy).reshape(matrix.shape)
+    best_seen = (np.array(best_genome, dtype=np.intp), best_fit)
+    return replace(state, assignment=np.array(assignment, dtype=np.intp), preference=matrix.T,
+                   best_seen=best_seen, fitness=fitness, exploration=exploration)
+
+
 def rl_episode(
     state: PolicyState,
     instance: Instance,
@@ -315,45 +344,17 @@ def rl_episode(
     config: RlConfig,
     rng: np.random.Generator,
 ) -> PolicyState:
-    """One sample-evaluate-reinforce cycle."""
+    """One sample-evaluate-reinforce cycle, scored on ``instance`` and
+    ``weights``."""
     assignment = np.asarray(state.assignment)
     n, k = len(state.task_ids), len(state.candidate_nodes)
-    if not (
-        assignment.shape == (n,)
-        and np.issubdtype(assignment.dtype, np.integer)
-        and ((assignment >= 0) & (assignment < k)).all()
-    ):
-        raise ValueError(
-            f"assignment must be {n} integer candidate indices in [0, {k})"
-        )
-    exploration = state.exploration * config.exploration_decay
-    problem = state._problem
-    if not (
-        problem is not None
-        and problem.instance is instance
-        and problem.weights == weights
-        and tuple(problem.task_ids) == state.task_ids
-        and tuple(problem.candidates) == state.candidate_nodes
-    ):
-        problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
-    # a fresh (k, n) buffer: np.ascontiguousarray would hand back the
-    # input state's own matrix and the step would overwrite it
-    preference = state.preference.T.copy()
-    step = _stepper(problem.fitness_of, config, preference)
-    sampled, fit = step(assignment, state.fitness, state.exploration, rng)
-    best = (sampled.copy(), fit) if fit < state.best_seen[1] else state.best_seen
-    return replace(
-        state,
-        assignment=sampled,
-        preference=preference.T,
-        best_seen=best,
-        fitness=fit,
-        exploration=exploration,
-        _problem=problem,
-    )
+    if not (assignment.shape == (n,) and np.issubdtype(assignment.dtype, np.integer)
+            and ((assignment >= 0) & (assignment < k)).all()):
+        raise ValueError(f"assignment must be {n} integer candidate indices in [0, {k})")
+    problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
+    return _run(problem, config, state, 1, rng)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as geo.geo_optimize
 def rl_optimize(
     instance: Instance,
     candidate_nodes,
@@ -365,28 +366,7 @@ def rl_optimize(
     """Run the configured number of episodes; returns the best assignment
     ever sampled and its fitness."""
     problem = _SubProblem(instance, candidate_nodes, tasks, weights)
-    state = _initial_state(problem, config)
     rng = np.random.default_rng(config.rng_seed + 1)
-
-    # the episode loop keeps its state in locals and updates the state's
-    # (k, n) preference matrix in place, building no PolicyState per episode
-    assignment = state.assignment
-    fitness = state.fitness
-    best_genome, best_fit = state.best_seen
-    exploration = state.exploration
-    matrix = np.ascontiguousarray(state.preference.T)
-    if len(matrix) < 8 and matrix.size <= _LIST_POLICY_CELLS:
-        assignment = assignment.tolist()
-        step = _list_stepper(problem.fitness_of, problem._cache, config, matrix.ravel().tolist(), problem.dim)
-    else:
-        step = _stepper(problem.fitness_of, config, matrix)
-    for episode in range(config.episodes):
-        assignment, fitness = step(assignment, fitness, exploration, rng)
-        if fitness < best_fit:
-            best_fit = fitness
-            best_genome = assignment.copy()
-        exploration *= config.exploration_decay
-        if trace is not None:
-            trace.append((episode, float(fitness), float(best_fit), exploration))
-
-    return problem.to_assignment(best_genome), float(best_fit)
+    state = _run(problem, config, _initial_state(problem, config), config.episodes, rng, trace)
+    genome, fit = state.best_seen
+    return problem.to_assignment(genome), float(fit)

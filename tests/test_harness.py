@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,11 +11,14 @@ from fogsched import (
     ExperimentPlan,
     FitnessWeights,
     IgeoParams,
+    Instance,
     RlConfig,
     RunRecord,
+    ScenarioConfig,
     aggregate,
     baseline_greedy,
     baseline_random,
+    generate_scenario,
     read_records,
     run_experiment,
     write_records,
@@ -212,6 +215,15 @@ def test_random_trial_is_the_calibration_draw(seed, weights):
     status, (record, _) = _safe_trial((plan, "RANDOM", 200, seed))
     assert status == "ok"
     assert record.fitness == sum(weights)
+
+
+def test_random_trial_is_the_calibration_draw_in_any_node_order():
+    # both draw from the nodes in topology order, so the normalized terms
+    # stay exactly 1 when the node tuple is not sorted by id
+    topology, tasks = generate_scenario(ScenarioConfig(n_tasks=12, n_nodes=5, rng_seed=3))
+    instance = Instance(replace(topology, nodes=topology.nodes[::-1]), tasks)
+    weights = calibrate_weights(instance, seed=7)
+    assert baseline_random(instance, 7, weights)[1] == 3.0
 
 
 def test_write_summary_rejects_empty(tmp_path):

@@ -42,7 +42,7 @@ PER_STEP = {
     ),
 }
 # the functions whose loop bodies are the per-step code
-LOOPS = {rl: ("rl_optimize",), geo: ("geo_optimize",), igeo: ("igeo_optimize",)}
+LOOPS = {rl: ("_run",), geo: ("geo_optimize",), igeo: ("igeo_optimize",)}
 
 WRAPPED_METHODS = {"sum", "any", "all", "min", "max"}
 WRAPPED_FUNCTIONS = {"flatnonzero", "take_along_axis", "put_along_axis", "clip"}

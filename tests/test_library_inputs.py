@@ -1,7 +1,8 @@
 """Library-built inputs: a topology and task list made in Python, with one
 value replaced, meet the same rules as a scenario file.  ``validate_instance``
-reports the fault by item, and ``evaluate``, every optimizer, ``rigeo_schedule``
-and both baselines return finite numbers or raise a ValueError naming it."""
+reports the fault by item, and ``evaluate``, ``calibrate_weights``, every
+optimizer, ``rigeo_schedule`` and both baselines return finite numbers or raise
+a ValueError naming it."""
 
 import math
 from dataclasses import fields, replace
@@ -22,6 +23,7 @@ from fogsched import (
     Task,
     baseline_greedy,
     baseline_random,
+    calibrate_weights,
     evaluate,
     generate_scenario,
     geo_optimize,
@@ -81,6 +83,7 @@ def _runs(instance):
     every_task_on_node_0 = Assignment(mapping={}, order={0: tuple(task_ids)})
     return [
         ("evaluate", lambda: (None, evaluate(instance, every_task_on_node_0, WEIGHTS).fitness)),
+        ("calibrate_weights", lambda: (None, calibrate_weights(instance).norm_response)),
         ("geo_optimize", lambda: geo_optimize(instance, nodes, task_ids, geo, WEIGHTS)),
         ("igeo_optimize", lambda: igeo_optimize(instance, nodes, task_ids, igeo, WEIGHTS)),
         ("rl_optimize", lambda: rl_optimize(instance, nodes, task_ids, rl, WEIGHTS)),

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import pickle
 import signal
 import threading
+from fractions import Fraction
+from statistics import fmean
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsched import (
     FitnessWeights,
@@ -50,9 +55,13 @@ def test_classify_nodes_mean_split():
     assert c.high_traffic_nodes == {1, 2}
 
 
-def test_classify_nodes_all_equal_traffic():
-    topology = _line_topology([0.5, 0.5])
+@pytest.mark.parametrize("traffic", [0.5, 0.1, 0.7])
+def test_classify_nodes_all_equal_traffic(traffic):
+    # fmean([0.1] * 3) rounds above 0.1 and fmean([0.7] * 3) below 0.7; no
+    # node is strictly below the exact mean of equal traffics
+    topology = _line_topology([traffic, traffic])
     c = classify_nodes(topology)
+    assert c.average_traffic == fmean([traffic] * 3)
     assert c.low_traffic_nodes == frozenset()
     assert c.high_traffic_nodes == {0, 1, 2}
 
@@ -94,10 +103,37 @@ def test_partition_tasks_mean():
     assert p.high_deadline_tasks == {1, 2}
 
 
-def test_partition_tasks_all_equal():
-    tasks = simple_tasks([(100.0, 0.0, 150.0)] * 4)
+@pytest.mark.parametrize("deadline,count", [(150.0, 4), (0.1, 3), (0.1, 12), (0.7, 6)])
+def test_partition_tasks_all_equal(deadline, count):
+    tasks = simple_tasks([(100.0, 0.0, deadline)] * count)
     p = partition_tasks(tasks)
     assert p.low_deadline_tasks == frozenset()
+    assert p.deadline_threshold == fmean([deadline] * count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e306, 1e306), min_size=1, max_size=30))
+def test_mean_split_compares_with_the_exact_mean(values):
+    # values within ±1e306: a larger sum of 30 values overflows fmean's fsum
+    average, low = rigeo._split_at_mean(dict(enumerate(values)), "values")
+    exact = sum(map(Fraction, values)) / len(values)
+    assert low == {i for i, v in enumerate(values) if Fraction(v) < exact}
+    assert len(low) < len(values)
+    assert average == fmean(values)
+
+
+@pytest.mark.parametrize("policy", ["median", "", None, True, math.nan, math.inf, -math.inf, [1.0]])
+def test_partition_tasks_refuses_a_policy_not_mean_or_a_finite_number(policy):
+    tasks = simple_tasks([(100.0, 0.0, 100.0), (100.0, 0.0, 900.0)])
+    with pytest.raises(ValueError, match="threshold_policy"):
+        partition_tasks(tasks, threshold_policy=policy)
+
+
+@pytest.mark.parametrize("deadline", [math.nan, math.inf])
+def test_mean_split_refuses_a_value_that_is_not_finite(deadline):
+    tasks = simple_tasks([(100.0, 0.0, 100.0), (100.0, 0.0, deadline)])
+    with pytest.raises(ValueError, match="deadlines must be finite"):
+        partition_tasks(tasks)
 
 
 def test_partition_tasks_explicit_threshold():
@@ -258,7 +294,6 @@ _CASES = {  # name -> (instance factory, deadline threshold, forks)
     "40x5": (lambda: make_instance(40, 5, seed=40), "mean", 1),
     "200x20": (lambda: make_instance(200, 20, seed=200), "mean", 1),
     "no-low-traffic-node": (lambda: _two_tasks([0.5, 0.5]), "mean", 1),  # all at the mean
-    "no-high-traffic-node": (lambda: _two_tasks([0.1, 0.1]), "mean", 1),  # mean rounds up
     "all-low-deadline": (_routing_instance, 1e9, 0),
     "all-high-deadline": (_routing_instance, 0.0, 1),
 }
@@ -270,8 +305,6 @@ def test_forked_and_inline_rl_half_give_the_same_bits(monkeypatch, forks, unit_w
     classification = classify_nodes(make().topology)
     if case.startswith("no-low"):
         assert not classification.low_traffic_nodes
-    if case.startswith("no-high"):
-        assert not classification.high_traffic_nodes
     forked = _rigeo_digest(make(), unit_weights, threshold)
     assert len(forks) == n_forks
     monkeypatch.delattr(os, "fork")

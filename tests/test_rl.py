@@ -1,4 +1,5 @@
 import copy
+import io
 import math
 import pickle
 from dataclasses import replace
@@ -10,12 +11,15 @@ from fogsched import (
     FitnessWeights,
     FogNode,
     Instance,
+    PolicyState,
     RlConfig,
     Topology,
     rl_episode,
     rl_init,
     rl_optimize,
 )
+from fogsched.geo import _SubProblem
+from fogsched.metrics import Evaluator
 
 from conftest import make_instance, simple_tasks
 from oracle import exhaustive_best
@@ -164,16 +168,24 @@ def test_rl_near_optimal_small_instance(unit_weights):
     assert hits >= 18  # >= 90%
 
 
-def test_rl_optimize_matches_stepped_episodes(small_instance, unit_weights):
-    # the optimizer's internal loop must replay exactly as repeated calls to
-    # the public single-episode function with the same generator
+@pytest.mark.parametrize("n_tasks,n_nodes,seed", [(6, 3, 7), (40, 9, 2)])
+def test_rl_optimize_matches_stepped_episodes(unit_weights, n_tasks, n_nodes, seed):
+    # rl_optimize must replay exactly as repeated calls to the public
+    # single-episode function with the same generator, on the list stepper
+    # (6 x 3) and on the numpy one (40 x 9)
+    instance = make_instance(n_tasks, n_nodes, seed=seed)
+    tasks, nodes = range(n_tasks), range(n_nodes)
     config = RlConfig(episodes=80, rng_seed=6)
-    _, fit = rl_optimize(small_instance, [0, 1, 2], [0, 1, 2, 3, 4, 5], config, unit_weights)
-    state = rl_init(small_instance, [0, 1, 2, 3, 4, 5], [0, 1, 2], config, unit_weights)
+    assignment, fit = rl_optimize(instance, nodes, tasks, config, unit_weights)
+    state = rl_init(instance, tasks, nodes, config, unit_weights)
     rng = np.random.default_rng(config.rng_seed + 1)
     for _ in range(config.episodes):
-        state = rl_episode(state, small_instance, unit_weights, config, rng)
-    assert fit == state.best_seen[1]
+        state = rl_episode(state, instance, unit_weights, config, rng)
+    genome, best = state.best_seen
+    assert fit == best
+    assert assignment.mapping == {
+        task: state.candidate_nodes[g] for task, g in zip(state.task_ids, genome)
+    }
 
 
 @pytest.mark.parametrize("assignment", [
@@ -204,37 +216,25 @@ def test_rl_optimize_builds_one_subproblem(monkeypatch, small_instance, unit_wei
     assert len(built) == 1
 
 
-def test_chained_rl_episodes_build_one_subproblem(monkeypatch, small_instance, unit_weights):
-    from fogsched import rl
-
-    built = []
-
-    class Counting(rl._SubProblem):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(rl, "_SubProblem", Counting)
+def test_rl_episode_scores_on_the_instance_and_weights_it_is_called_with(small_instance, unit_weights):
+    # a state stepped with another instance or other weights than it was
+    # made with is scored on what the call names
     config = RlConfig(rng_seed=2)
     state = rl_init(small_instance, range(6), [0, 1, 2], config, unit_weights)
     rng = np.random.default_rng(2)
     for _ in range(10):
         state = rl_episode(state, small_instance, unit_weights, config, rng)
-    assert len(built) == 1
-    # equal weights share the sub-problem; another instance or other weights
-    # get their own, scored on what the call names
-    rl_episode(state, small_instance, FitnessWeights(), config, rng)
-    assert len(built) == 1
+    stale = _SubProblem(small_instance, state.candidate_nodes, state.task_ids, unit_weights)
     other = make_instance(6, 3, seed=8)
     for instance, weights in ((other, unit_weights), (small_instance, FitnessWeights(w_energy=2.0))):
         nxt = rl_episode(state, instance, weights, config, np.random.default_rng(5))
-        assert nxt._problem.instance is instance and nxt._problem.weights == weights
-    assert len(built) == 3
+        problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
+        assert nxt.fitness == problem.fitness_of(nxt.assignment)
+        assert nxt.fitness != stale.fitness_of(nxt.assignment)
 
 
 def test_a_stepped_state_pickles_and_copies(small_instance, unit_weights):
-    # the state keeps its sub-problem, so it must stay plain data: a pickled
-    # or deep-copied state steps as the original does
+    # a pickled or deep-copied state steps as the original does
     config = RlConfig(rng_seed=4)
     state = rl_init(small_instance, range(6), [0, 1, 2], config, unit_weights)
     state = rl_episode(state, small_instance, unit_weights, config, np.random.default_rng(4))
@@ -244,6 +244,43 @@ def test_a_stepped_state_pickles_and_copies(small_instance, unit_weights):
         assert got.assignment.tobytes() == want.assignment.tobytes()
         assert got.preference.tobytes() == want.preference.tobytes()
         assert (got.fitness, got.best_seen[1]) == (want.fitness, want.best_seen[1])
+
+
+def test_a_stepped_state_pickles_without_its_instance(unit_weights):
+    # a state holds only its values: no instance, evaluator tables or
+    # fitness cache travel with it
+    instance = make_instance(600, 20, seed=1)
+    config = RlConfig(rng_seed=1)
+    state = rl_init(instance, range(600), range(20), config, unit_weights)
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        state = rl_episode(state, instance, unit_weights, config, rng)
+    pickled = []
+
+    class Recording(pickle.Pickler):
+        def persistent_id(self, obj):
+            pickled.append(type(obj))
+            return None
+
+    Recording(io.BytesIO()).dump(state)
+    assert PolicyState in pickled and np.ndarray in pickled
+    assert not {Instance, Evaluator, _SubProblem} & set(pickled)
+
+
+def test_rl_overflow_reads_inf_without_warning(unit_weights):
+    # fitnesses beyond float range read inf under pytest's
+    # error::RuntimeWarning filter, in every RL entry point
+    base = make_instance(6, 3, seed=1)
+    nodes = tuple(replace(node, active_power=1e10) for node in base.topology.nodes)
+    instance = Instance(
+        replace(base.topology, nodes=nodes), [replace(t, length=1e300) for t in base.tasks]
+    )
+    config = RlConfig(episodes=20, rng_seed=1)
+    state = rl_init(instance, range(6), range(3), config, unit_weights)
+    assert state.fitness == math.inf
+    state = rl_episode(state, instance, unit_weights, config, np.random.default_rng(0))
+    assert state.fitness == state.best_seen[1] == math.inf
+    assert rl_optimize(instance, range(3), range(6), config, unit_weights)[1] == math.inf
 
 
 def test_rl_config_validation():
