@@ -1,6 +1,16 @@
 """Experiment harness: sweep task counts over seeded scenarios, run the
 scheduling algorithms on identical instances per trial, and persist
-plot-ready CSV records and summaries."""
+plot-ready CSV records and summaries.
+
+A sweep runs one job per trial, and the trials of one ``(task_count,
+seed)`` are next to each other in job order.  Each process and thread that
+runs trials keeps the set-up of its last trial (the ``Instance`` with its
+built ``Evaluator``, the instance digest and the calibrated weights), so a
+trial with the same key reuses it instead of generating, hashing and
+calibrating the same scenario again.  Every trial still starts with empty
+fitness caches: they are emptied after each trial, so no cache is shared
+across algorithms.  A set-up that raises is not kept, and the caller's
+slot is dropped when ``run_experiment`` returns."""
 
 from __future__ import annotations
 
@@ -9,6 +19,7 @@ import hashlib
 import json
 import logging
 import math
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -18,7 +29,7 @@ from statistics import fmean, stdev
 from .baselines import baseline_greedy, baseline_random
 from .geo import GeoParams, geo_optimize
 from .igeo import IgeoParams, igeo_optimize
-from .metrics import calibrate_weights, evaluate
+from .metrics import _evaluator, calibrate_weights, evaluate
 from .model import ALGORITHMS, Instance, ScenarioConfig, check_fields, generate_scenario, scenario_to_dict
 from .rigeo import rigeo_schedule
 from .rl import RlConfig, rl_optimize
@@ -78,13 +89,31 @@ class RunRecord:
     wall_time: float  # milliseconds; not persisted to records.csv
 
 
-def _trial_instance(plan: ExperimentPlan, task_count: int, seed: int):
-    config = ScenarioConfig(n_tasks=task_count, n_nodes=plan.n_nodes, rng_seed=seed)
-    topology, tasks = generate_scenario(config)
-    digest = hashlib.sha256(
-        json.dumps(scenario_to_dict(config, topology, tasks), sort_keys=True).encode()
-    ).hexdigest()
-    return Instance(topology, tasks), digest
+# this process and thread's last trial set-up: (key, instance, digest, weights)
+_kept = threading.local()
+
+
+def _trial_setup(plan: ExperimentPlan, task_count: int, seed: int):
+    """The trial's ``(instance, digest, weights)``: the kept set-up when its
+    key matches, else a new one, kept for the next trial."""
+    key = (plan.n_nodes, task_count, seed, plan.fitness_weights)
+    kept = getattr(_kept, "setup", None)
+    if kept is None or kept[0] != key:
+        _kept.setup = None  # free the old instance before building the next
+        config = ScenarioConfig(n_tasks=task_count, n_nodes=plan.n_nodes, rng_seed=seed)
+        topology, tasks = generate_scenario(config)
+        digest = hashlib.sha256(
+            json.dumps(scenario_to_dict(config, topology, tasks), sort_keys=True).encode()
+        ).hexdigest()
+        instance = Instance(topology, tasks)
+        kept = _kept.setup = (key, instance, digest, _calibrate(plan, instance, seed))
+    return kept[1:]
+
+
+def _calibrate(plan: ExperimentPlan, instance: Instance, seed: int):
+    """The plan's weights calibrated on ``instance``; builds its evaluator."""
+    w_r, w_d, w_e = plan.fitness_weights
+    return calibrate_weights(instance, w_r, w_d, w_e, seed=seed)
 
 
 def run_algorithm(
@@ -132,12 +161,13 @@ def run_algorithm(
 
 
 def run_and_evaluate(plan: ExperimentPlan, algorithm: str, instance: Instance, seed: int,
-                     trace=None, summary_path=None):
-    """One trial's body: calibrate the plan's weights on ``instance``, time
-    ``run_algorithm`` (passing ``trace`` and ``summary_path`` on), evaluate
-    its assignment.  Returns the MetricsReport and the wall time in ms."""
-    w_r, w_d, w_e = plan.fitness_weights
-    weights = calibrate_weights(instance, w_r, w_d, w_e, seed=seed)
+                     trace=None, summary_path=None, weights=None):
+    """One trial's body: calibrate the plan's weights on ``instance`` unless
+    ``weights`` holds them already, time ``run_algorithm`` (passing
+    ``trace`` and ``summary_path`` on), evaluate its assignment.  Returns
+    the MetricsReport and the wall time in ms."""
+    if weights is None:
+        weights = _calibrate(plan, instance, seed)
     start = time.perf_counter()
     assignment = run_algorithm(
         algorithm, instance, seed, weights, plan, trace=trace, summary_path=summary_path
@@ -148,8 +178,11 @@ def run_and_evaluate(plan: ExperimentPlan, algorithm: str, instance: Instance, s
 
 def _run_trial(plan: ExperimentPlan, algorithm: str, task_count: int, seed: int):
     """Returns the trial's record and its finished reports/*.json text."""
-    instance, digest = _trial_instance(plan, task_count, seed)
-    report, wall_ms = run_and_evaluate(plan, algorithm, instance, seed)
+    instance, digest, weights = _trial_setup(plan, task_count, seed)
+    try:
+        report, wall_ms = run_and_evaluate(plan, algorithm, instance, seed, weights=weights)
+    finally:
+        _evaluator(instance).fitness_caches.clear()  # the next trial starts empty
     metrics = (getattr(report, column) for column in METRIC_COLUMNS)
     record = RunRecord(algorithm, task_count, seed, *metrics, wall_time=wall_ms)
     doc = report.to_dict()
@@ -188,7 +221,10 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
             outcomes = list(pool.map(_safe_trial, jobs))
     else:
-        outcomes = [_safe_trial(job) for job in jobs]
+        try:
+            outcomes = [_safe_trial(job) for job in jobs]
+        finally:
+            _kept.setup = None  # no instance outlives the sweep
 
     done = sorted(
         (payload for status, payload in outcomes if status == "ok"),

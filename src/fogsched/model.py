@@ -6,8 +6,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -501,13 +501,25 @@ def validate_assignment(instance: Instance, assignment: Assignment) -> Validatio
 # Scenario file format: {"config", "nodes", "links", "tasks", "gateways"}
 
 
+@cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+def _as_row(item) -> dict:
+    """``asdict(item)`` for a dataclass of plain values, without its deep copy: the
+    same values under the same keys in the same order, so the same JSON."""
+    names = _field_names(type(item))
+    return dict(zip(names, attrgetter(*names)(item)))
+
+
 def scenario_to_dict(config: ScenarioConfig, topology: Topology, tasks) -> dict:
     """The scenario file's document; its tuples write as JSON lists."""
     return {
-        "config": asdict(config),
-        "nodes": [asdict(n) for n in topology.nodes],
-        "links": [asdict(link) for link in topology.links],
-        "tasks": [asdict(t) for t in tasks],
+        "config": _as_row(config),
+        "nodes": list(map(_as_row, topology.nodes)),
+        "links": list(map(_as_row, topology.links)),
+        "tasks": list(map(_as_row, tasks)),
         "gateways": {str(dev): node for dev, node in sorted(topology.device_gateways.items())},
     }
 

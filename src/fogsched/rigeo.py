@@ -12,6 +12,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from statistics import fmean
 
@@ -46,8 +47,18 @@ class DeadlinePartition:
     high_deadline_tasks: frozenset
 
 
+def _mean(values) -> float:
+    """``fmean`` of finite numbers; where their sum passes float range, which
+    ``fmean`` refuses, their exact mean rounded once.  That mean lies within
+    the values, so it is finite."""
+    try:
+        return fmean(values)
+    except OverflowError:
+        return float(sum(Fraction(float(v)) for v in values) / len(values))
+
+
 def _split_at_mean(values: dict, name: str) -> tuple:
-    """``(fmean of the values, frozenset of the keys whose value is strictly
+    """``(_mean of the values, frozenset of the keys whose value is strictly
     below the exact mean)``, the split of nodes and tasks.  ``fmean`` rounds,
     and can land above every one of equal values (three 0.1s)."""
     doubles = [float(v) for v in values.values()]
@@ -61,7 +72,7 @@ def _split_at_mean(values: dict, name: str) -> tuple:
     scaled = [numerator << (shift - denominator.bit_length()) for numerator, denominator in ratios]
     ceiling = -(-sum(scaled) // len(scaled))
     low = frozenset(key for key, value in zip(values, scaled) if value < ceiling)
-    return fmean(doubles), low
+    return _mean(doubles), low
 
 
 def classify_nodes(topology: Topology) -> TrafficClassification:
@@ -75,7 +86,7 @@ def classify_nodes(topology: Topology) -> TrafficClassification:
             if end in incident:
                 incident[end].append(link.traffic_load)
     node_traffic = {
-        nid: (fmean(loads) if loads else 0.0) for nid, loads in incident.items()
+        nid: (_mean(loads) if loads else 0.0) for nid, loads in incident.items()
     }
     average, low = _split_at_mean(node_traffic, "node traffics")
     return TrafficClassification(

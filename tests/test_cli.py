@@ -63,6 +63,20 @@ def test_run_rigeo_writes_routing_summary(tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_run_rigeo_splits_deadlines_whose_sum_overflows(tmp_path, capsys):
+    # two deadlines at 1e308 sum beyond float range; the split takes their exact mean
+    scenario = _generate(tmp_path, tasks=8, nodes=4)
+    doc = json.loads(scenario.read_text())
+    for task in doc["tasks"][:2]:
+        task["deadline"] = 1e308
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "rigeo"
+    assert main(["run", str(scenario), "--algorithm", "RIGEO", "--out", str(out)]) == 0
+    summary = json.loads((out / "routing_summary.json").read_text())
+    assert summary["deadline"]["high_deadline_tasks"] == [0, 1]
+    assert capsys.readouterr().err == ""
+
+
 def test_run_trace_file(tmp_path):
     scenario = _generate(tmp_path)
     out = tmp_path / "traced"

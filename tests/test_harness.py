@@ -1,7 +1,10 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,8 +28,9 @@ from fogsched import (
     write_summary,
 )
 from fogsched.geo import GeoParams
-from fogsched.harness import RECORD_COLUMNS, _safe_trial, run_algorithm
-from fogsched.metrics import calibrate_weights
+from fogsched import harness
+from fogsched.harness import ALGORITHMS, RECORD_COLUMNS, _safe_trial, run_algorithm
+from fogsched.metrics import _evaluator, calibrate_weights
 
 from conftest import make_instance, simple_tasks, single_node_instance
 from oracle import exhaustive_best
@@ -102,6 +106,94 @@ def test_experiment_all_algorithms_run(tmp_path):
     records = run_experiment(plan, write_reports=False)
     assert sorted(r.algorithm for r in records) == sorted(plan.algorithms)
     assert all(r.fitness >= 0 for r in records)
+
+
+def _watch_trials(monkeypatch, fail=None):
+    """Record the harness's set-up calls by (task_count, seed) and, per trial,
+    (algorithm, task_count, seed, id and weakref of its instance, fitness
+    cache count when ``run_algorithm`` starts and when it ends).  ``fail``,
+    a (harness name, seed) pair, makes that set-up call raise for that seed."""
+    calls = {"generate_scenario": [], "calibrate_weights": [], "trials": []}
+    generate, calibrate, run = (
+        harness.generate_scenario, harness.calibrate_weights, harness.run_algorithm)
+
+    def check(name, key):
+        calls[name].append(key)
+        if fail == (name, key[1]):
+            raise ValueError(f"no {name} for seed {key[1]}")
+
+    def counted_generate(config):
+        check("generate_scenario", (config.n_tasks, config.rng_seed))
+        return generate(config)
+
+    def counted_calibrate(instance, *weights, seed):
+        check("calibrate_weights", (instance.n_tasks, seed))
+        return calibrate(instance, *weights, seed=seed)
+
+    def watched_run(algorithm, instance, seed, *args, **kwargs):
+        caches = _evaluator(instance).fitness_caches
+        started = len(caches)
+        try:
+            return run(algorithm, instance, seed, *args, **kwargs)
+        finally:
+            calls["trials"].append((algorithm, instance.n_tasks, seed, id(instance),
+                                    weakref.ref(instance), started, len(caches)))
+
+    monkeypatch.setattr(harness, "generate_scenario", counted_generate)
+    monkeypatch.setattr(harness, "calibrate_weights", counted_calibrate)
+    monkeypatch.setattr(harness, "run_algorithm", watched_run)
+    return calls
+
+
+def test_a_sweep_sets_up_each_instance_once(tmp_path, monkeypatch):
+    calls = _watch_trials(monkeypatch)
+    records = run_experiment(tiny_plan(tmp_path, algorithms=ALGORITHMS))
+    keys = [(4, 0), (4, 1), (6, 2), (6, 3)]
+    assert calls["generate_scenario"] == calls["calibrate_weights"] == keys
+    trials = calls["trials"]
+    assert len(trials) == len(records) == 4 * len(ALGORITHMS)
+    # the six trials of a key share its instance, and each starts with empty caches
+    instances = {key: {t[3] for t in trials if t[1:3] == key} for key in keys}
+    assert all(len(ids) == 1 for ids in instances.values())
+    assert [t[5] for t in trials] == [0] * len(trials)
+    assert any(t[6] for t in trials)  # the optimizers fill the caches the next trial finds empty
+    assert all(t[4]() is None for t in trials)  # no instance outlives the sweep
+
+
+@pytest.mark.parametrize("stage", ["generate_scenario", "calibrate_weights"])
+def test_a_set_up_that_raises_fails_each_trial_of_its_key(tmp_path, monkeypatch, stage):
+    calls = _watch_trials(monkeypatch, fail=(stage, 1))
+    records = run_experiment(tiny_plan(tmp_path, algorithms=ALGORITHMS), write_reports=False)
+    assert len(records) == 3 * len(ALGORITHMS)
+    assert calls[stage].count((4, 1)) == len(ALGORITHMS)  # a failed set-up is not kept
+    with open(tmp_path / "failures.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["algorithm", "task_count", "seed", "error"]] + [
+        [algorithm, "4", "1", f"ValueError: no {stage} for seed 1"]
+        for algorithm in sorted(ALGORITHMS)
+    ]
+
+
+def test_threads_keep_their_own_set_up(tmp_path, monkeypatch):
+    """Two threads sweep the same instances at once: each sets up each
+    instance once for itself, and no trial starts with the other's caches."""
+    calls = _watch_trials(monkeypatch)
+    plans = [tiny_plan(tmp_path / str(k), algorithms=ALGORITHMS) for k in range(2)]
+    threads = [threading.Thread(target=run_experiment, args=(plan,)) for plan in plans]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(calls["generate_scenario"]) == sorted([(4, 0), (4, 1), (6, 2), (6, 3)] * 2)
+    assert [t[5] for t in calls["trials"]] == [0] * 2 * 4 * len(ALGORITHMS)
+    records = [(tmp_path / str(k) / "records.csv").read_bytes() for k in range(2)]
+    assert records[0] == records[1]
 
 
 def test_safe_trial_captures_failures():

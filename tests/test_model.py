@@ -1,7 +1,12 @@
 import json
 import math
 import re
+import sys
+import tempfile
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +140,58 @@ def test_scenario_roundtrip(tmp_path):
     assert topology2.device_gateways == topology.device_gateways
     assert tasks2 == tasks
     assert scenario_from_dict(doc) == (config2, topology2, tasks2)
+
+
+def _asdict_document(config, topology, tasks) -> dict:
+    """The scenario document as ``dataclasses.asdict`` builds it."""
+    return {
+        "config": asdict(config),
+        "nodes": [asdict(n) for n in topology.nodes],
+        "links": [asdict(link) for link in topology.links],
+        "tasks": [asdict(t) for t in tasks],
+        "gateways": {str(dev): node for dev, node in sorted(topology.device_gateways.items())},
+    }
+
+
+# values whose JSON text a copy or a conversion could change
+_NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, sys.float_info.min, 1e308, sys.float_info.max]),
+    st.floats(),
+    st.floats().map(np.float64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 2**32), st.data())
+def test_scenario_document_has_the_asdict_bytes(n_tasks, n_nodes, seed, data):
+    """The digest's JSON and the scenario file keep the bytes ``asdict`` gave,
+    on generated scenarios and on items built with other numbers."""
+    config = ScenarioConfig(n_tasks=n_tasks, n_nodes=n_nodes, rng_seed=seed)
+    topology, tasks = generate_scenario(config)
+
+    def vary(item, skip=("id", "endpoints", "source_device")):
+        names = [f.name for f in fields(item) if f.name not in skip]
+        return replace(item, **data.draw(st.dictionaries(st.sampled_from(names), _NUMBERS)))
+
+    if data.draw(st.booleans(), label="library-built"):
+        pairs = st.tuples(_NUMBERS, _NUMBERS) | st.lists(_NUMBERS, min_size=2, max_size=2)
+        ranges = [f.name for f in fields(config) if f.name.endswith("_range")]
+        config = replace(config, **data.draw(st.dictionaries(st.sampled_from(ranges), pairs)))
+        links = [replace(link, endpoints=list(link.endpoints)) for link in topology.links]
+        topology = replace(topology, nodes=tuple(map(vary, topology.nodes)),
+                           links=tuple(map(vary, links)))
+        tasks = list(map(vary, tasks))
+    expected = _asdict_document(config, topology, tasks)
+    document = scenario_to_dict(config, topology, tasks)
+    assert json.dumps(document, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    with tempfile.TemporaryDirectory() as folder:
+        saved, reference = Path(folder, "saved.json"), Path(folder, "reference.json")
+        save_scenario(saved, config, topology, tasks)
+        with open(reference, "w") as fh:
+            json.dump(expected, fh, indent=2)
+            fh.write("\n")
+        assert saved.read_bytes() == reference.read_bytes()
 
 
 def test_build_assignment_orders_by_deadline():

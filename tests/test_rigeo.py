@@ -5,7 +5,9 @@ import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from statistics import fmean
 
@@ -20,8 +22,10 @@ from fogsched import (
     Instance,
     Link,
     RlConfig,
+    ScenarioConfig,
     Topology,
     classify_nodes,
+    generate_scenario,
     igeo_optimize,
     partition_tasks,
     rigeo_schedule,
@@ -111,15 +115,54 @@ def test_partition_tasks_all_equal(deadline, count):
     assert p.deadline_threshold == fmean([deadline] * count)
 
 
+def _fmean_or_none(values):
+    try:
+        return fmean(values)
+    except OverflowError:
+        return None
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-1e306, 1e306), min_size=1, max_size=30))
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30)
+       | st.lists(st.sampled_from([1e308, -1e308, sys.float_info.max, 5e-324, 0.0]), min_size=1))
 def test_mean_split_compares_with_the_exact_mean(values):
-    # values within ±1e306: a larger sum of 30 values overflows fmean's fsum
+    # the reported mean is fmean's, or where fmean's sum overflows, the exact mean rounded once
     average, low = rigeo._split_at_mean(dict(enumerate(values)), "values")
     exact = sum(map(Fraction, values)) / len(values)
     assert low == {i for i, v in enumerate(values) if Fraction(v) < exact}
     assert len(low) < len(values)
-    assert average == fmean(values)
+    expected = _fmean_or_none(values)
+    assert average == (float(exact) if expected is None else expected)
+    assert math.isfinite(average)
+
+
+_BIG = sys.float_info.max
+
+
+@pytest.mark.parametrize("loads,expected", [
+    ([1e308, 1e308], [1e308, 1e308, 1e308]),
+    ([_BIG, 1e308], [_BIG, float((Fraction(_BIG) + Fraction(1e308)) / 2), 1e308]),
+])
+def test_classify_nodes_takes_the_exact_mean_where_fmean_overflows(loads, expected):
+    c = classify_nodes(_line_topology(loads))
+    assert list(c.node_traffic.values()) == expected
+    assert c.average_traffic == float(sum(map(Fraction, expected)) / 3)
+
+
+def test_rigeo_schedules_two_deadlines_whose_sum_overflows(tmp_path, unit_weights):
+    topology, tasks = generate_scenario(ScenarioConfig(n_tasks=8, n_nodes=4, rng_seed=0))
+    tasks = [replace(t, deadline=1e308) if t.id < 2 else t for t in tasks]
+    path = tmp_path / "summary.json"
+    _, report = rigeo_schedule(
+        Instance(topology, tasks),
+        IgeoParams(population_size=4, iterations=5, rng_seed=0),
+        RlConfig(episodes=20, rng_seed=0),
+        unit_weights,
+        summary_path=path,
+    )
+    assert math.isfinite(report.fitness)
+    threshold = json.loads(path.read_text())["deadline"]["threshold"]
+    assert threshold == float(sum(Fraction(t.deadline) for t in tasks) / 8)
 
 
 @pytest.mark.parametrize("policy", ["median", "", None, True, math.nan, math.inf, -math.inf, [1.0]])
