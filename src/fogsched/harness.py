@@ -24,14 +24,14 @@ import time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from statistics import fmean, stdev
+from statistics import stdev
 
 from .baselines import baseline_greedy, baseline_random
 from .geo import GeoParams, geo_optimize
 from .igeo import IgeoParams, igeo_optimize
 from .metrics import _evaluator, calibrate_weights, evaluate
 from .model import ALGORITHMS, Instance, ScenarioConfig, check_fields, generate_scenario, scenario_to_dict
-from .rigeo import rigeo_schedule
+from .rigeo import _mean, rigeo_schedule
 from .rl import RlConfig, rl_optimize
 
 __all__ = [
@@ -252,6 +252,19 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
     return records
 
 
+def _stdev(values, metric: str) -> float:
+    """``stdev``; where it overflows (Python 3.10 rounds the variance to a
+    float first), ``stdev`` of the values scaled by 2**-600, scaled back.
+    Beyond float range it raises ValueError."""
+    try:
+        return stdev(values)
+    except OverflowError:
+        try:
+            return math.ldexp(stdev([math.ldexp(v, -600) for v in values]), 600)
+        except OverflowError:
+            raise ValueError(f"the standard deviation of {metric} passes float range") from None
+
+
 def aggregate(records) -> list:
     """Per (algorithm, task_count) mean/std/min/max of every metric; sample
     standard deviation, 0 for a single record."""
@@ -266,8 +279,8 @@ def aggregate(records) -> list:
         row = {"algorithm": algorithm, "task_count": task_count, "runs": len(group)}
         for metric in METRIC_COLUMNS:
             values = [getattr(r, metric) for r in group]
-            row[f"{metric}_mean"] = fmean(values)
-            row[f"{metric}_std"] = stdev(values) if len(values) > 1 else 0.0
+            row[f"{metric}_mean"] = _mean(values)
+            row[f"{metric}_std"] = _stdev(values, metric) if len(values) > 1 else 0.0
             row[f"{metric}_min"] = min(values)
             row[f"{metric}_max"] = max(values)
         rows.append(row)

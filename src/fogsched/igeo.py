@@ -1,19 +1,13 @@
-"""Discrete golden-eagle variant: the continuous step geometry is kept only
-as a shadow signal that selects between genetic operators, which act directly
-on integer assignment genomes.
+"""Discrete golden-eagle variant: the step magnitudes of a continuous swarm
+move select between genetic operators, which act directly on integer
+assignment genomes.  Cruise dominance (r1*pa < r2*pc) selects mutation;
+attack dominance, or an exact tie, selects crossover; within each branch a
+fresh uniform draw picks the concrete operator.
 
-Operator choice: cruise dominance (|r1*pa| < |r2*pc|) selects mutation,
-attack dominance selects crossover; an exact tie falls back to the sign of
-the summed step components.  Within each branch a fresh uniform draw picks
-the concrete operator.
-
-The signal is the step magnitudes: the shadow's positions are computed
-only to break an exact positive tie (a zero tie's step sum is +-0 or NaN,
-never negative).  So ``igeo_optimize`` skips the shadow's other draws with
-``PCG64.advance``, reading the generator state once an iteration, after
-the shadow's permutation.  That state and the permutation are the
-iteration's checkpoint: a tie replays the shadow's moves since its last
-one from them and drops them, the same bits as moving it each iteration.
+``igeo_optimize`` moves no swarm, but it makes a move's draws, so its random
+stream is that of the eager loop that moved one: it shuffles one index
+buffer as the move's permutation, skips the cruise and pick with
+``PCG64.advance`` and draws r1 and r2.
 
 Every operator builds its children with one select (``_offspring``): a
 child is its parent genome inside a window [low, high) and the best genome
@@ -30,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geo import GeoParams, _Flock, _SubProblem, _propensities
+from .geo import GeoParams, _SubProblem, _propensities
 from .metrics import FitnessWeights
 from .model import Instance
 
@@ -65,33 +59,36 @@ class OperatorDraw:
 
 
 def _is_mutation(delta_sum, r1pa, r2pc):
-    """Branch rule: cruise dominance (|r1*pa| < |r2*pc|) means exploration
-    (mutation), attack dominance exploitation (crossover); an exact tie
-    mutates when the step's component sum is negative."""
+    """Branch rule of a swarm step: cruise dominance (|r1*pa| < |r2*pc|)
+    means exploration (mutation), attack dominance exploitation (crossover);
+    an exact tie mutates when the step's component sum is negative."""
     abs_a, abs_c = np.abs(r1pa), np.abs(r2pc)
     return (abs_a < abs_c) | ((abs_a == abs_c) & (delta_sum < 0))
 
 
 def _branch_draws(rng, pop: int, dim: int):
-    """Draw r1 and r2 of a shadow move whose permutation ``rng`` has just
-    drawn, skipping the ``(pop, dim)`` cruise before them and pick after
-    them, and return ``(state, r1, r2)`` with ``state`` the generator's
-    state before the skip: a shadow replay resumes from it.  ``advance``
-    drops the buffered 32-bit half, which float draws keep and a later
-    integer draw reads, so it is put back."""
+    """``(r1, r2)`` of a swarm move whose permutation ``rng`` has just drawn,
+    skipping the ``(pop, dim)`` cruise before them and pick after them.
+    ``advance`` drops the buffered 32-bit half, which float draws keep and a
+    later integer draw reads, so it is put back."""
     bit_generator = rng.bit_generator
     state = bit_generator.state
     bit_generator.advance(pop * dim)
-    r1, r2 = rng.random(pop), rng.random(pop)
+    r12 = rng.random(2 * pop)
     bit_generator.advance(pop * dim)
     if state["has_uint32"]:
         ahead = bit_generator.state
         ahead["has_uint32"], ahead["uinteger"] = 1, state["uinteger"]
         bit_generator.state = ahead
-    return state, r1, r2
+    return r12[:pop], r12[pop:]
 
 
-def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
+def _prefix_table(dim: int):
+    """Row i is ``cols < i``: the window [low, high) is ``table[high] > table[low]``."""
+    return np.arange(dim) < np.arange(dim + 1)[:, None]
+
+
+def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng, prefix=None):
     """One offspring per row of ``genomes`` against the ``best`` genome.
     Mutation rows mutate ``best`` (r >= 0.5) or their own genome; the other
     rows cross ``best`` with their genome, one-point for r >= 0.5 and
@@ -109,8 +106,9 @@ def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
     one-point and then two-point cuts, each in row order."""
     rows, dim = genomes.shape
     upper = r >= 0.5
-    window = np.full((rows, 2), dim)  # empty
-    window[mutation & ~upper, 0] = 0  # the whole genome
+    window = np.empty((2, rows), dtype=np.intp)  # each row's low, then high
+    window.fill(dim)  # empty
+    np.copyto(window[0], 0, where=np.greater(mutation, upper))  # the whole genome
     mut_rows = mutation.nonzero()[0]
     mutated = mut_rows.size > 0 and n_candidates > 1 and dim > 0
     if mutated:
@@ -122,14 +120,16 @@ def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
         single = cross & upper if dim >= 3 else cross
         one_rows = single.nonzero()[0]
         if one_rows.size:
-            window[one_rows, 0] = rng.integers(1, dim, size=one_rows.size)
+            window[0, one_rows] = rng.integers(1, dim, size=one_rows.size)
         two_rows = (cross ^ single).nonzero()[0]
         if two_rows.size:
             cuts = rng.random((two_rows.size, dim - 1)).argpartition(1, axis=1)[:, :2] + 1
             cuts.sort(axis=1)
-            window[two_rows] = cuts
-    cols = np.arange(dim)
-    children = np.where((cols >= window[:, :1]) & (cols < window[:, 1:]), genomes, best)
+            window[:, two_rows] = cuts.T
+    if prefix is None:
+        prefix = _prefix_table(dim)
+    low, high = prefix.take(window, axis=0)
+    children = np.where(np.greater(high, low), genomes, best)
     if mutated:
         # flat cell indices: the positions of a row are distinct, so every
         # cell is read and written once
@@ -182,9 +182,10 @@ def crossover_two(
 
 
 def classify_step(delta_sum: float, r1pa: float, r2pc: float) -> int:
-    """Map a shadow step to an operator branch: cruise dominance means
+    """Map a swarm step to an operator branch: cruise dominance means
     exploration (mutation), attack dominance means exploitation (crossover);
-    exact magnitude ties are broken by the step's component sum."""
+    exact magnitude ties are broken by the step's component sum.
+    ``igeo_optimize`` reads no step: its exact tie crosses over."""
     return NEGATIVE if _is_mutation(delta_sum, r1pa, r2pc) else POSITIVE
 
 
@@ -197,7 +198,8 @@ def igeo_step(
     mutation_rate: float = 0.1,
 ) -> np.ndarray:
     """Produce one offspring genome from the current genome and the best
-    genome found so far.  Acceptance is the caller's decision.
+    genome found so far.  Acceptance is the caller's decision.  The branch
+    is ``draw.step_sign``; ``igeo_optimize`` reads no step.
 
     Genomes too short for a crossover fall back to the next simpler
     operator (two-point -> single-point -> copy of the best genome).
@@ -219,52 +221,36 @@ def igeo_optimize(
     weights: FitnessWeights,
     trace: Optional[list] = None,
 ) -> tuple:
-    """Full discrete loop: shadow swarm supplies the branch signal and
-    genetic operators move the genomes.  The best genome ever evaluated is
-    tracked separately, so the reported fitness never worsens even though
-    mutation offspring replace their eagle unconditionally.  Returns
-    (assignment, fitness) of that best genome."""
+    """Full discrete loop: the step magnitudes r1*pa and r2*pc of a swarm
+    move pick each eagle's branch and genetic operators move the genomes.
+    The best genome ever evaluated is tracked separately, so the reported
+    fitness never worsens even though mutation offspring replace their eagle
+    unconditionally.  Returns (assignment, fitness) of that best genome."""
     problem = _SubProblem(instance, candidate_nodes, tasks, weights)
     rng = np.random.default_rng(params.rng_seed)
     pop, dim = params.population_size, problem.dim
     n_cand = problem.n_candidates
-    upper = float(n_cand - 1)
 
     # drawn as intp (a narrower draw takes other random bits), bred in key_dtype
     genomes = rng.integers(0, n_cand, size=(pop, dim), dtype=np.intp).astype(problem.key_dtype)
-    # the shadow swarm after ``moved`` moves, advanced only on a positive tie
-    shadow, moved = _Flock(genomes, upper), 0
-    # (permutation in its narrowest dtype, state after it) since the shadow moved
-    checkpoints, perm_dtype = [], np.min_scalar_type(pop - 1)
-    bit_generator = rng.bit_generator
     fitnesses = problem.fitness_many(genomes)
     best_i = int(np.argmin(fitnesses))
     best_genome = genomes[best_i].copy()
     best_fit = float(fitnesses[best_i])
 
+    # a swarm move draws perm, cruise, r1, r2 and pick; the perm is shuffled
+    # into one buffer: ``permutation(n)`` is ``shuffle(arange(n))``, and a
+    # shuffle's draws depend only on n
+    order, prefix = np.arange(pop), _prefix_table(dim)
     pa_sched, pc_sched = _propensities(params)
     for t in range(params.iterations):
-        # the draws of a shadow move: perm, cruise, r1, r2, pick
-        perm = rng.permutation(pop)
-        state, r1, r2 = _branch_draws(rng, pop, dim)
-        checkpoints.append((perm.astype(perm_dtype), state))
-        r1pa, r2pc = r1 * pa_sched[t], r2 * pc_sched[t]
-        # the schedules are nonnegative, so this is |r1pa| < |r2pc|: a tie
-        # at zero never mutates, one above zero reads the shadow
-        mutation = r1pa < r2pc
-        if np.count_nonzero((r1pa == r2pc) & (r1pa > 0.0)):
-            # a positive tie reads the shadow: replay its moves up to this one
-            resume = bit_generator.state
-            for perm, bit_generator.state in checkpoints:
-                pa_pc = np.array([[pa_sched[moved]], [pc_sched[moved]]])
-                delta = shadow.move(shadow.positions, perm, pa_pc, rng)
-                moved += 1
-            checkpoints.clear()
-            bit_generator.state = resume
-            mutation = _is_mutation(np.add.reduce(delta, axis=1), r1pa, r2pc)
+        rng.shuffle(order)
+        r1, r2 = _branch_draws(rng, pop, dim)
+        # |r1*pa| < |r2*pc|, as the schedules are nonnegative; a tie crosses over
+        mutation = np.less(r1 * pa_sched[t], r2 * pc_sched[t])
         r = rng.random(pop)
         children = _offspring(
-            genomes, best_genome, mutation, r, n_cand, params.mutation_rate, rng
+            genomes, best_genome, mutation, r, n_cand, params.mutation_rate, rng, prefix
         )
 
         fits = problem.fitness_many(children)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -263,6 +264,26 @@ def test_aggregate_rejects_malformed_records(tmp_path, capsys, lines, where):
     assert code == 1
     assert capsys.readouterr().err == f"error: {path}, {where}\n"
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("dv", [("1e308", "1e308"), ("1.7e308", "0.0")])
+def test_aggregate_dv_whose_sum_or_spread_overflows(tmp_path, capsys, dv):
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([_HEADER, *(_ROW.replace("0,1.0,", f"{i},{v},") for i, v in enumerate(dv))]) + "\n")
+    summary = tmp_path / "summary.csv"
+    code = main(["aggregate", str(path), "--out", str(summary)])
+    assert code == 0 and capsys.readouterr().err == ""
+    with open(summary, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert all(math.isfinite(float(row[f"dv_total_{s}"])) for s in ("mean", "std", "min", "max"))
+
+
+def test_aggregate_names_a_stdev_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([_HEADER, _ROW.replace("0,1.0,", "0,1.7e308,"), _ROW.replace("0,1.0,", "1,-1.7e308,")]) + "\n")
+    code = main(["aggregate", str(path), "--out", str(tmp_path / "summary.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the standard deviation of dv_total passes float range\n"
 
 
 def test_run_reproduces_sweep_trial(tmp_path):

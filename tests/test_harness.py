@@ -1,14 +1,18 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
 import weakref
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fogsched import (
     ExperimentPlan,
@@ -274,6 +278,77 @@ def test_aggregate_order_independent_and_grouped():
     assert rows == aggregate(list(reversed(records)))
     single = aggregate([_record()])
     assert single[0]["fitness_std"] == 0.0
+
+
+def _dv_records(*values):
+    return [replace(_record(seed=seed), dv_total=value) for seed, value in enumerate(values)]
+
+
+def _stdev_as_on_3_10(values):
+    """``statistics.stdev`` as Python 3.10 computes it: the exact sample
+    variance rounded to a float, which overflows beyond float range, then
+    its square root."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return math.sqrt(sum((v - mean) ** 2 for v in exact) / (len(exact) - 1))
+
+
+def _exact_variance(values):
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+
+
+def test_aggregate_takes_the_exact_mean_where_fmean_overflows():
+    (row,) = aggregate(_dv_records(1e308, 1e308))
+    assert (row["dv_total_mean"], row["dv_total_std"]) == (1e308, 0.0)
+    (row,) = aggregate(_dv_records(1.7e308, 1.7e308, 0.0))
+    assert row["dv_total_mean"] == float(Fraction(1.7e308) * 2 / 3)
+
+
+def test_aggregate_scales_the_values_where_stdev_overflows(monkeypatch):
+    monkeypatch.setattr(harness, "stdev", _stdev_as_on_3_10)
+    with pytest.raises(OverflowError):
+        _stdev_as_on_3_10([1.7e308, 0.0])
+    (row,) = aggregate(_dv_records(1.7e308, 0.0))
+    # 1.7e308 / sqrt(2): the stdev of the values scaled by 2**-600, scaled back
+    assert row["dv_total_std"] == math.ldexp(_stdev_as_on_3_10([math.ldexp(1.7e308, -600), 0.0]), 600)
+    assert row["dv_total_std"] == pytest.approx(1.7e308 / math.sqrt(2), rel=1e-15)
+    assert row["dv_total_mean"] == 8.5e307
+
+
+def test_aggregate_names_a_stdev_beyond_float_range():
+    with pytest.raises(ValueError, match="standard deviation of dv_total passes float range"):
+        aggregate(_dv_records(1.7e308, -1.7e308))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EXTREME = st.sampled_from([1e308, -1e308, 1.7e308, sys.float_info.max, 5e-324, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_FINITE, _EXTREME), min_size=2, max_size=6))
+@example([1.7e308, 0.0])
+@example([1e200, -1e200, 3.0])
+@example([1.7e308, -1.7e308])
+def test_stdev_where_it_overflows_is_close_or_names_its_overflow(values):
+    """With 3.10's ``stdev``, ``_stdev`` is ``stdev`` where that returns;
+    where it overflows, within 2**-49 of the exact sample standard
+    deviation, relative, or a ValueError when that is at float range."""
+    variance = _exact_variance(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "stdev", _stdev_as_on_3_10)
+        try:
+            root = harness._stdev(values, "dv_total")
+        except ValueError:
+            near_top = Fraction(sys.float_info.max) * (1 - Fraction(1, 2**50))
+            assert variance >= near_top * near_top
+            return
+    try:
+        assert root == _stdev_as_on_3_10(values)
+    except OverflowError:
+        assert math.isfinite(root)
+        assert abs(Fraction(root) ** 2 - variance) <= variance / 2**49
 
 
 def test_aggregate_empty_raises():

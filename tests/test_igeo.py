@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,25 @@ def test_igeo_finds_exhaustive_optimum():
         near += fit <= optimum * 1.05
     assert exact >= 40  # >= 80% of seeds hit the exhaustive optimum
     assert near >= 49  # >= 98% within 5%
+
+
+def test_igeo_memory_does_not_grow_with_iterations():
+    """A run keeps no per-iteration state beyond its two propensity
+    schedules (16 bytes an iteration), so its traced peak at 2,000
+    iterations stays within 1.25x its peak at 200."""
+
+    def peak(iterations):
+        instance = make_instance(6, 3, seed=0)
+        params = IgeoParams(population_size=200, iterations=iterations, rng_seed=0)
+        tracemalloc.start()
+        try:
+            igeo_optimize(instance, [0, 1, 2], [t.id for t in instance.tasks], params, FitnessWeights())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(200), peak(2000)
+    assert long <= 1.25 * short, (short, long)
 
 
 def test_igeo_branch_coverage():

@@ -1,7 +1,9 @@
-"""``igeo_optimize`` moves its shadow swarm only when an exact positive tie
-of the step magnitudes reads it, and skips the shadow's draws otherwise.
-It must match the eager loop of ``igeo_reference`` bit for bit, on ties
-too; ties are forced here, since a continuous draw almost never makes one."""
+"""``igeo_optimize`` moves no shadow swarm: it makes a swarm move's draws,
+skipping the ones it does not read, and picks each eagle's branch from the
+step magnitudes alone, so an exact tie crosses over.  Untied, it must match
+the eager loop of ``igeo_reference`` bit for bit; tied, it must match that
+loop with a tie crossing over.  Ties are forced here, since a continuous
+draw almost never makes one."""
 
 import numpy as np
 import pytest
@@ -64,20 +66,19 @@ def test_skip_doubles_leaves_the_generator_where_drawing_does(prepare, buffered,
     ids=["uniform", "random"],
 )
 def test_branch_draws_leave_the_generator_where_drawing_does(prepare, buffered, cruise):
-    """``_branch_draws`` after a permutation (``prepare``) returns the r1 and
-    r2 of a shadow move that draws its cruise, r1, r2 and pick, the state
-    before them, and leaves the generator where those draws do."""
+    """``_branch_draws`` after a permutation (``prepare``) returns only the
+    r1 and r2 of a shadow move that draws its cruise, r1, r2 and pick, and
+    leaves the generator where those draws do."""
     drawn, skipped = np.random.default_rng(3), np.random.default_rng(3)
     prepare(drawn)
     prepare(skipped)
-    before = drawn.bit_generator.state
-    assert before["has_uint32"] == buffered
+    assert drawn.bit_generator.state["has_uint32"] == buffered
     cruise(drawn)
     r1, r2 = drawn.random(POP), drawn.random(POP)
     drawn.random((POP, DIM))  # the pick
-    state, s1, s2 = _branch_draws(skipped, POP, DIM)
-    assert state == before
-    assert (s1.tobytes(), s2.tobytes()) == (r1.tobytes(), r2.tobytes())
+    branch = _branch_draws(skipped, POP, DIM)
+    assert len(branch) == 2  # no state
+    assert tuple(draw.tobytes() for draw in branch) == (r1.tobytes(), r2.tobytes())
     assert _live(skipped.bit_generator.state) == _live(drawn.bit_generator.state)
     for follow in (
         lambda rng: rng.integers(0, 9, 5),
@@ -88,12 +89,12 @@ def test_branch_draws_leave_the_generator_where_drawing_does(prepare, buffered, 
 
 
 class TiedGenerator(np.random.Generator):
-    """Draws a float vector without moving the stream, so the loop's r2
-    repeats its r1 (and its operator draw r repeats both).  A shadow move
-    draws its cruise, r1, r2 and pick into one buffer; there the ``pop``
-    values after the cruise are drawn twice without moving the stream in
-    the same way.  It keeps no state of its own, so a replay from a
-    checkpoint sees the same draws."""
+    """Draws a float vector without moving the stream, so the reference's
+    r2 repeats its r1 (and its operator draw r repeats both).  The loop
+    draws r1 and r2 as one vector of ``2 * pop``; there the first ``pop``
+    values are drawn twice in the same way.  A shadow move draws its cruise,
+    r1, r2 and pick into one buffer; there the ``pop`` values after the
+    cruise are drawn twice without moving the stream in the same way."""
 
     def __init__(self, bit_generator, pop):
         super().__init__(bit_generator)
@@ -106,6 +107,8 @@ class TiedGenerator(np.random.Generator):
             out[cells : cells + self.pop] = out[cells + self.pop : -cells] = self.random(self.pop)
             super().random(out=out[-cells:])
             return out
+        if size == 2 * self.pop:  # the loop's r1 and r2
+            return np.tile(self.random(self.pop), 2)
         if not isinstance(size, int):
             return super().random(size, dtype, out)
         state = self.bit_generator.state
@@ -156,19 +159,65 @@ def moves(monkeypatch):
 SHAPES = [(2, 3), (6, 3), (40, 5)]
 
 
-@pytest.mark.parametrize("n_tasks,n_nodes", SHAPES)
-@pytest.mark.parametrize("ties", [(0,), (3, 4, 17), (1, 30, 39)])
-def test_positive_ties_replay_the_shadow(n_tasks, n_nodes, ties, monkeypatch, moves):
-    params = IgeoParams(population_size=9, iterations=40, rng_seed=5)
+def _ties_cross_over(delta_sum, r1pa, r2pc):
+    """The reference's branch rule with an exact tie crossing over."""
+    return np.abs(r1pa) < np.abs(r2pc)
+
+
+def _tied(monkeypatch, params, ties):
+    """Force every eagle's magnitudes to tie at the iterations ``ties``."""
     tied = lambda seed: TiedGenerator(np.random.PCG64(seed), params.population_size)
     monkeypatch.setattr(np.random, "default_rng", tied)
     for module in (igeo, igeo_reference):
         monkeypatch.setattr(module, "_propensities", _tie_at(ties))
+
+
+@pytest.mark.parametrize("n_tasks,n_nodes", SHAPES)
+@pytest.mark.parametrize("ties", [(0,), (3, 4, 17), (1, 30, 39)])
+def test_positive_ties_cross_over(n_tasks, n_nodes, ties, monkeypatch, moves):
+    params = IgeoParams(population_size=9, iterations=40, rng_seed=5)
+    _tied(monkeypatch, params, ties)
+    monkeypatch.setattr(igeo_reference, "_is_mutation", _ties_cross_over)
     ours, theirs = _both(n_tasks, n_nodes, params)
     assert ours == theirs
-    # the reference's moves are not counted; the new loop replays every
-    # move up to the last tie, each once
-    assert len(moves) == max(ties) + 1
+    # the reference's moves are not counted
+    assert not moves
+
+
+@pytest.mark.parametrize("t", [0, 17, 39])
+def test_a_tie_gives_every_tied_eagle_a_crossover_child(t, monkeypatch):
+    """At a tied iteration every eagle's magnitudes are equal and positive,
+    and every eagle crosses over, where the step-sum rule would have
+    mutated some of them."""
+    params = IgeoParams(population_size=9, iterations=40, rng_seed=5)
+    _tied(monkeypatch, params, (t,))
+    draws, branches, step_sums = [], [], []
+
+    def branch_draws(*args):
+        draws.append(real_draws(*args))
+        return draws[-1]
+
+    def offspring(genomes, best, mutation, *args):
+        branches.append(mutation.copy())
+        return real_offspring(genomes, best, mutation, *args)
+
+    def is_mutation(delta_sum, r1pa, r2pc):
+        step_sums.append(delta_sum)
+        return real_is_mutation(delta_sum, r1pa, r2pc)
+
+    real_draws, real_offspring = igeo._branch_draws, igeo._offspring
+    real_is_mutation = igeo_reference._is_mutation
+    monkeypatch.setattr(igeo, "_branch_draws", branch_draws)
+    monkeypatch.setattr(igeo, "_offspring", offspring)
+    monkeypatch.setattr(igeo_reference, "_is_mutation", is_mutation)
+    _both(6, 3, params)
+    r1, r2 = draws[t]
+    pa, pc = igeo._propensities(params)
+    assert pa[t] == pc[t] > 0.0
+    assert r1.tobytes() == r2.tobytes() and (r1 > 0.0).all()
+    assert not branches[t].any()
+    # the step-sum rule would have mutated some of these eagles
+    assert (step_sums[t] < 0.0).any()
 
 
 @pytest.mark.parametrize("n_tasks,n_nodes", SHAPES)
