@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -123,10 +124,30 @@ def _round_half_up(positions, out):
     return np.add(positions, 0.5, out=out, casting="unsafe")
 
 
+class _Schedule:
+    """``np.linspace(start, stop, num)``, one value at a time: ``self[t]``
+    is the t-th value, computed with linspace's own float arithmetic, so a
+    run holds no array of ``num`` values."""
+
+    def __init__(self, start, stop, num: int):
+        self.start, self.stop, self.div = float(start), float(stop), num - 1
+        self.delta = self.stop - self.start
+        self.step = self.delta / self.div if self.div > 0 else None
+
+    def __getitem__(self, t: int) -> float:
+        if self.step is None:  # one value
+            return t * self.delta + self.start
+        if t == self.div:
+            return self.stop  # linspace sets its endpoint exactly
+        if self.step == 0.0:  # linspace's branch for a subnormal or zero step
+            return t / self.div * self.delta + self.start
+        return t * self.step + self.start
+
+
 def _propensities(params: GeoParams):
-    pa = np.linspace(params.pa_schedule[0], params.pa_schedule[1], params.iterations)
-    pc = np.linspace(params.pc_schedule[0], params.pc_schedule[1], params.iterations)
-    return pa, pc
+    """The pa and pc schedules, indexed by iteration."""
+    return (_Schedule(*params.pa_schedule, params.iterations),
+            _Schedule(*params.pc_schedule, params.iterations))
 
 
 class _Flock:
@@ -199,20 +220,37 @@ class _Flock:
         return np.add(self.attack, self.cruise, out=self.attack)
 
 
+# A fitness cache's byte budget, and what an entry costs beside its key:
+# tracemalloc reads 33 B for the bytes header, 24 B for the float and
+# 47-52 B for the dict's slot and index share, whatever the key's length
+_CACHE_BYTES = 1 << 20
+_ENTRY_OVERHEAD = 106
+
+
 class _SubProblem:
     """Shared optimizer plumbing: candidate decoding and cached fitness of a
     task subset mapped onto a candidate node set.
 
     GEO and IGEO carry genomes in ``key_dtype``, the narrowest unsigned
     type that holds every candidate index (``uint8`` up to 256 candidates,
-    ``uint16`` up to 65,536), and a cache key is a genome's bytes in it.
-    The cache is the largest allocation of a run, and a 600-task key is 600
-    bytes this way instead of 4,800 as ``intp``.  The kernel still reads
-    ``intp`` node indices, gathered from ``candidate_idx`` by the same
-    narrow genome the key holds, so a key names the genome that was scored.
-    ``fitness_many`` keys a whole batch in one call, viewing each row of a
-    C-contiguous genome matrix as one ``np.void`` value of its bytes.
-    A NaN fitness (a zero weight times an inf objective) is cached as inf."""
+    ``uint16`` up to 65,536), and a cache key is a genome's bytes in it: a
+    600-task key is 600 bytes this way instead of 4,800 as ``intp``.  The
+    kernel still reads ``intp`` node indices, gathered from
+    ``candidate_idx`` by the same narrow genome the key holds, so a key
+    names the genome that was scored.  ``fitness_many`` keys a whole batch
+    in one call, viewing each row of a C-contiguous genome matrix as one
+    ``np.void`` value of its bytes.  A NaN fitness (a zero weight times an
+    inf objective) is cached as inf.
+
+    Every key of a cache has one length, so an entry costs the key's bytes
+    plus ``_ENTRY_OVERHEAD``.  An insert that takes the cache past
+    ``_CACHE_BYTES`` drops its oldest entries, in insertion order, until it
+    holds at most half the budget; each drop frees half the budget, so the
+    cost per insert is amortized O(1).  The dict is shared
+    (``Evaluator.fitness_caches``, and RL's list stepper reads it for a
+    whole run), so it is trimmed in place, never rebound.  A dropped entry
+    is scored again if it comes back, to the same bits: the cache changes
+    only speed."""
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
         if not candidate_nodes:
@@ -240,6 +278,7 @@ class _SubProblem:
         self._key_row = np.dtype((np.void, self.dim * self.key_dtype.itemsize))  # one genome
         cache_key = (tuple(self.task_ids), tuple(self.candidates), weights)
         self._cache = evaluator.fitness_caches.setdefault(cache_key, {})
+        self._cache_limit = _CACHE_BYTES // (self._key_row.itemsize + _ENTRY_OVERHEAD)  # entries
 
     @property
     def dim(self) -> int:
@@ -256,6 +295,8 @@ class _SubProblem:
         if cached is None:
             cached = self.ctx.fitness(self.candidate_idx.take(genome), self.weights)
             cached = self._cache[key] = math.inf if math.isnan(cached) else cached
+            if len(self._cache) > self._cache_limit:
+                self._trim()
         return cached
 
     def fitness_many(self, genomes) -> np.ndarray:
@@ -272,7 +313,15 @@ class _SubProblem:
             fits = self.ctx.fitness(self.candidate_idx.take(rows), self.weights)
             cache.update(zip(missing, np.fmin(fits, np.inf).tolist()))
             values = list(map(cache.__getitem__, keys))
+            if len(cache) > self._cache_limit:
+                self._trim()  # after the reads: a batch may hold more misses than fit
         return np.array(values)
+
+    def _trim(self):
+        """Drop the cache's oldest entries until it holds at most half its budget."""
+        cache = self._cache
+        for key in list(islice(cache, len(cache) - self._cache_limit // 2)):
+            del cache[key]
 
     def to_assignment(self, genome) -> Assignment:
         mapping = {
@@ -309,9 +358,11 @@ def geo_optimize(
     best_genome = genomes[best_i].copy()
     best_fit = float(memory_fit[best_i])
 
-    pa_pc = np.stack(_propensities(params), axis=1)[:, :, None]
+    pa, pc = _propensities(params)
+    pa_pc = np.empty((2, 1))
     for t in range(params.iterations):
-        flock.move(memory_pos, rng.permutation(pop), pa_pc[t], rng)
+        pa_pc[0, 0], pa_pc[1, 0] = pa[t], pc[t]
+        flock.move(memory_pos, rng.permutation(pop), pa_pc, rng)
         fits = problem.fitness_many(_round_half_up(positions, genomes))  # clamped by the move
         improved = np.less(fits, memory_fit)
         np.copyto(memory_fit, fits, where=improved)

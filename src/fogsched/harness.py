@@ -22,9 +22,9 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from statistics import stdev
 
 from .baselines import baseline_greedy, baseline_random
 from .geo import GeoParams, geo_optimize
@@ -253,16 +253,26 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
 
 
 def _stdev(values, metric: str) -> float:
-    """``stdev``; where it overflows (Python 3.10 rounds the variance to a
-    float first), ``stdev`` of the values scaled by 2**-600, scaled back.
-    Beyond float range it raises ValueError."""
+    """The sample standard deviation, rounded once, as ``statistics.stdev``
+    computes it on Python 3.11+, so ``summary.csv`` has the same bytes on
+    every Python: the exact variance n/m, an integer square root of n/m
+    scaled to at least 109 bits and rounded to odd, then one correctly
+    rounded true division.  Beyond float range it raises ValueError."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+    n, m = variance.numerator, variance.denominator
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n  # the odd bit marks an inexact root
     try:
-        return stdev(values)
+        return (root << q) / 1 if q >= 0 else root / (1 << -q)
     except OverflowError:
-        try:
-            return math.ldexp(stdev([math.ldexp(v, -600) for v in values]), 600)
-        except OverflowError:
-            raise ValueError(f"the standard deviation of {metric} passes float range") from None
+        raise ValueError(f"the standard deviation of {metric} passes float range") from None
 
 
 def aggregate(records) -> list:

@@ -147,6 +147,9 @@ class Evaluator:
     The evaluator keeps no reference to its instance, so an instance that
     caches it (``Instance._evaluator_cache``) forms no reference cycle and
     is freed, fitness caches included, as soon as its last user drops it.
+    ``fitness_caches`` holds one cache per distinct (task set, candidate
+    set, weights), and the byte budget (``geo._CACHE_BYTES``, 1 MiB) bounds
+    each cache, not their sum.
     """
 
     def __init__(self, instance: Instance):
@@ -195,11 +198,11 @@ class Evaluator:
                 f" {self._node_ids[j]} overflowed float range"
             )
         # (task ids, candidate ids, weights) -> {genome bytes: fitness}; the
-        # optimizers' _SubProblem shares it across runs on this instance.  A
-        # key is the genome in the narrowest unsigned type that holds every
-        # candidate index (uint8 up to 256 candidates), fixed by the
-        # candidate count, so one dict never mixes key widths; the keys are
-        # the bulk of a long run's memory, 8x smaller than as intp
+        # optimizers' _SubProblem shares it across runs on this instance and
+        # trims it to its byte budget, oldest entries first.  A key is the
+        # genome in the narrowest unsigned type that holds every candidate
+        # index (uint8 up to 256 candidates), fixed by the candidate count,
+        # so one dict never mixes key widths
         self.fitness_caches = {}
 
     def _route_all_pairs(self, links):

@@ -252,7 +252,8 @@ def _list_stepper(fitness_of, cache: dict, config: RlConfig, policy: list, n: in
     list of its k < 8 rows of n preferences (the ``(k, n)`` matrix's ravel),
     updated in place; an assignment is a list of candidate indices.  A
     sample's fitness is looked up in ``cache`` under ``bytes(sampled)``, the
-    uint8 key of ``_SubProblem``; a miss goes to ``fitness_of``.  Every
+    uint8 key of ``_SubProblem``; a miss goes to ``fitness_of``, which
+    keeps the cache within its budget, trimming it in place.  Every
     preference goes through the IEEE operations of ``_stepper`` in the same
     order, so both return the same samples and fitnesses and leave the same
     preferences."""

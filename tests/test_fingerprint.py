@@ -5,7 +5,8 @@ pickled result on fixed seeded instances, pinned in
 GEO, IGEO-only and RL-only pin ``(sorted mapping items, fitness, trace)``;
 RIGEO pins its ``(assignment, report)``.  One small sweep of every
 algorithm pins its ``records.csv``, ``summary.csv`` and ``reports/``, run
-with one worker and with two.  A change that moves one bit of a search
+with one worker and with two, and once more with one worker and a fitness
+cache budget of 0.  A change that moves one bit of a search
 fails here.  The pins hold for the numpy and Python versions stored
 with them (a ``Generator`` stream may change between numpy releases), and
 the test skips on any other pair.
@@ -39,6 +40,7 @@ from fogsched import (
     rl_optimize,
     run_experiment,
 )
+from fogsched import geo
 
 from conftest import make_instance
 
@@ -148,6 +150,14 @@ def test_optimizer_fingerprint(case, pins):
 def test_sweep_fingerprint(workers, pins, tmp_path):
     digests = _sweep_digests(workers, tmp_path)
     assert not (tmp_path / "failures.csv").exists()
+    assert digests == {key: pins[key] for key in digests}
+
+
+def test_sweep_fingerprint_with_a_zero_cache_budget(pins, tmp_path, monkeypatch):
+    """A fitness cache changes only speed: with every insert dropped, the
+    one-worker sweep writes its pinned bytes."""
+    monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
+    digests = _sweep_digests(1, tmp_path)
     assert digests == {key: pins[key] for key in digests}
 
 

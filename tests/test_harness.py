@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -9,6 +10,7 @@ import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
+from statistics import stdev
 
 import pytest
 from hypothesis import example, given, settings
@@ -284,15 +286,6 @@ def _dv_records(*values):
     return [replace(_record(seed=seed), dv_total=value) for seed, value in enumerate(values)]
 
 
-def _stdev_as_on_3_10(values):
-    """``statistics.stdev`` as Python 3.10 computes it: the exact sample
-    variance rounded to a float, which overflows beyond float range, then
-    its square root."""
-    exact = [Fraction(v) for v in values]
-    mean = sum(exact) / len(exact)
-    return math.sqrt(sum((v - mean) ** 2 for v in exact) / (len(exact) - 1))
-
-
 def _exact_variance(values):
     exact = [Fraction(v) for v in values]
     mean = sum(exact) / len(exact)
@@ -306,14 +299,10 @@ def test_aggregate_takes_the_exact_mean_where_fmean_overflows():
     assert row["dv_total_mean"] == float(Fraction(1.7e308) * 2 / 3)
 
 
-def test_aggregate_scales_the_values_where_stdev_overflows(monkeypatch):
-    monkeypatch.setattr(harness, "stdev", _stdev_as_on_3_10)
-    with pytest.raises(OverflowError):
-        _stdev_as_on_3_10([1.7e308, 0.0])
+def test_aggregate_rounds_the_exact_stdev_once_past_float_range():
+    """The variance of 1.7e308 and 0 passes float range, its root does not."""
     (row,) = aggregate(_dv_records(1.7e308, 0.0))
-    # 1.7e308 / sqrt(2): the stdev of the values scaled by 2**-600, scaled back
-    assert row["dv_total_std"] == math.ldexp(_stdev_as_on_3_10([math.ldexp(1.7e308, -600), 0.0]), 600)
-    assert row["dv_total_std"] == pytest.approx(1.7e308 / math.sqrt(2), rel=1e-15)
+    assert row["dv_total_std"] == 1.2020815280171307e308  # 1.7e308 / sqrt(2), rounded once
     assert row["dv_total_mean"] == 8.5e307
 
 
@@ -326,29 +315,76 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _EXTREME = st.sampled_from([1e308, -1e308, 1.7e308, sys.float_info.max, 5e-324, 0.0])
 
 
+def _rounded_once(root, variance) -> bool:
+    """Whether ``root`` is the float nearest the square root of ``variance``:
+    the square of each midpoint to a neighbour lies on its side of it."""
+    below, above = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+    low = (Fraction(below) + Fraction(root)) / 2 if root > 0.0 else Fraction(0)
+    high = (Fraction(root) + Fraction(above)) / 2 if math.isfinite(above) else None
+    return low * low <= variance and (high is None or variance <= high * high)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(_FINITE, _EXTREME), min_size=2, max_size=6))
 @example([1.7e308, 0.0])
 @example([1e200, -1e200, 3.0])
 @example([1.7e308, -1.7e308])
-def test_stdev_where_it_overflows_is_close_or_names_its_overflow(values):
-    """With 3.10's ``stdev``, ``_stdev`` is ``stdev`` where that returns;
-    where it overflows, within 2**-49 of the exact sample standard
-    deviation, relative, or a ValueError when that is at float range."""
+@example([5e-324, 0.0])
+def test_stdev_is_the_exact_root_rounded_once_or_names_its_overflow(values):
     variance = _exact_variance(values)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "stdev", _stdev_as_on_3_10)
-        try:
-            root = harness._stdev(values, "dv_total")
-        except ValueError:
-            near_top = Fraction(sys.float_info.max) * (1 - Fraction(1, 2**50))
-            assert variance >= near_top * near_top
-            return
     try:
-        assert root == _stdev_as_on_3_10(values)
-    except OverflowError:
-        assert math.isfinite(root)
-        assert abs(Fraction(root) ** 2 - variance) <= variance / 2**49
+        root = harness._stdev(values, "dv_total")
+    except ValueError:
+        top = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
+        assert variance >= top * top
+        return
+    assert _rounded_once(root, variance)
+    if sys.version_info >= (3, 11):
+        assert root == stdev(values)
+
+
+# seeded lists whose Python 3.10 ``statistics.stdev`` (the variance rounded
+# to a float, then ``math.sqrt``) ends in another bit, and two whose root is
+# subnormal, which 3.10 reads as 0.0; with 3.10's repr after the ``#``
+STDEV_CASES = {
+    ("uniform", 2): "35601.39937550329",  # 35601.399375503286
+    ("uniform", 4): "32082.938541928055",  # 32082.93854192806
+    ("uniform", 13): "32924.98307545305",  # 32924.98307545304
+    ("uniform", 15): "35352.54599629191",  # 35352.545996291905
+    ("subnormal", 2): "5e-324",  # 0.0
+    ("subnormal", 3): "1.25033328890074e-310",  # 0.0
+}
+STDEV_RECORDS = Path(__file__).with_name("stdev_records.csv")
+
+
+def _stdev_case(kind, key):
+    if kind == "subnormal":
+        return {2: [5e-324, 0.0], 3: [1e-310, 3e-310, 7e-311]}[key]
+    rng = random.Random(key)
+    return [rng.uniform(0, 1e5) for _ in range(rng.randint(2, 50))]
+
+
+@pytest.mark.parametrize("case", STDEV_CASES, ids=["-".join(map(str, case)) for case in STDEV_CASES])
+def test_stdev_has_the_same_bits_on_every_python(case):
+    assert repr(harness._stdev(_stdev_case(*case), "fitness")) == STDEV_CASES[case]
+
+
+def test_stdev_records_aggregate_to_the_checked_in_summary(tmp_path):
+    """``stdev_records.csv`` holds each of STDEV_CASES as one group, in every
+    metric column; CI aggregates it on every Python and compares the
+    summary with ``stdev_summary.csv``."""
+    records = [
+        RunRecord(kind, key, seed, *[value] * len(harness.METRIC_COLUMNS), wall_time=0.0)
+        for kind, key in STDEV_CASES
+        for seed, value in enumerate(_stdev_case(kind, key))
+    ]
+    assert read_records(STDEV_RECORDS) == records
+    write_summary(aggregate(records), tmp_path / "summary.csv")
+    summary = (tmp_path / "summary.csv").read_bytes()
+    assert summary == STDEV_RECORDS.with_name("stdev_summary.csv").read_bytes()
+    rows = csv.DictReader(summary.decode().splitlines())
+    stds = {(row["algorithm"], int(row["task_count"])): row["fitness_std"] for row in rows}
+    assert stds == STDEV_CASES
 
 
 def test_aggregate_empty_raises():

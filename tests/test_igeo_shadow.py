@@ -123,8 +123,7 @@ def _tie_at(iterations):
 
     def propensities(params):
         pa, pc = real(params)
-        pc[list(iterations)] = pa[list(iterations)]
-        return pa, pc
+        return pa, [pa[t] if t in iterations else pc[t] for t in range(params.iterations)]
 
     return propensities
 
