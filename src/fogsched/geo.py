@@ -124,30 +124,10 @@ def _round_half_up(positions, out):
     return np.add(positions, 0.5, out=out, casting="unsafe")
 
 
-class _Schedule:
-    """``np.linspace(start, stop, num)``, one value at a time: ``self[t]``
-    is the t-th value, computed with linspace's own float arithmetic, so a
-    run holds no array of ``num`` values."""
-
-    def __init__(self, start, stop, num: int):
-        self.start, self.stop, self.div = float(start), float(stop), num - 1
-        self.delta = self.stop - self.start
-        self.step = self.delta / self.div if self.div > 0 else None
-
-    def __getitem__(self, t: int) -> float:
-        if self.step is None:  # one value
-            return t * self.delta + self.start
-        if t == self.div:
-            return self.stop  # linspace sets its endpoint exactly
-        if self.step == 0.0:  # linspace's branch for a subnormal or zero step
-            return t / self.div * self.delta + self.start
-        return t * self.step + self.start
-
-
 def _propensities(params: GeoParams):
-    """The pa and pc schedules, indexed by iteration."""
-    return (_Schedule(*params.pa_schedule, params.iterations),
-            _Schedule(*params.pc_schedule, params.iterations))
+    pa = np.linspace(params.pa_schedule[0], params.pa_schedule[1], params.iterations)
+    pc = np.linspace(params.pc_schedule[0], params.pc_schedule[1], params.iterations)
+    return pa, pc
 
 
 class _Flock:
@@ -204,8 +184,10 @@ class _Flock:
         still = np.equal(solved, 0.0)
         flat_cruise[cells] = 0.0
         dot = np.add.reduce(np.multiply(attack, cruise, out=pick), axis=1)
-        # -dot / attack is dot / -attack; a still row divides by 1 and is zeroed
-        flat_cruise[cells] = np.divide(dot, np.subtract(still, solved, out=solved), out=dot)
+        # -dot / attack, the sign of a NaN dot flipped too; a still row
+        # divides by 1 and is zeroed
+        np.negative(dot, out=dot)
+        flat_cruise[cells] = np.divide(dot, np.add(still, solved, out=solved), out=dot)
         np.copyto(cruise, 0.0, where=still[:, None])
 
     def scaled_step(self):
@@ -248,9 +230,11 @@ class _SubProblem:
     holds at most half the budget; each drop frees half the budget, so the
     cost per insert is amortized O(1).  The dict is shared
     (``Evaluator.fitness_caches``, and RL's list stepper reads it for a
-    whole run), so it is trimmed in place, never rebound.  A dropped entry
-    is scored again if it comes back, to the same bits: the cache changes
-    only speed."""
+    whole run), so it is trimmed in place, never rebound.  Threads running
+    on one instance share its caches, so a trim may find keys another
+    thread's trim dropped, and ``fitness_many`` returns its misses from the
+    values it scored, not from the cache.  A dropped entry is scored again
+    if it comes back, to the same bits: the cache changes only speed."""
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
         if not candidate_nodes:
@@ -308,20 +292,24 @@ class _SubProblem:
         cache = self._cache
         values = list(map(cache.get, keys))  # a fitness is never None
         if None in values:
-            missing = {key: i for i, key in enumerate(keys) if key not in cache}
+            missing = {key: i for i, (key, value) in enumerate(zip(keys, values)) if value is None}
             rows = genomes[list(missing.values())]
             fits = self.ctx.fitness(self.candidate_idx.take(rows), self.weights)
-            cache.update(zip(missing, np.fmin(fits, np.inf).tolist()))
-            values = list(map(cache.__getitem__, keys))
+            scored = dict(zip(missing, np.fmin(fits, np.inf).tolist()))
+            cache.update(scored)
+            # a miss reads ``scored``, not the cache, which another thread may trim
+            values = list(map(scored.get, keys, values))
             if len(cache) > self._cache_limit:
-                self._trim()  # after the reads: a batch may hold more misses than fit
+                self._trim()
         return np.array(values)
 
     def _trim(self):
-        """Drop the cache's oldest entries until it holds at most half its budget."""
+        """Drop the cache's oldest entries until it holds at most half its
+        budget; a key may be gone already, and the cache may be under half
+        its budget (another thread trimmed or emptied it)."""
         cache = self._cache
-        for key in list(islice(cache, len(cache) - self._cache_limit // 2)):
-            del cache[key]
+        for key in list(islice(cache, max(0, len(cache) - self._cache_limit // 2))):
+            cache.pop(key, None)
 
     def to_assignment(self, genome) -> Assignment:
         mapping = {
@@ -358,11 +346,9 @@ def geo_optimize(
     best_genome = genomes[best_i].copy()
     best_fit = float(memory_fit[best_i])
 
-    pa, pc = _propensities(params)
-    pa_pc = np.empty((2, 1))
+    pa_pc = np.stack(_propensities(params), axis=1)[:, :, None]
     for t in range(params.iterations):
-        pa_pc[0, 0], pa_pc[1, 0] = pa[t], pc[t]
-        flock.move(memory_pos, rng.permutation(pop), pa_pc, rng)
+        flock.move(memory_pos, rng.permutation(pop), pa_pc[t], rng)
         fits = problem.fitness_many(_round_half_up(positions, genomes))  # clamped by the move
         improved = np.less(fits, memory_fit)
         np.copyto(memory_fit, fits, where=improved)

@@ -8,6 +8,7 @@ is passed many times over; the tests monkeypatch the budget, which a
 
 import pickle
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -102,6 +103,37 @@ def test_a_cache_drops_its_oldest_entries_first(monkeypatch):
     assert list(problem._cache) == keys[60 - kept : 60]
     assert problem.fitness_many(batch[-kept:]).tolist() == fits[-kept:].tolist()
     assert sum(rows) == 200 + 60
+
+
+def test_trims_of_one_shared_cache_may_overlap(monkeypatch):
+    """Threads running on one instance share its caches, so a trim may find
+    the oldest keys it listed already dropped by another's, or the cache
+    already under half its budget (emptied after a trial); neither raises."""
+    _set_small_budget(monkeypatch)
+    instance = make_instance(*SHAPE, seed=3)
+    first, second = (_SubProblem(instance, range(SHAPE[1]), range(SHAPE[0]), FitnessWeights())
+                     for _ in range(2))
+    cache = first._cache
+    assert second._cache is cache
+    genomes = np.random.default_rng(2).integers(0, SHAPE[1], size=(KEEP + 1, SHAPE[0]), dtype=np.uint8)
+    first.fitness_many(genomes[:KEEP])  # full, not over
+    listings = []
+
+    def interleaved(keys, count):
+        listed = list(islice(keys, count))
+        listings.append(count)
+        if len(listings) == 1:
+            second._trim()  # the other thread drops the same keys first
+        return listed
+
+    monkeypatch.setattr(geo, "islice", interleaved)
+    fit = first.fitness_of(genomes[KEEP])  # passes the budget
+    assert listings == [KEEP + 1 - KEEP // 2] * 2
+    assert list(cache) == [g.tobytes() for g in genomes[-(KEEP // 2):]]
+    assert fit == second.fitness_of(genomes[KEEP])
+    cache.clear()
+    second._trim()
+    assert listings[-1] == 0 and not cache
 
 
 def _ten_runs_peak(optimize, params, runs):

@@ -3,11 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from fogsched import GeoParams, IgeoParams, attack_vector, cruise_vector, geo_optimize, step_vector
-from fogsched.geo import _Flock, _propensities, decode_position
+from fogsched.geo import _Flock, decode_position
 from fogsched.model import validate_assignment
 
 from conftest import make_instance
@@ -116,9 +114,9 @@ def test_decode_clamps_and_rounds():
 
 
 def test_geo_memory_does_not_grow_with_iterations():
-    """A run keeps no per-iteration state, so its traced peak at 2,000
-    iterations stays within 1.05x its peak at 200 (1.13x while the
-    propensity schedules were arrays)."""
+    """A run keeps no per-iteration state beyond its two propensity
+    schedules (16 bytes an iteration), so its traced peak at 2,000
+    iterations stays within 1.25x its peak at 200."""
 
     def peak(iterations):
         instance = make_instance(6, 3, seed=0)
@@ -131,26 +129,7 @@ def test_geo_memory_does_not_grow_with_iterations():
             tracemalloc.stop()
 
     short, long = peak(200), peak(2000)
-    assert long <= 1.05 * short, (short, long)
-
-
-# schedule ends the rules accept, with a subnormal or zero delta among them
-_END = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 5e-324, 1e-310, 2.0, 1e308]))
-_TINY = st.sampled_from([None, 0, 1, 3, 4999, 10**6])  # stop - start in units of 5e-324
-
-
-@settings(max_examples=300, deadline=None)
-@given(_END, _END, _TINY, _END, _END, st.integers(1, 5000))
-@example(0.0, 1.0, None, 5e-324, 0.0, 5000)
-@example(1e-310, 0.0, 1, 0.5, 0.5, 1)
-@example(0.5, 2.0, None, 1.0, 0.5, 2)
-def test_propensities_are_linspace_bit_for_bit(pa0, pa1, tiny, pc0, pc1, iterations):
-    if tiny is not None:
-        pa1 = pa0 + tiny * 5e-324  # pa0 itself where it absorbs the delta
-    params = GeoParams(pa_schedule=(pa0, pa1), pc_schedule=(pc0, pc1), iterations=iterations)
-    for schedule, (start, stop) in zip(_propensities(params), (params.pa_schedule, params.pc_schedule)):
-        values = np.array([schedule[t] for t in range(iterations)])
-        assert values.tobytes() == np.linspace(start, stop, iterations).tobytes()
+    assert long <= 1.25 * short, (short, long)
 
 
 def test_geo_single_candidate(small_instance, unit_weights):

@@ -364,11 +364,6 @@ def _stdev_case(kind, key):
     return [rng.uniform(0, 1e5) for _ in range(rng.randint(2, 50))]
 
 
-@pytest.mark.parametrize("case", STDEV_CASES, ids=["-".join(map(str, case)) for case in STDEV_CASES])
-def test_stdev_has_the_same_bits_on_every_python(case):
-    assert repr(harness._stdev(_stdev_case(*case), "fitness")) == STDEV_CASES[case]
-
-
 def test_stdev_records_aggregate_to_the_checked_in_summary(tmp_path):
     """``stdev_records.csv`` holds each of STDEV_CASES as one group, in every
     metric column; CI aggregates it on every Python and compares the

@@ -123,7 +123,8 @@ def _tie_at(iterations):
 
     def propensities(params):
         pa, pc = real(params)
-        return pa, [pa[t] if t in iterations else pc[t] for t in range(params.iterations)]
+        pc[list(iterations)] = pa[list(iterations)]
+        return pa, pc
 
     return propensities
 

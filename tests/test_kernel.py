@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsched import FitnessWeights, FogNode, Instance, Link, Topology, build_assignment, metrics
+from fogsched import FitnessWeights, FogNode, Instance, Link, Topology, build_assignment, geo, metrics
 from fogsched.geo import GeoParams, _SubProblem, geo_optimize
 from fogsched.igeo import IgeoParams, igeo_optimize
 from fogsched.rl import RlConfig, rl_optimize
@@ -237,6 +237,13 @@ def test_threads_sharing_one_instance_get_the_sequential_bits():
             assert [f.result(timeout=300) for f in futures] == sequential
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_trimming_one_shared_cache_get_the_sequential_bits(monkeypatch):
+    """The same runs with a budget of 40 entries of 100 tasks, so each
+    thread trims the shared caches while the other reads and fills them."""
+    monkeypatch.setattr(geo, "_CACHE_BYTES", 40 * (100 + geo._ENTRY_OVERHEAD))
+    test_threads_sharing_one_instance_get_the_sequential_bits()
 
 
 def test_kernel_single_candidate_node():
