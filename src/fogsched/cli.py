@@ -141,21 +141,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    plan = ExperimentPlan(
-        task_counts=args.tasks,
-        n_nodes=args.nodes,
-        repetitions=args.reps,
-        algorithms=tuple(args.algorithms.split(",")),
-        base_seed=args.seed,
-        output_dir=args.out,
-        geo=GeoParams(population_size=args.pop, iterations=args.iters),
-        igeo=IgeoParams(population_size=args.pop, iterations=args.iters),
-        rl=RlConfig(episodes=args.episodes),
-        fitness_weights=args.weights,
-        workers=args.workers,
-    )
     try:
-        plan.validate()
+        plan = ExperimentPlan(
+            task_counts=args.tasks,
+            n_nodes=args.nodes,
+            repetitions=args.reps,
+            algorithms=tuple(args.algorithms.split(",")),
+            base_seed=args.seed,
+            output_dir=args.out,
+            geo=GeoParams(population_size=args.pop, iterations=args.iters),
+            igeo=IgeoParams(population_size=args.pop, iterations=args.iters),
+            rl=RlConfig(episodes=args.episodes),
+            fitness_weights=args.weights,
+            workers=args.workers,
+        )
     except ValueError as exc:
         print(f"invalid plan: {exc}", file=sys.stderr)
         return 1

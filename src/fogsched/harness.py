@@ -71,7 +71,7 @@ class ExperimentPlan:
     fitness_weights: tuple = (1.0, 1.0, 1.0)
     workers: int = 4
 
-    validate = check_fields  # raises ValueError naming each field that breaks its rule
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,6 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
     """Execute the full sweep; every algorithm in a trial sees the identical
     seeded instance.  Writes records.csv, summary.csv, optional per-run JSON
     reports, and failures.csv when any trial raised."""
-    plan.validate()
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

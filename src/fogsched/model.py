@@ -88,25 +88,6 @@ class Assignment:
     order: dict
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    n_tasks: int = 200
-    n_nodes: int = 20
-    mips_range: tuple = (2000.0, 6000.0)
-    active_power_range: tuple = (80.0, 200.0)
-    deadline_range: tuple = (50.0, 500.0)
-    task_length_range: tuple = (100.0, 1000.0)
-    data_size_range: tuple = (10.0, 500.0)
-    traffic_range: tuple = (0.0, 1.0)
-    bandwidth_range: tuple = (500.0, 1000.0)
-    propagation_range: tuple = (0.1, 2.0)
-    rng_seed: int = 0
-
-    def validate(self) -> list:
-        """One message per field that breaks its rule in ``FIELD_RULES``."""
-        return field_problems("ScenarioConfig", vars(self))
-
-
 # ---------------------------------------------------------------------------
 # Field rules: the one statement of what each input field accepts; rule(name, value)
 # returns the value's fault or None.  Scenario files check kinds only, so NaN and inf load.
@@ -263,6 +244,23 @@ def check_fields(obj) -> None:
         raise ValueError("; ".join(problems))
 
 
+@dataclass(frozen=True)
+class ScenarioConfig:
+    n_tasks: int = 200
+    n_nodes: int = 20
+    mips_range: tuple = (2000.0, 6000.0)
+    active_power_range: tuple = (80.0, 200.0)
+    deadline_range: tuple = (50.0, 500.0)
+    task_length_range: tuple = (100.0, 1000.0)
+    data_size_range: tuple = (10.0, 500.0)
+    traffic_range: tuple = (0.0, 1.0)
+    bandwidth_range: tuple = (500.0, 1000.0)
+    propagation_range: tuple = (0.1, 2.0)
+    rng_seed: int = 0
+
+    __post_init__ = check_fields
+
+
 def _fits(rule, column) -> bool:
     """Whether every value of ``column`` meets ``rule``, by C-level scans; False when unsure."""
     if isinstance(rule, Pair):  # the ends of every pair as one column
@@ -395,7 +393,6 @@ def generate_scenario(config: ScenarioConfig):
     The topology is a random spanning tree plus extra edges until the average
     node degree reaches 3, so multi-hop routing is always exercised.
     """
-    check_fields(config)
     rng = np.random.default_rng(config.rng_seed)
     m = config.n_nodes
 
@@ -526,7 +523,8 @@ def scenario_to_dict(config: ScenarioConfig, topology: Topology, tasks) -> dict:
 
 def _build(cls, entry, where: str):
     """``cls(**entry)`` with JSON lists as tuples.  A non-object entry, an unknown or missing
-    key, or a value of the wrong kind for its field's rule raise ValueError naming the key."""
+    key, a value of the wrong kind for its field's rule, or a value ``cls`` refuses when built
+    (a ScenarioConfig checks every rule) raise ValueError prefixed with ``where``."""
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {entry!r}")
     rules = FIELD_RULES[cls.__name__]
@@ -535,7 +533,7 @@ def _build(cls, entry, where: str):
             raise ValueError(f"{where}: {rules[key](key, value)}")
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()})
-    except TypeError as exc:  # unknown or missing key
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown or missing key
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -550,8 +548,6 @@ def scenario_from_dict(doc: dict):
         if not isinstance(doc[section], kind):
             raise ValueError(f"scenario: section {section!r} must be a JSON {kind.__name__}")
     config = _build(ScenarioConfig, doc["config"], "config")
-    if problems := config.validate():
-        raise ValueError("config: " + "; ".join(problems))
     nodes = tuple(_build(FogNode, n, f"nodes[{i}]") for i, n in enumerate(doc["nodes"]))
     links = tuple(_build(Link, l, f"links[{i}]") for i, l in enumerate(doc["links"]))
     tasks = [_build(Task, t, f"tasks[{i}]") for i, t in enumerate(doc["tasks"])]

@@ -219,11 +219,12 @@ def test_run_algorithm_rejects_unknown(unit_weights):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        tiny_plan("unused", algorithms=("NOPE",)).validate()
+        tiny_plan("unused", algorithms=("NOPE",))
     with pytest.raises(ValueError):
-        tiny_plan("unused", task_counts=()).validate()
+        tiny_plan("unused", task_counts=())
     with pytest.raises(ValueError):
-        tiny_plan("unused", repetitions=0).validate()
+        tiny_plan("unused", repetitions=0)
+    assert not hasattr(ExperimentPlan, "validate")
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -237,11 +238,8 @@ def test_plan_validation():
     ("fitness_weights", (1.0, 1.0), "not enough values to unpack"),
 ])
 def test_plan_validation_rejects_before_running(tmp_path, field, value, message):
-    plan = tiny_plan(tmp_path / "out", **{field: value})
     with pytest.raises(ValueError, match=message):
-        plan.validate()
-    with pytest.raises(ValueError, match=message):
-        run_experiment(plan)
+        tiny_plan(tmp_path / "out", **{field: value})  # no plan to run is built
     assert not (tmp_path / "out").exists()  # nothing written
 
 
@@ -477,7 +475,7 @@ def test_random_baseline_worse_than_rigeo_on_average(unit_weights):
 ])
 def test_plan_counts_must_be_integers(tmp_path, field, value, message):
     with pytest.raises(ValueError, match=message):
-        tiny_plan(tmp_path / "out", **{field: value}).validate()
+        tiny_plan(tmp_path / "out", **{field: value})
 
 
 def test_import_loads_no_process_pool():

@@ -26,7 +26,7 @@ from fogsched import (
     validate_instance,
 )
 from fogsched.metrics import Evaluator
-from fogsched.model import scenario_from_dict, scenario_to_dict
+from fogsched.model import FIELD_RULES, scenario_from_dict, scenario_to_dict
 
 from conftest import simple_tasks
 
@@ -175,9 +175,13 @@ def test_scenario_document_has_the_asdict_bytes(n_tasks, n_nodes, seed, data):
         return replace(item, **data.draw(st.dictionaries(st.sampled_from(names), _NUMBERS)))
 
     if data.draw(st.booleans(), label="library-built"):
-        pairs = st.tuples(_NUMBERS, _NUMBERS) | st.lists(_NUMBERS, min_size=2, max_size=2)
+        # a config is built only if its ranges meet their rules: draw them sorted, keep those that do
+        pairs = st.tuples(_NUMBERS, _NUMBERS).map(sorted).map(tuple) | st.lists(
+            _NUMBERS, min_size=2, max_size=2).map(sorted)
         ranges = [f.name for f in fields(config) if f.name.endswith("_range")]
-        config = replace(config, **data.draw(st.dictionaries(st.sampled_from(ranges), pairs)))
+        drawn = data.draw(st.dictionaries(st.sampled_from(ranges), pairs))
+        rules = FIELD_RULES["ScenarioConfig"]
+        config = replace(config, **{k: v for k, v in drawn.items() if rules[k](k, v) is None})
         links = [replace(link, endpoints=list(link.endpoints)) for link in topology.links]
         topology = replace(topology, nodes=tuple(map(vary, topology.nodes)),
                            links=tuple(map(vary, links)))
@@ -335,9 +339,10 @@ def test_scenario_config_is_checked(key, value, message):
         scenario_from_dict(doc)
 
 
-def test_generate_rejects_negative_seed():
+def test_config_refuses_negative_seed():
     with pytest.raises(ValueError, match="rng_seed must be >= 0"):
-        generate_scenario(ScenarioConfig(rng_seed=-1))
+        ScenarioConfig(rng_seed=-1)
+    assert not hasattr(ScenarioConfig, "validate")
 
 
 RANGE_FIELDS = (
@@ -358,10 +363,12 @@ RANGE_FIELDS = (
     ({"traffic_range": (0.0, math.inf)}, "traffic_range"),
     ({"propagation_range": (0.0, 10**400)}, "propagation_range"),
     ({"mips_range": (1.0, 2.0, 3.0)}, "mips_range"),
+    ({"active_power_range": (-1.0, 5.0)}, "active_power_range"),
+    ({"task_length_range": (0.0, 10.0)}, "task_length_range"),
 ])
-def test_generate_rejects_a_config_whose_instance_would_not_validate(changes, field):
+def test_config_refuses_a_field_whose_instance_would_not_validate(changes, field):
     with pytest.raises(ValueError, match=f"^(.*; )?{field} must"):
-        generate_scenario(ScenarioConfig(**{"n_tasks": 3, "n_nodes": 2, **changes}))
+        ScenarioConfig(**{"n_tasks": 3, "n_nodes": 2, **changes})
 
 
 _bound = st.one_of(
@@ -375,9 +382,9 @@ _count = st.one_of(st.integers(-2, 10), st.sampled_from([2.5, 3.0, True, "4"]))
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_a_valid_config_generates_a_valid_instance(data):
-    """Whatever passes ``ScenarioConfig.validate`` generates an instance that
-    ``validate_instance`` accepts; anything else fails with a ValueError
-    naming the field."""
+    """Whatever ``ScenarioConfig`` accepts generates an instance that
+    ``validate_instance`` accepts; anything else fails to build with a
+    ValueError naming the field."""
     seeds = st.one_of(_count, st.integers(0, 2**32))
     strategies = {"n_tasks": _count, "n_nodes": _count, "rng_seed": seeds}
     strategies.update(dict.fromkeys(RANGE_FIELDS, _range))
@@ -386,12 +393,10 @@ def test_a_valid_config_generates_a_valid_instance(data):
         for name, strategy in strategies.items()
         if data.draw(st.booleans(), label=f"change {name}")
     }
-    config = ScenarioConfig(**{"n_tasks": 6, "n_nodes": 3, **changes})
-    problems = config.validate()
-    if problems:
-        assert all(p.split(" ", 1)[0] in changes for p in problems)
-        with pytest.raises(ValueError):
-            generate_scenario(config)
-    else:
-        result = validate_instance(*generate_scenario(config))
-        assert result.ok, result.violations
+    try:
+        config = ScenarioConfig(**{"n_tasks": 6, "n_nodes": 3, **changes})
+    except ValueError as exc:
+        assert all(p.split(" ", 1)[0] in changes for p in str(exc).split("; ")), str(exc)
+        return
+    result = validate_instance(*generate_scenario(config))
+    assert result.ok, result.violations
