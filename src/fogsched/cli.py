@@ -11,7 +11,7 @@ from pathlib import Path
 from .geo import GeoParams
 from .harness import (
     ALGORITHMS,
-    TRACED_ALGORITHMS,
+    TRACE_HEADERS,
     ExperimentPlan,
     aggregate,
     read_records,
@@ -32,14 +32,21 @@ from .rl import RlConfig
 
 
 def _parse_weights(text: str):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated weights")
-    return tuple(parts)
+    try:
+        w_response, w_deadline, w_energy = map(float, text.split(","))
+    except ValueError:  # a part that is no number, or not three parts
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated numbers w_response,w_deadline,w_energy, got {text!r}"
+        ) from None
+    return w_response, w_deadline, w_energy
 
 
 def _parse_int_list(text: str):
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers such as 200,400, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--trace", action="store_true",
                      help="write a per-iteration convergence trace CSV "
-                          f"({', '.join(TRACED_ALGORITHMS)} only)")
+                          f"({', '.join(TRACE_HEADERS)} only)")
 
     exp = sub.add_parser("experiment", help="run a full sweep")
     exp.add_argument("--tasks", type=_parse_int_list, default=plan.task_counts)
@@ -103,10 +110,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     _check_seed(args)
-    if args.trace and args.algorithm not in TRACED_ALGORITHMS:
+    if args.trace and args.algorithm not in TRACE_HEADERS:
         raise ValueError(
             f"--trace is not available for {args.algorithm}; "
-            f"only {', '.join(TRACED_ALGORITHMS)} write a trace"
+            f"only {', '.join(TRACE_HEADERS)} write a trace"
         )
     _, topology, tasks = load_scenario(args.scenario)
     result = validate_instance(topology, tasks)
@@ -114,22 +121,19 @@ def _cmd_run(args) -> int:
         for violation in result.violations:
             print(f"invalid scenario: {violation}", file=sys.stderr)
         return 1
+    plan = ExperimentPlan(fitness_weights=args.weights)  # refuses a bad weight before any output
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace = [] if args.trace else None
     report, wall_ms = run_and_evaluate(
-        ExperimentPlan(fitness_weights=args.weights), args.algorithm,
-        Instance(topology, tasks), args.seed,
+        plan, args.algorithm, Instance(topology, tasks), args.seed,
         trace=trace, summary_path=out / "routing_summary.json",
     )
     (out / "report.json").write_text(report.to_json() + "\n")
     if trace:
         with open(out / f"trace_{args.algorithm}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            if args.algorithm == "RL-only":
-                writer.writerow(["episode", "sampled_fitness", "best_fitness", "exploration_rate"])
-            else:
-                writer.writerow(["iteration", "best_fitness"])
+            writer.writerow(TRACE_HEADERS[args.algorithm])
             writer.writerows(trace)
     print(
         f"{args.algorithm}: dv_total={report.dv_total:.3f} ms, "

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import Evaluator, FitnessWeights, _evaluator
+from .metrics import Evaluator, FitnessWeights, _check_ids, _evaluator
 from .model import Assignment, Instance, build_assignment, check_fields
 
 __all__ = [
@@ -246,6 +246,8 @@ class _SubProblem:
         self.weights = weights
         self.task_ids = sorted(tasks)
         self.candidates = sorted(candidate_nodes)
+        _check_ids("task", self.task_ids, evaluator._task_index)
+        _check_ids("candidate node", self.candidates, evaluator._node_index)
         self.candidate_idx = np.array(
             [evaluator.node_index(c) for c in self.candidates], dtype=np.intp
         )

@@ -48,8 +48,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# the algorithms whose run_algorithm call fills a convergence trace
-TRACED_ALGORITHMS = ("IGEO-only", "GEO", "RL-only")
+# the algorithms whose run_algorithm call fills a convergence trace -> the trace CSV's header
+TRACE_HEADERS = {
+    "IGEO-only": ("iteration", "best_fitness"),
+    "GEO": ("iteration", "best_fitness"),
+    "RL-only": ("episode", "sampled_fitness", "best_fitness", "exploration_rate"),
+}
 
 # the MetricsReport fields a trial record keeps, in records.csv column order
 METRIC_COLUMNS = ("dv_total", "energy_total", "response_total", "response_max", "fitness")
@@ -127,7 +131,7 @@ def run_algorithm(
 ):
     """Dispatch one named algorithm; returns the full assignment it built.
     ``trace`` collects the per-iteration convergence rows of the
-    ``TRACED_ALGORITHMS``; ``summary_path`` receives RIGEO's routing
+    ``TRACE_HEADERS`` algorithms; ``summary_path`` receives RIGEO's routing
     summary.  Both are ignored by the algorithms that do not produce them."""
     node_ids = [n.id for n in instance.topology.nodes]
     task_ids = [t.id for t in instance.tasks]

@@ -20,7 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FIELD_RULES, Assignment, Instance, _instance_problems, build_assignment, check_fields
+from .model import (
+    FIELD_RULES, Assignment, Instance, _instance_problems, _repeated, build_assignment, check_fields,
+)
 
 __all__ = [
     "ResponseBreakdown",
@@ -241,11 +243,16 @@ class Evaluator:
     def _schedule(self, assignment: Assignment):
         """Task ids, task indices, node indices and the ``(5, n)`` costs
         propagation, transmission, execution, queue wait and response (ms),
-        in task-id order, of the tasks of ``assignment.order``.  Each node
-        serves them in the order given; the first unreachable one raises."""
+        in task-id order, of the tasks of ``assignment.order``, which may
+        leave tasks out.  Each node serves them in the order given; an
+        unknown node or task id, a task listed twice, or the first
+        unreachable task raises."""
+        order = assignment.order
+        _check_ids("node", order, self._node_index)
+        _check_ids("task", [t for sequence in order.values() for t in sequence], self._task_index)
         visits = [
             (self._node_index[node_id], self._task_index[t], t)
-            for node_id, sequence in assignment.order.items() for t in sequence
+            for node_id, sequence in order.items() for t in sequence
         ]
         node, task, ids = np.array(visits, dtype=np.intp).reshape(-1, 3).T
         propagation = self.propagation[task, node]
@@ -586,6 +593,14 @@ def evaluate(instance: Instance, assignment: Assignment, weights: FitnessWeights
     return _evaluator(instance).report(assignment, weights)
 
 
+def _check_ids(label: str, ids, known) -> None:
+    """Raise ValueError naming each of ``ids`` that is not a key of
+    ``known``, then each that an earlier one repeats."""
+    ids = list(ids)
+    if problems := [f"{label} {id_}: unknown id" for id_ in ids if id_ not in known] + _repeated(label, ids):
+        raise ValueError("; ".join(problems))
+
+
 def _evaluator(instance: Instance) -> Evaluator:
     if instance._evaluator_cache is None:
         instance._evaluator_cache = Evaluator(instance)
@@ -594,8 +609,11 @@ def _evaluator(instance: Instance) -> Evaluator:
 
 def _random_assignment(instance: Instance, seed: int) -> Assignment:
     """Each task, in instance order, on a node drawn uniformly from the
-    nodes in topology order by ``default_rng(seed)``; an instance that
-    breaks a rule is refused before the draw."""
+    nodes in topology order by ``default_rng(seed)``; a seed that breaks
+    the scenario seed rule, or an instance that breaks a rule, is refused
+    before the draw."""
+    if fault := FIELD_RULES["ScenarioConfig"]["rng_seed"]("seed", seed):
+        raise ValueError(fault)
     _evaluator(instance)
     rng = np.random.default_rng(seed)
     node_ids = [n.id for n in instance.topology.nodes]

@@ -147,6 +147,9 @@ def test_experiment_rejects_unknown_algorithm(tmp_path, capsys):
     ("--weights", "0,0,0", "at least one weight must be positive"),
     ("--weights", "nan,1,1", "w_response must be finite"),
     ("--seed", "-1", "base_seed must be >= 0"),
+    ("--pop", "1", "population_size must be >= 2"),
+    ("--iters", "0", "iterations must be >= 1"),
+    ("--episodes", "0", "episodes must be >= 1"),
 ])
 def test_experiment_rejects_bad_plan(tmp_path, capsys, flag, value, message):
     argv = ["experiment", "--tasks", "4", "--nodes", "3", "--reps", "1",
@@ -155,6 +158,20 @@ def test_experiment_rejects_bad_plan(tmp_path, capsys, flag, value, message):
     code = main(argv)
     assert code == 1
     assert f"invalid plan: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--tasks", "4,x", "expected comma-separated integers such as 200,400, got '4,x'"),
+    ("--weights", "a,b,c", "expected three comma-separated numbers w_response,w_deadline,w_energy"),
+    ("--weights", "1,2", "expected three comma-separated numbers w_response,w_deadline,w_energy"),
+])
+def test_experiment_list_flag_names_its_format(tmp_path, capsys, flag, value, expected):
+    with pytest.raises(SystemExit) as exit_:
+        main(["experiment", flag, value, "--out", str(tmp_path / "r")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {expected}" in err and "_parse" not in err
     assert not (tmp_path / "r").exists()
 
 

@@ -2,11 +2,14 @@
 value replaced, meet the same rules as a scenario file.  ``validate_instance``
 reports the fault by item, and ``evaluate``, ``calibrate_weights``, every
 optimizer, ``rigeo_schedule`` and both baselines return finite numbers or raise
-a ValueError naming it."""
+a ValueError naming it.  The arguments beside the instance (an optimizer's
+task and candidate ids, an evaluated order, a seed) are refused by name too."""
 
 import math
+import re
 from dataclasses import fields, replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,7 @@ from fogsched import (
     Task,
     baseline_greedy,
     baseline_random,
+    build_assignment,
     calibrate_weights,
     evaluate,
     generate_scenario,
@@ -124,3 +128,59 @@ def test_library_built_instance_with_one_bad_value_raises_by_item_or_runs(data):
                 assert str(exc).endswith("overflowed float range"), (name, str(exc))
             else:
                 raise AssertionError(f"{name}: fitness {fitness}, but its report is finite")
+
+
+INSTANCE = Instance(TOPOLOGY, TASKS)
+NODES, TASK_IDS = [n.id for n in TOPOLOGY.nodes], [t.id for t in TASKS]
+OPTIMIZERS = {
+    "geo_optimize": lambda nodes, tasks: geo_optimize(
+        INSTANCE, nodes, tasks, GeoParams(population_size=2, iterations=2), WEIGHTS),
+    "igeo_optimize": lambda nodes, tasks: igeo_optimize(
+        INSTANCE, nodes, tasks, IgeoParams(population_size=2, iterations=2), WEIGHTS),
+    "rl_optimize": lambda nodes, tasks: rl_optimize(INSTANCE, nodes, tasks, RlConfig(episodes=3), WEIGHTS),
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+@pytest.mark.parametrize("nodes,tasks,fault", [
+    (NODES, [0, 0], "task 0: duplicate id"),
+    (NODES, [0, 999], "task 999: unknown id"),
+    ([0, 1, 1], TASK_IDS, "candidate node 1: duplicate id"),
+    ([0, 999], TASK_IDS, "candidate node 999: unknown id"),
+], ids=["task-repeated", "task-unknown", "candidate-repeated", "candidate-unknown"])
+def test_optimizers_refuse_a_repeated_or_unknown_id_by_name(optimizer, nodes, tasks, fault):
+    # a repeated task would be scored twice, and an unknown one raised a bare KeyError
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        OPTIMIZERS[optimizer](nodes, tasks)
+
+
+@pytest.mark.parametrize("order,fault", [
+    ({0: (0, 3, 0), 1: (1,), 2: (2,)}, "task 0: duplicate id"),
+    ({0: (0,), 1: (1, 0)}, "task 0: duplicate id"),
+    ({0: (0, 999)}, "task 999: unknown id"),
+    ({0: (0,), 999: (1,)}, "node 999: unknown id"),
+], ids=["repeated-on-one-node", "repeated-across-nodes", "unknown-task", "unknown-node"])
+def test_evaluate_refuses_a_repeated_or_unknown_id_in_the_order(order, fault):
+    mapping = {t: node for node, sequence in order.items() for t in sequence}
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        evaluate(INSTANCE, Assignment(mapping=mapping, order=order), WEIGHTS)
+
+
+def test_evaluate_takes_a_partial_order():
+    # RIGEO's halves are partial assignments; a task left out is no fault
+    part = build_assignment(TASKS, {0: 0, 2: 1})
+    assert [b.task_id for b in evaluate(INSTANCE, part, WEIGHTS).per_task] == [0, 2]
+
+
+@pytest.mark.parametrize("seed,fault", [
+    (-1, "seed must be >= 0"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+])
+@pytest.mark.parametrize("call", [
+    lambda seed: calibrate_weights(INSTANCE, seed=seed),
+    lambda seed: baseline_random(INSTANCE, seed, WEIGHTS),
+], ids=["calibrate_weights", "baseline_random"])
+def test_random_draws_refuse_a_seed_by_the_scenario_seed_rule(call, seed, fault):
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        call(seed)
