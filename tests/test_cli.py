@@ -332,6 +332,14 @@ def test_negative_seed_is_named(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_a_bad_weight_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(_generate(tmp_path)), "--weights", "1,-1,1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: w_deadline must be finite and nonnegative (in fitness_weights)\n"
+    assert not out.exists()
+
+
 def test_run_reports_overflow_by_name(tmp_path, capsys):
     scenario = _generate(tmp_path, tasks=8, nodes=4)
     doc = json.loads(scenario.read_text())
