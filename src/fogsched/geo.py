@@ -12,8 +12,9 @@ draws in the order they are drawn, so one ``rng.random(out=...)`` fills
 them.  ``uniform(-1, 1)`` would draw ``-1 + 2u`` from the same ``u``; ``2u``
 is exact, so the move's ``(u + u) - 1`` has the same bits.  The attack and
 cruise directions are stacked, so one multiply, reduce, sqrt and scale
-pass covers both.  The move clamps its positions, so the loop rounds them
-without clamping them again.
+pass covers both.  The move clamps its positions against the spent cruise
+and pick regions filled with the bounds, so the loop rounds them without
+clamping them again.
 
 The per-iteration code here and in ``igeo`` (the swarm step, the genetic
 operators, the fitness lookups and the optimizers' loop bodies) calls
@@ -164,8 +165,15 @@ class _Flock:
         self.orthogonal_cruise()
         delta = self.scaled_step()
         positions = np.add(self.positions, delta, out=self.positions)
-        np.maximum(positions, 0.0, out=positions)
-        np.minimum(positions, self.upper, out=positions)
+        # the spent cruise and pick regions hold the bounds: numpy clamps
+        # against arrays of the positions' shape some 4x faster than
+        # against scalars, to the same bits (tests/test_hot_loops.py), and
+        # reusing them adds no memory
+        lower, upper = self.pick, self.cruise
+        lower.fill(0.0)
+        upper.fill(self.upper)
+        np.maximum(positions, lower, out=positions)
+        np.minimum(positions, upper, out=positions)
         return delta
 
     def orthogonal_cruise(self):

@@ -395,14 +395,19 @@ class _SubsetContext:
         response = self.base_response.take(cell, out=w.response, mode="clip")
         queue, busy = _lane_queues(nodes, execution, m, self.work)
         response += queue
+        # the queue waits are spent: their buffer becomes the dv clamp's
+        # zeros, which numpy clamps against some 3x faster than against the
+        # scalar 0.0, to the same bits (tests/test_hot_loops.py)
+        zeros = queue
+        zeros.fill(0.0)
         # subset order, contiguous rows
         response = response.take(self.restore, axis=1, out=w.ordered, mode="clip")
         if node_idx.ndim == 1:  # one genome: 1-D reductions cost less per call
-            response, busy = response[0], busy[0]
+            response, busy, zeros = response[0], busy[0], zeros[0]
         response_total = np.add.reduce(response, axis=-1)
         response_max = np.maximum.reduce(response, axis=-1, initial=0.0)
         violation = np.subtract(response, self.deadline, out=response)
-        dv_total = np.add.reduce(np.maximum(0.0, violation, out=violation), axis=-1)
+        dv_total = np.add.reduce(np.maximum(zeros, violation, out=violation), axis=-1)
         idle_ms = np.subtract(response_max[..., None], busy)
         energy_total = np.add.reduce(self.active * busy + self.idle * idle_ms, axis=-1) / 1000.0
         if node_idx.ndim == 1:
@@ -434,8 +439,10 @@ class _Workspace:
 
     Buffers whose uses in a call do not overlap share storage: ``slot``
     takes over ``nodes`` once the lanes are built from it, ``lane`` and
-    then ``rank`` take over ``cell`` once both gathers have read it, and
-    ``ordered`` takes over ``execution`` once the lanes hold it."""
+    then ``rank`` take over ``cell`` once both gathers have read it,
+    ``ordered`` takes over ``execution`` once the lanes hold it, and
+    ``objectives`` zeroes ``queue`` for its dv clamp once the responses
+    have added it."""
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
@@ -551,15 +558,14 @@ def _sequential_sum(values: np.ndarray) -> float:
 
 
 def response_breakdown(instance: Instance, assignment: Assignment, task_id: int) -> ResponseBreakdown:
-    if task_id not in assignment.mapping:
-        raise KeyError(f"unknown task id {task_id}")
-    node_id = assignment.mapping[task_id]
-    if node_id not in {n.id for n in instance.topology.nodes}:
-        raise KeyError(f"task {task_id} assigned to nonexistent node {node_id}")
-    ids, _, _, cost = _evaluator(instance)._schedule(assignment)
+    """The breakdown of task ``task_id`` under ``assignment``; a task id the
+    instance lacks, or one the assignment leaves out, raises ValueError."""
+    ev = _evaluator(instance)
+    _check_ids("task", [task_id], ev._task_index)
+    ids, _, _, cost = ev._schedule(assignment)
     hit = np.flatnonzero(ids == task_id)
     if not hit.size:
-        raise KeyError(f"unknown task id {task_id}")
+        raise ValueError(f"task {task_id}: not in the assignment")
     return ResponseBreakdown(task_id, *cost[:, hit[0]].tolist())
 
 
@@ -575,6 +581,7 @@ def total_deadline_violation(instance: Instance, assignment: Assignment) -> floa
 
 def node_energy(instance: Instance, assignment: Assignment, node_id: int, horizon: float) -> float:
     ev = _evaluator(instance)
+    _check_ids("node", [node_id], ev._node_index)
     _, _, node, cost = ev._schedule(assignment)
     return float(ev._energy(node, cost[2], horizon, [ev.node_index(node_id)])[0])
 

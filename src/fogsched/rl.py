@@ -210,30 +210,39 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
     # the narrowest unsigned type that counts to k - 1: reducing the bool
     # columns into it is ~3x cheaper than into intp
     count_type = np.min_scalar_type(k - 1)
+    # the clamp's bound as an array of the policy's shape, which numpy
+    # clamps against some 4x faster than against the scalar 0.0, to the
+    # same bits (tests/test_hot_loops.py); then the draws, the sampled
+    # cells' flat indices and their values, reused from step to step
+    zeros = np.zeros((k, n))
+    u, index, chosen, gain = np.empty(n), np.empty(n, np.intp), np.empty(n), np.empty(n)
 
     def step(assignment, fitness, exploration, rng):
         if rng.random() < exploration:
             sampled = assignment.copy()
             sampled[int(rng.integers(0, n))] = int(rng.integers(0, k))
         else:
-            u = rng.random(n)
+            rng.random(out=u)
             np.copyto(*first)
             for previous, row, out in cum_steps:
                 np.add(previous, row, out=out)
             np.less(cum, u, out=below)
             sampled = np.add.reduce(below, 0, count_type).astype(np.intp)
         fit = fitness_of(sampled)
-        index = sampled * n
-        index += columns
+        np.multiply(sampled, n, out=index)
+        np.add(index, columns, out=index)
+        flat.take(index, out=chosen, mode="clip")  # in range: "clip" does not buffer
         if fit < fitness:
-            chosen = flat[index]
             np.multiply(preference, keep, out=preference)
-            flat[index] = chosen + lr * (1.0 - chosen)
+            # chosen + lr * (1.0 - chosen)
+            np.subtract(1.0, chosen, out=gain)
+            np.multiply(lr, gain, out=gain)
+            flat[index] = np.add(chosen, gain, out=gain)
         else:
-            flat[index] *= fade
+            flat[index] = np.multiply(chosen, fade, out=chosen)
             np.divide(preference, column_totals(), out=preference)
         np.subtract(preference, floor, out=preference)
-        np.maximum(preference, 0.0, out=preference)
+        np.maximum(preference, zeros, out=preference)
         totals = column_totals()
         if np.count_nonzero(totals) < n:
             # columns with no mass above the floor fall back to uniform
@@ -285,7 +294,11 @@ def _list_stepper(fitness_of, cache: dict, config: RlConfig, policy: list, n: in
         fit = cache.get(bytes(sampled))
         if fit is None:
             fit = fitness_of(sampled)
-        # each "0.0 if d < 0.0 else d" is np.maximum(d, 0.0), NaN and -0.0 included
+        # each "0.0 if d < 0.0 else d" is np.maximum(d, 0.0), NaN included,
+        # but for d = -0.0, which it keeps and numpy makes +0.0.  The two
+        # steppers still agree: the projection below, q * scale / t + floor,
+        # maps -0.0 and +0.0 to one value, and it never leaves a preference
+        # at -0.0 (it adds floor >= 0 last, and -0.0 + 0.0 is +0.0)
         if fit < fitness:
             p = [0.0 if (d := q * keep - floor) < 0.0 else d for q in policy]
             for j, s in enumerate(sampled):

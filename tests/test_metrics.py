@@ -71,8 +71,24 @@ def test_response_breakdown_unknown_task():
     tasks = simple_tasks([(100.0, 0.0, 100.0)])
     instance = single_node_instance(tasks)
     assignment = build_assignment(tasks, {0: 0})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="task 99: unknown id"):
         response_breakdown(instance, assignment, 99)
+
+
+def test_response_breakdown_task_left_out_of_a_partial_assignment():
+    tasks = simple_tasks([(100.0, 0.0, 100.0), (100.0, 0.0, 100.0)])
+    instance = single_node_instance(tasks)
+    assignment = build_assignment(tasks, {0: 0})
+    with pytest.raises(ValueError, match="task 1: not in the assignment"):
+        response_breakdown(instance, assignment, 1)
+
+
+def test_node_energy_unknown_node():
+    tasks = simple_tasks([(800.0, 0.0, 1e9)])
+    instance = single_node_instance(tasks)
+    assignment = build_assignment(tasks, {0: 0})
+    with pytest.raises(ValueError, match="node 999: unknown id"):
+        node_energy(instance, assignment, 999, horizon=2800.0)
 
 
 def test_deadline_violation_clamp():

@@ -238,3 +238,33 @@ def test_rl_episode_leaves_input_state_unchanged(small_instance, unit_weights):
         assert nxt.preference.shape == (6, 3)
         assert not np.shares_memory(nxt.preference, state.preference)
         state = nxt
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.01])
+@pytest.mark.parametrize("exploration_rate", [0.0, 1.0])
+def test_steppers_agree_from_a_negative_zero_preference(floor, exploration_rate):
+    # the list stepper's "0.0 if d < 0.0 else d" keeps d = -0.0, which the
+    # numpy stepper's clamp makes +0.0; the projection q * scale / t + floor
+    # maps both to one value, so the two end with the same bits
+    d = -0.0
+    assert np.signbit(0.0 if d < 0.0 else d) and not np.signbit(np.maximum(d, 0.0))
+    n, k = 4, 3
+    start = np.full((k, n), 1.0 / k)
+    start[:, 1] = (-0.0, 0.5, 0.5)
+    config = RlConfig(probability_floor=floor, exploration_rate=exploration_rate)
+    fitness_of = synthetic_fitness(n, k, 11)
+    matrix, policy = start.copy(), start.ravel().tolist()
+    runs = []
+    for step, assignment in (
+        (_stepper(fitness_of, config, matrix), np.zeros(n, dtype=np.intp)),
+        (_list_stepper(fitness_of, {}, config, policy, n), [0] * n),
+    ):
+        rng = np.random.default_rng(5)
+        fitness, rows = np.inf, []
+        for _ in range(12):
+            assignment, fitness = step(assignment, fitness, exploration_rate, rng)
+            rows.append((list(map(int, assignment)), fitness))
+        runs.append(rows)
+    assert runs[0] == runs[1]
+    assert matrix.tobytes() == np.array(policy).reshape(k, n).tobytes()
+    assert not np.signbit(matrix).any()
