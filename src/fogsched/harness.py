@@ -14,6 +14,7 @@ slot is dropped when ``run_experiment`` returns."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -180,24 +181,21 @@ def run_and_evaluate(plan: ExperimentPlan, algorithm: str, instance: Instance, s
     return evaluate(instance, assignment, weights), wall_ms
 
 
-def _run_trial(plan: ExperimentPlan, algorithm: str, task_count: int, seed: int):
-    """Returns the trial's record and its finished reports/*.json text."""
-    instance, digest, weights = _trial_setup(plan, task_count, seed)
-    try:
-        report, wall_ms = run_and_evaluate(plan, algorithm, instance, seed, weights=weights)
-    finally:
-        _evaluator(instance).fitness_caches.clear()  # the next trial starts empty
-    metrics = (getattr(report, column) for column in METRIC_COLUMNS)
-    record = RunRecord(algorithm, task_count, seed, *metrics, wall_time=wall_ms)
-    doc = report.to_dict()
-    doc["instance_digest"] = digest
-    return record, json.dumps(doc, indent=2) + "\n"
-
-
 def _safe_trial(args):
+    """One job: ``("ok", (record, reports/*.json text))``, or ``("failed",
+    (algorithm, task_count, seed, error))`` for anything the trial raises."""
     plan, algorithm, task_count, seed = args
     try:
-        return ("ok", _run_trial(plan, algorithm, task_count, seed))
+        instance, digest, weights = _trial_setup(plan, task_count, seed)
+        try:
+            report, wall_ms = run_and_evaluate(plan, algorithm, instance, seed, weights=weights)
+        finally:
+            _evaluator(instance).fitness_caches.clear()  # the next trial starts empty
+        metrics = (getattr(report, column) for column in METRIC_COLUMNS)
+        record = RunRecord(algorithm, task_count, seed, *metrics, wall_time=wall_ms)
+        doc = report.to_dict()
+        doc["instance_digest"] = digest
+        return ("ok", (record, json.dumps(doc, indent=2) + "\n"))
     except Exception as exc:  # failed trials are recorded, not fatal
         return ("failed", (algorithm, task_count, seed, f"{type(exc).__name__}: {exc}"))
 
@@ -205,9 +203,11 @@ def _safe_trial(args):
 def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
     """Execute the full sweep; every algorithm in a trial sees the identical
     seeded instance.  Writes records.csv, summary.csv, optional per-run JSON
-    reports, and failures.csv when any trial raised."""
+    reports, and failures.csv when any trial raised.  Each report is
+    written as its trial returns, so only the records stay in memory."""
     out = Path(plan.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    report_dir = out / "reports"
+    (report_dir if write_reports else out).mkdir(parents=True, exist_ok=True)
 
     jobs = []
     for tc_index, task_count in enumerate(plan.task_counts):
@@ -221,23 +221,27 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
         # command, and every plain ``import fogsched``, can skip
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            outcomes = list(pool.map(_safe_trial, jobs))
+        pool = ProcessPoolExecutor(max_workers=plan.workers)
+        outcomes = pool.map(_safe_trial, jobs)
     else:
-        try:
-            outcomes = [_safe_trial(job) for job in jobs]
-        finally:
-            _kept.setup = None  # no instance outlives the sweep
+        pool, outcomes = contextlib.nullcontext(), map(_safe_trial, jobs)
 
-    done = sorted(
-        (payload for status, payload in outcomes if status == "ok"),
-        key=lambda payload: _record_key(payload[0]),
-    )
-    failures = [payload for status, payload in outcomes if status != "ok"]
-    for failure in failures:
-        logger.warning("trial failed: %s", failure)
+    records, failures = [], []
+    try:
+        with pool:
+            for status, payload in outcomes:  # in job order, each as it returns
+                if status != "ok":
+                    failures.append(payload)
+                    logger.warning("trial failed: %s", payload)
+                    continue
+                record, report_text = payload
+                records.append(record)
+                if write_reports:
+                    (report_dir / "{}_{}_{}.json".format(*_record_key(record))).write_text(report_text)
+    finally:
+        _kept.setup = None  # no instance outlives the sweep
 
-    records = [record for record, _ in done]
+    records.sort(key=_record_key)
     write_records(records, out / "records.csv")
     if records:
         write_summary(aggregate(records), out / "summary.csv")
@@ -246,12 +250,6 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
             writer = csv.writer(fh)
             writer.writerow(["algorithm", "task_count", "seed", "error"])
             writer.writerows(sorted(failures))
-    if write_reports:
-        report_dir = out / "reports"
-        report_dir.mkdir(exist_ok=True)
-        for record, report_text in done:
-            name = f"{record.algorithm}_{record.task_count}_{record.seed}.json"
-            (report_dir / name).write_text(report_text)
     return records
 
 
