@@ -204,7 +204,8 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
     """Execute the full sweep; every algorithm in a trial sees the identical
     seeded instance.  Writes records.csv, summary.csv, optional per-run JSON
     reports, and failures.csv when any trial raised.  Each report is
-    written as its trial returns, so only the records stay in memory."""
+    written as its trial returns, so only the records stay in memory.  A
+    dead pool worker fails every trial not yet returned; the rest are kept."""
     out = Path(plan.output_dir)
     report_dir = out / "reports"
     (report_dir if write_reports else out).mkdir(parents=True, exist_ok=True)
@@ -220,10 +221,12 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
         # imported here: it loads multiprocessing, which every other
         # command, and every plain ``import fogsched``, can skip
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         pool = ProcessPoolExecutor(max_workers=plan.workers)
         outcomes = pool.map(_safe_trial, jobs)
     else:
+        BrokenProcessPool = ()  # no pool to break: the except clause catches nothing
         pool, outcomes = contextlib.nullcontext(), map(_safe_trial, jobs)
 
     records, failures = [], []
@@ -238,6 +241,11 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
                 records.append(record)
                 if write_reports:
                     (report_dir / "{}_{}_{}.json".format(*_record_key(record))).write_text(report_text)
+    except BrokenProcessPool as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        lost = jobs[len(records) + len(failures):]  # outcomes come in job order
+        logger.warning("%d trials lost: %s", len(lost), error)
+        failures += [(algorithm, task_count, seed, error) for _, algorithm, task_count, seed in lost]
     finally:
         _kept.setup = None  # no instance outlives the sweep
 

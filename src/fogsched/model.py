@@ -145,12 +145,15 @@ class Pair:
         return None
 
 
-def _each(rule, label):
-    """A nonempty tuple or list whose every value meets ``rule`` as ``label``."""
+def _each(rule, label, distinct=False):
+    """A nonempty tuple or list whose every value meets ``rule`` as ``label``,
+    and with ``distinct``, none repeats an earlier one."""
     def check(name, value):
         if not (isinstance(value, (tuple, list)) and value):
             return f"{name} must be a nonempty tuple, got {value!r}"
         faults = [fault for item in value if (fault := rule(label, item))]
+        if distinct and not faults:
+            faults = _repeated(label, value)
         return f"{faults[0]} (in {name})" if faults else None
     return check
 
@@ -213,7 +216,7 @@ FIELD_RULES = {
     "ExperimentPlan": dict(
         task_counts=_each(_COUNT, "n_tasks"), n_nodes=_COUNT,  # each trial's ScenarioConfig
         repetitions=Number(int, 1), workers=Number(int, 1), base_seed=_SEED,
-        algorithms=_each(_one_of(*ALGORITHMS), "algorithm"), fitness_weights=_weights,
+        algorithms=_each(_one_of(*ALGORITHMS), "algorithm", distinct=True), fitness_weights=_weights,
         output_dir=_one_of("str", "PurePath", types=True), rl=_one_of("RlConfig", types=True),
         geo=_one_of("GeoParams", types=True), igeo=_one_of("IgeoParams", types=True),
     ),

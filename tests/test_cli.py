@@ -150,6 +150,7 @@ def test_experiment_rejects_unknown_algorithm(tmp_path, capsys):
     ("--pop", "1", "population_size must be >= 2"),
     ("--iters", "0", "iterations must be >= 1"),
     ("--episodes", "0", "episodes must be >= 1"),
+    ("--algorithms", "RANDOM,RANDOM", "algorithm RANDOM: duplicate id (in algorithms)"),
 ])
 def test_experiment_rejects_bad_plan(tmp_path, capsys, flag, value, message):
     argv = ["experiment", "--tasks", "4", "--nodes", "3", "--reps", "1",

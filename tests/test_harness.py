@@ -1,12 +1,16 @@
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +39,7 @@ from fogsched import (
 )
 from fogsched.geo import GeoParams
 from fogsched import harness
+from fogsched.cli import main
 from fogsched.harness import ALGORITHMS, RECORD_COLUMNS, _safe_trial, run_algorithm
 from fogsched.metrics import _evaluator, calibrate_weights
 
@@ -83,12 +88,89 @@ def test_experiment_deterministic_and_byte_identical(tmp_path):
     assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
 
-def test_experiment_workers_match_inline(tmp_path):
-    inline = run_experiment(tiny_plan(tmp_path / "inline", workers=1), write_reports=False)
-    pooled = run_experiment(tiny_plan(tmp_path / "pooled", workers=2), write_reports=False)
-    assert [(r.algorithm, r.task_count, r.seed, r.fitness) for r in inline] == [
-        (r.algorithm, r.task_count, r.seed, r.fitness) for r in pooled
-    ]
+def _sweep_bytes(out):
+    """Every file a sweep wrote under ``out``, by its path there."""
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_experiment_workers_match_inline(tmp_path, monkeypatch, method):
+    """Two pool workers write the bytes of one inline sweep, whichever way
+    the pool starts its workers."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    run_experiment(tiny_plan(tmp_path / "inline", algorithms=ALGORITHMS))
+    pools = []
+
+    def pool_in_context(*args, **kwargs):
+        pools.append(method)
+        context = multiprocessing.get_context(method)
+        return ProcessPoolExecutor(*args, mp_context=context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool_in_context)
+    run_experiment(tiny_plan(tmp_path / "pooled", algorithms=ALGORITHMS, workers=2))
+    assert pools == [method]
+    inline, pooled = _sweep_bytes(tmp_path / "inline"), _sweep_bytes(tmp_path / "pooled")
+    keys = [(4, 0), (4, 1), (6, 2), (6, 3)]
+    assert set(inline) == {"records.csv", "summary.csv"} | {
+        f"reports/{algorithm}_{task_count}_{seed}.json"
+        for algorithm in ALGORITHMS for task_count, seed in keys}
+    assert pooled == inline
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pool's workers inherit the patch only when forked")
+def test_a_dead_worker_fails_only_the_trials_not_returned(tmp_path, monkeypatch, capsys):
+    """A worker killed in one trial breaks the pool: the trials returned
+    before it keep their records and reports, every later one is named in
+    failures.csv, and the command exits 1 with its error line."""
+    run = harness.run_and_evaluate
+
+    def dies_in_one_trial(plan, algorithm, instance, seed, **kwargs):
+        if (algorithm, seed) == ("GREEDY", 3):
+            os._exit(9)
+        return run(plan, algorithm, instance, seed, **kwargs)
+
+    monkeypatch.setattr(harness, "run_and_evaluate", dies_in_one_trial)
+    out = tmp_path / "r"
+    code = main(["experiment", "--tasks", "4,6", "--nodes", "3", "--reps", "3",
+                 "--algorithms", "RANDOM,GREEDY", "--workers", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    jobs = [(algorithm, task_count, seed) for task_count, seeds in ((4, range(3)), (6, range(3, 6)))
+            for seed in seeds for algorithm in ("RANDOM", "GREEDY")]
+    kept = [(r.algorithm, r.task_count, r.seed) for r in read_records(out / "records.csv")]
+    with open(out / "failures.csv", newline="") as fh:
+        failed = list(csv.DictReader(fh))
+    # outcomes come in job order, so the kept trials are the jobs before the first lost one
+    returned = len(kept)
+    assert 0 < returned <= jobs.index(("GREEDY", 6, 3))
+    assert sorted(kept) == sorted(jobs[:returned])
+    assert sorted((f["algorithm"], int(f["task_count"]), int(f["seed"])) for f in failed) == sorted(
+        jobs[returned:])
+    assert all(f["error"].startswith("BrokenProcessPool: ") for f in failed)
+    assert sorted(path.name for path in (out / "reports").iterdir()) == sorted(
+        f"{algorithm}_{task_count}_{seed}.json" for algorithm, task_count, seed in kept)
+    assert err.splitlines()[-1] == (
+        f"error: {len(jobs) - returned} of {len(jobs)} trials failed; see {out / 'failures.csv'}")
+
+
+def test_a_sweep_holds_only_its_records(tmp_path):
+    """Each report is written as its trial returns, so the sweep's traced
+    peak stays below half the size of the reports it wrote."""
+    plan = ExperimentPlan(task_counts=(600,), n_nodes=20, repetitions=30,
+                          algorithms=("RANDOM", "GREEDY"), output_dir=str(tmp_path), workers=1)
+    tracemalloc.start()
+    try:
+        run_experiment(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reports = list((tmp_path / "reports").iterdir())
+    assert len(reports) == 60
+    written = sum(path.stat().st_size for path in reports)
+    assert peak < written / 2, (peak, written)
 
 
 def test_experiment_reports_share_instance_digest(tmp_path):
@@ -224,6 +306,8 @@ def test_plan_validation():
         tiny_plan("unused", task_counts=())
     with pytest.raises(ValueError):
         tiny_plan("unused", repetitions=0)
+    with pytest.raises(ValueError, match=r"^algorithm RANDOM: duplicate id \(in algorithms\)$"):
+        tiny_plan("unused", algorithms=("RANDOM", "GREEDY", "RANDOM"))
     assert not hasattr(ExperimentPlan, "validate")
 
 
