@@ -215,6 +215,14 @@ class _Flock:
 # 47-52 B for the dict's slot and index share, whatever the key's length
 _CACHE_BYTES = 1 << 20
 _ENTRY_OVERHEAD = 106
+# the share of a run's fitness requests its cache must save, over the
+# judgement window, for the run to keep caching
+_MIN_SAVED_SHARE = 0.05
+# the genome cells from which an identity node map skips the gather: below
+# it the gather costs less than a range check plus the kernel's widening
+# (numpy 2.4 on a 2-CPU x86 VM: the two met at 1,200-1,800 cells; at 30 x
+# 600 the gather took 35 us against 10 us)
+_UNGATHERED_CELLS = 1500
 
 
 class _SubProblem:
@@ -225,12 +233,15 @@ class _SubProblem:
     type that holds every candidate index (``uint8`` up to 256 candidates,
     ``uint16`` up to 65,536), and a cache key is a genome's bytes in it: a
     600-task key is 600 bytes this way instead of 4,800 as ``intp``.  The
-    kernel still reads ``intp`` node indices, gathered from
-    ``candidate_idx`` by the same narrow genome the key holds, so a key
-    names the genome that was scored.  ``fitness_many`` keys a whole batch
-    in one call, viewing each row of a C-contiguous genome matrix as one
+    kernel reads node indices, gathered from ``candidate_idx``; but where
+    candidate i is node i (every node, in topology order, as GEO, IGEO-only
+    and RL-only search), a call of at least ``_UNGATHERED_CELLS`` genome
+    cells passes the genomes as they are, and the kernel widens them to
+    ``intp``.  A genome index past the candidates raises IndexError either
+    way.  ``fitness_many`` keys a whole batch in
+    one call, viewing each row of a C-contiguous genome matrix as one
     ``np.void`` value of its bytes.  A NaN fitness (a zero weight times an
-    inf objective) is cached as inf.
+    inf objective) is cached, and returned, as inf.
 
     Every key of a cache has one length, so an entry costs the key's bytes
     plus ``_ENTRY_OVERHEAD``.  An insert that takes the cache past
@@ -242,7 +253,25 @@ class _SubProblem:
     on one instance share its caches, so a trim may find keys another
     thread's trim dropped, and ``fitness_many`` returns its misses from the
     values it scored, not from the cache.  A dropped entry is scored again
-    if it comes back, to the same bits: the cache changes only speed."""
+    if it comes back, to the same bits: the cache changes only speed.
+
+    A cache pays only where genomes come back, so each run judges its
+    cache once.  It counts its fitness requests and, on a miss, its kernel
+    rows.  When its own rows (not the shared dict's size) first reach the
+    entries the budget holds, it takes the share of requests saved (hits
+    and repeats within a batch alike) over the requests made while its rows
+    went from half that limit to the limit.  Under ``_MIN_SAVED_SHARE`` (5
+    %), the run trims as usual, then stops looking up and storing and sends
+    every row to the kernel for the rest of its course; RL's list stepper,
+    which reads the cache itself, still finds what the cache holds.  A
+    window with no requests (a budget of 0, or one batch that takes the
+    rows from under half the limit to the limit) saved nothing.  Over seeds
+    1-10 the window saved 0.3-2.1 % of GEO's requests at 600 x 20 and
+    1.7-2.5 % at 200 x 20, 8.8-14.3 % and 37-42 % of IGEO-only's, and at
+    most 0.13 % of RL-only's at 600 x 20.  A 6 x 3 cache (at most 729
+    genomes against a limit of 9,362) is never judged, nor is RIGEO's RL
+    half at 600 x 20 (about 2,000 requests against a limit of about
+    2,600)."""
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
         if not candidate_nodes:
@@ -259,6 +288,7 @@ class _SubProblem:
         self.candidate_idx = np.array(
             [evaluator.node_index(c) for c in self.candidates], dtype=np.intp
         )
+        self._identity = np.array_equal(self.candidate_idx, np.arange(len(self.candidates)))
         self.ctx = evaluator.subset_context(self.task_ids)
         # a base response is inf where the network delay is (or where the
         # sum overflows, which no finite schedule survives either)
@@ -273,6 +303,13 @@ class _SubProblem:
         cache_key = (tuple(self.task_ids), tuple(self.candidates), weights)
         self._cache = evaluator.fitness_caches.setdefault(cache_key, {})
         self._cache_limit = _CACHE_BYTES // (self._key_row.itemsize + _ENTRY_OVERHEAD)  # entries
+        # this run's requests and kernel rows; the rows at which the judgement
+        # window opens, then closes; the window's start, and its saved share
+        self._requests = self._rows = 0
+        self._mark = self._cache_limit // 2
+        self._window = None
+        self._saved = None
+        self._bypass = False
 
     @property
     def dim(self) -> int:
@@ -284,34 +321,71 @@ class _SubProblem:
 
     def fitness_of(self, genome) -> float:
         genome = np.asarray(genome).astype(self.key_dtype, copy=False)
+        self._requests += 1
+        if self._bypass:
+            fit = self.ctx.fitness(self._node_rows(genome), self.weights)
+            return math.inf if math.isnan(fit) else fit
         key = genome.tobytes()
         cached = self._cache.get(key)
         if cached is None:
-            cached = self.ctx.fitness(self.candidate_idx.take(genome), self.weights)
+            cached = self.ctx.fitness(self._node_rows(genome), self.weights)
             cached = self._cache[key] = math.inf if math.isnan(cached) else cached
             if len(self._cache) > self._cache_limit:
                 self._trim()
+            self._rows += 1
+            if self._rows >= self._mark:
+                self._judge()
         return cached
 
     def fitness_many(self, genomes) -> np.ndarray:
         """Fitness of every row of a ``(pop, dim)`` genome matrix.  Rows
         already cached are looked up; the distinct misses are scored in one
-        kernel call, so a genome repeated in the batch is computed once."""
+        kernel call, so a genome repeated in the batch is computed once.
+        Once the run has stopped caching, the kernel scores every row."""
         genomes = np.ascontiguousarray(genomes, dtype=self.key_dtype)
+        self._requests += len(genomes)
+        if self._bypass:
+            return np.fmin(self.ctx.fitness(self._node_rows(genomes), self.weights), np.inf)
         keys = genomes.view(self._key_row).ravel().tolist()  # each row's bytes
         cache = self._cache
         values = list(map(cache.get, keys))  # a fitness is never None
         if None in values:
             missing = {key: i for i, (key, value) in enumerate(zip(keys, values)) if value is None}
             rows = genomes[list(missing.values())]
-            fits = self.ctx.fitness(self.candidate_idx.take(rows), self.weights)
+            fits = self.ctx.fitness(self._node_rows(rows), self.weights)
             scored = dict(zip(missing, np.fmin(fits, np.inf).tolist()))
             cache.update(scored)
             # a miss reads ``scored``, not the cache, which another thread may trim
             values = list(map(scored.get, keys, values))
             if len(cache) > self._cache_limit:
                 self._trim()
+            self._rows += len(scored)
+            if self._rows >= self._mark:
+                self._judge()
         return np.array(values)
+
+    def _node_rows(self, genomes):
+        """The node indices the kernel reads for ``genomes``; an index past
+        the candidates raises IndexError, as the gather does."""
+        if (self._identity and genomes.size >= _UNGATHERED_CELLS
+                and np.maximum.reduce(genomes, axis=None, initial=0) < len(self.candidates)):
+            return genomes
+        return self.candidate_idx.take(genomes)
+
+    def _judge(self):
+        """Open the judgement window when this run's rows first reach half
+        the cache's limit; when they first reach the limit, keep caching
+        only if the window saved ``_MIN_SAVED_SHARE`` of its requests."""
+        if self._window is None:
+            self._window = (self._requests, self._rows)
+            self._mark = self._cache_limit
+            if self._rows < self._mark:
+                return
+        requests = self._requests - self._window[0]
+        saved = requests - (self._rows - self._window[1])  # hits and in-batch repeats
+        self._saved = saved / requests if requests else 0.0
+        self._bypass = self._saved < _MIN_SAVED_SHARE
+        self._mark = math.inf
 
     def _trim(self):
         """Drop the cache's oldest entries until it holds at most half its

@@ -14,7 +14,6 @@ slot is dropped when ``run_experiment`` returns."""
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import json
@@ -205,7 +204,9 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
     seeded instance.  Writes records.csv, summary.csv, optional per-run JSON
     reports, and failures.csv when any trial raised.  Each report is
     written as its trial returns, so only the records stay in memory.  A
-    dead pool worker fails every trial not yet returned; the rest are kept."""
+    dead pool worker fails every trial not yet returned; the rest are kept.
+    Any other error cancels the pool's trials not yet started and then
+    propagates."""
     out = Path(plan.output_dir)
     report_dir = out / "reports"
     (report_dir if write_reports else out).mkdir(parents=True, exist_ok=True)
@@ -227,26 +228,29 @@ def run_experiment(plan: ExperimentPlan, write_reports: bool = True) -> list:
         outcomes = pool.map(_safe_trial, jobs)
     else:
         BrokenProcessPool = ()  # no pool to break: the except clause catches nothing
-        pool, outcomes = contextlib.nullcontext(), map(_safe_trial, jobs)
+        pool, outcomes = None, map(_safe_trial, jobs)
 
     records, failures = [], []
     try:
-        with pool:
-            for status, payload in outcomes:  # in job order, each as it returns
-                if status != "ok":
-                    failures.append(payload)
-                    logger.warning("trial failed: %s", payload)
-                    continue
-                record, report_text = payload
-                records.append(record)
-                if write_reports:
-                    (report_dir / "{}_{}_{}.json".format(*_record_key(record))).write_text(report_text)
+        for status, payload in outcomes:  # in job order, each as it returns
+            if status != "ok":
+                failures.append(payload)
+                logger.warning("trial failed: %s", payload)
+                continue
+            record, report_text = payload
+            records.append(record)
+            if write_reports:
+                (report_dir / "{}_{}_{}.json".format(*_record_key(record))).write_text(report_text)
     except BrokenProcessPool as exc:
         error = f"{type(exc).__name__}: {exc}"
         lost = jobs[len(records) + len(failures):]  # outcomes come in job order
         logger.warning("%d trials lost: %s", len(lost), error)
         failures += [(algorithm, task_count, seed, error) for _, algorithm, task_count, seed in lost]
     finally:
+        if pool is not None:
+            # cancel the trials not started: after an error, a plain
+            # shutdown would run every queued trial before re-raising
+            pool.shutdown(cancel_futures=True)
         _kept.setup = None  # no instance outlives the sweep
 
     records.sort(key=_record_key)

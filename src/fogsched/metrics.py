@@ -151,7 +151,13 @@ class Evaluator:
     is freed, fitness caches included, as soon as its last user drops it.
     ``fitness_caches`` holds one cache per distinct (task set, candidate
     set, weights), and the byte budget (``geo._CACHE_BYTES``, 1 MiB) bounds
-    each cache, not their sum.
+    each cache, not their sum.  An optimizer run stops looking up and
+    storing once its own kernel rows reach the entries the budget holds,
+    if its cache saved under 5 % of the requests it made while those rows
+    went from half that limit to the limit (``geo._SubProblem``).  Over
+    seeds 1-10 that window saved 0.3-2.1 % of GEO's requests at 600 x 20
+    and 1.7-2.5 % at 200 x 20, 8.8-14.3 % and 37-42 % of IGEO-only's, and
+    at most 0.13 % of RL-only's at 600 x 20; a 6 x 3 cache never fills.
     """
 
     def __init__(self, instance: Instance):

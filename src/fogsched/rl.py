@@ -256,16 +256,19 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
     return step
 
 
-def _list_stepper(fitness_of, cache: dict, config: RlConfig, policy: list, n: int):
+def _list_stepper(problem: _SubProblem, config: RlConfig, policy: list, n: int):
     """``_stepper`` on the policy matrix held in ``policy``, a flat Python
     list of its k < 8 rows of n preferences (the ``(k, n)`` matrix's ravel),
     updated in place; an assignment is a list of candidate indices.  A
-    sample's fitness is looked up in ``cache`` under ``bytes(sampled)``, the
-    uint8 key of ``_SubProblem``; a miss goes to ``fitness_of``, which
-    keeps the cache within its budget, trimming it in place.  Every
+    sample's fitness is looked up in ``problem._cache`` under
+    ``bytes(sampled)``, the uint8 key of ``_SubProblem``, and a hit is
+    counted as one of the problem's requests for its cache's judgement; a
+    miss goes to ``problem.fitness_of``, which counts it, and keeps the
+    cache within its budget, trimming it in place.  Every
     preference goes through the IEEE operations of ``_stepper`` in the same
     order, so both return the same samples and fitnesses and leave the same
     preferences."""
+    fitness_of, cache = problem.fitness_of, problem._cache
     k = len(policy) // n
     lr, keep, fade, floor, scale = map(float, _rates(config, k))
     rows = [slice(i * n, (i + 1) * n) for i in range(k)]
@@ -294,6 +297,8 @@ def _list_stepper(fitness_of, cache: dict, config: RlConfig, policy: list, n: in
         fit = cache.get(bytes(sampled))
         if fit is None:
             fit = fitness_of(sampled)
+        else:
+            problem._requests += 1
         # each "0.0 if d < 0.0 else d" is np.maximum(d, 0.0), NaN included,
         # but for d = -0.0, which it keeps and numpy makes +0.0.  The two
         # steppers still agree: the projection below, q * scale / t + floor,
@@ -333,7 +338,7 @@ def _run(problem: _SubProblem, config: RlConfig, state: PolicyState, episodes: i
     on_list = len(matrix) < 8 and matrix.size <= _LIST_POLICY_CELLS
     if on_list:
         policy, assignment = matrix.ravel().tolist(), assignment.tolist()
-        step = _list_stepper(problem.fitness_of, problem._cache, config, policy, problem.dim)
+        step = _list_stepper(problem, config, policy, problem.dim)
     else:
         step = _stepper(problem.fitness_of, config, matrix)
     for episode in range(episodes):

@@ -7,7 +7,9 @@ RIGEO pins its ``(assignment, report)``.  One small sweep of every
 algorithm pins its ``records.csv``, ``summary.csv`` and ``reports/``, run
 with one worker and with two, and once more with one worker and a fitness
 cache budget of 0.  A change that moves one bit of a search
-fails here.  The pins hold for the numpy and Python versions stored
+fails here.  GEO, IGEO-only and RL-only also pin their work at 600 tasks x
+20 nodes: the fitness requests a run makes, which a faster search must not
+cut, and the kernel rows it scores, which a fitness cache saves.  The pins hold for the numpy and Python versions stored
 with them (a ``Generator`` stream may change between numpy releases), and
 the test skips on any other pair.
 
@@ -41,6 +43,8 @@ from fogsched import (
     run_experiment,
 )
 from fogsched import geo
+from fogsched.geo import _SubProblem
+from fogsched.metrics import _SubsetContext
 
 from conftest import make_instance
 
@@ -131,6 +135,49 @@ def _sweep_digests(workers, out):
     }
 
 
+WORK_ALGORITHMS = ("GEO", "IGEO-only", "RL-only")
+
+
+def _work_key(algorithm):
+    return f"work-{algorithm}-600x20"
+
+
+def _work(algorithm):
+    """The fitness requests and kernel rows of one run at the default
+    search parameters on 600 tasks x 20 nodes, scenario and search seed 1."""
+    counts = {"fitness_requests": 0, "kernel_rows": 0}
+    fitness_of, fitness_many, kernel = _SubProblem.fitness_of, _SubProblem.fitness_many, _SubsetContext.fitness
+
+    def counted_of(problem, genome):
+        counts["fitness_requests"] += 1
+        return fitness_of(problem, genome)
+
+    def counted_many(problem, genomes):
+        counts["fitness_requests"] += len(genomes)
+        return fitness_many(problem, genomes)
+
+    def counted_kernel(ctx, node_idx, weights):
+        counts["kernel_rows"] += len(np.atleast_2d(node_idx))
+        return kernel(ctx, node_idx, weights)
+
+    instance = make_instance(600, 20, seed=1)
+    weights = calibrate_weights(instance, seed=1)
+    nodes, tasks = [n.id for n in instance.topology.nodes], [t.id for t in instance.tasks]
+    optimize, params = {
+        "GEO": (geo_optimize, GeoParams(rng_seed=1)),
+        "IGEO-only": (igeo_optimize, IgeoParams(rng_seed=1)),
+        "RL-only": (rl_optimize, RlConfig(rng_seed=1)),
+    }[algorithm]
+    _SubProblem.fitness_of, _SubProblem.fitness_many = counted_of, counted_many
+    _SubsetContext.fitness = counted_kernel
+    try:
+        optimize(instance, nodes, tasks, params, weights)
+    finally:
+        _SubProblem.fitness_of, _SubProblem.fitness_many = fitness_of, fitness_many
+        _SubsetContext.fitness = kernel
+    return counts
+
+
 @pytest.fixture(scope="module")
 def pins():
     stored = json.loads(PINS.read_text())
@@ -154,11 +201,25 @@ def test_sweep_fingerprint(workers, pins, tmp_path):
 
 
 def test_sweep_fingerprint_with_a_zero_cache_budget(pins, tmp_path, monkeypatch):
-    """A fitness cache changes only speed: with every insert dropped, the
-    one-worker sweep writes its pinned bytes."""
+    """A fitness cache changes only speed: with every insert dropped, so
+    that every run stops caching at its first insert, the one-worker sweep
+    writes its pinned bytes."""
     monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
+    built, init = [], _SubProblem.__init__
+
+    def recording(problem, *args):
+        init(problem, *args)
+        built.append(problem)
+
+    monkeypatch.setattr(_SubProblem, "__init__", recording)
     digests = _sweep_digests(1, tmp_path)
     assert digests == {key: pins[key] for key in digests}
+    assert built and all(problem._bypass for problem in built)
+
+
+@pytest.mark.parametrize("algorithm", WORK_ALGORITHMS)
+def test_optimizer_work(algorithm, pins):
+    assert _work(algorithm) == pins[_work_key(algorithm)]
 
 
 def _pin():
@@ -166,6 +227,7 @@ def _pin():
     for workers in SWEEP_WORKERS:
         with tempfile.TemporaryDirectory() as out:
             pins.update(_sweep_digests(workers, Path(out)))
+    pins.update({_work_key(algorithm): _work(algorithm) for algorithm in WORK_ALGORITHMS})
     doc = {**_versions(), "pins": pins}
     PINS.write_text(json.dumps(doc, indent=2) + "\n")
 

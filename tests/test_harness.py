@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -154,6 +155,39 @@ def test_a_dead_worker_fails_only_the_trials_not_returned(tmp_path, monkeypatch,
         f"{algorithm}_{task_count}_{seed}.json" for algorithm, task_count, seed in kept)
     assert err.splitlines()[-1] == (
         f"error: {len(jobs) - returned} of {len(jobs)} trials failed; see {out / 'failures.csv'}")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pool's workers inherit the patch only when forked")
+def test_an_error_in_the_parent_cancels_the_queued_trials(tmp_path, monkeypatch):
+    """A report write that fails ends the sweep at once: the pool's queued
+    trials are cancelled, not run before the error propagates."""
+    run = harness.run_and_evaluate
+    ran = tmp_path / "ran"
+
+    def slow_trial(plan, algorithm, instance, seed, **kwargs):
+        fd = os.open(ran, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, b"x")
+        finally:
+            os.close(fd)
+        time.sleep(0.1)
+        return run(plan, algorithm, instance, seed, **kwargs)
+
+    write_text = Path.write_text
+
+    def full_disk(path, *args, **kwargs):
+        if path.parent.name == "reports":
+            raise OSError(28, "No space left on device")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_and_evaluate", slow_trial)
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    plan = tiny_plan(tmp_path / "out", workers=2, task_counts=(4,), repetitions=20)
+    with pytest.raises(OSError, match="No space left"):
+        run_experiment(plan)
+    # two running and a few in the pool's call queue may finish, not all 40
+    assert 0 < len(ran.read_bytes()) <= 10
 
 
 def test_a_sweep_holds_only_its_records(tmp_path):

@@ -51,6 +51,7 @@ PER_STEP = {
         "_Flock.scaled_step",
         "_SubProblem.fitness_of",
         "_SubProblem.fitness_many",
+        "_SubProblem._node_rows",
     ),
     igeo: ("_is_mutation", "_branch_draws", "_offspring"),
     metrics: (

@@ -5,6 +5,7 @@ fitnesses and end with the same preferences, bit for bit."""
 
 import itertools
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,12 @@ def synthetic_fitness(n, k, seed):
     return lambda sampled: float(cost[tasks, sampled].sum())
 
 
+def scorer(fitness_of, cache):
+    """What ``_list_stepper`` reads of a ``_SubProblem``: its fitness, its
+    cache and its request count."""
+    return SimpleNamespace(fitness_of=fitness_of, _cache=cache, _requests=0)
+
+
 def replay_both(n, k, config, episodes, seed, fitness_of=None, stepper="numpy", cache=None):
     """Run the reference and ``stepper`` from uniform preferences and the
     same generator seed; returns per-episode (sampled, fitness) of each,
@@ -50,7 +57,7 @@ def replay_both(n, k, config, episodes, seed, fitness_of=None, stepper="numpy", 
     else:
         policy = matrix.ravel().tolist()
         cache = {} if cache is None else cache
-        new_step, start = _list_stepper(fitness_of, cache, config, policy, n), [0] * n
+        new_step, start = _list_stepper(scorer(fitness_of, cache), config, policy, n), [0] * n
     runs = []
     branches = {"reinforced": 0, "decayed": 0}
     ref_start = np.zeros(n, dtype=np.intp)
@@ -257,7 +264,7 @@ def test_steppers_agree_from_a_negative_zero_preference(floor, exploration_rate)
     runs = []
     for step, assignment in (
         (_stepper(fitness_of, config, matrix), np.zeros(n, dtype=np.intp)),
-        (_list_stepper(fitness_of, {}, config, policy, n), [0] * n),
+        (_list_stepper(scorer(fitness_of, {}), config, policy, n), [0] * n),
     ):
         rng = np.random.default_rng(5)
         fitness, rows = np.inf, []
