@@ -10,12 +10,25 @@ from fogsched import (
     Topology,
     generate_scenario,
 )
+from fogsched.geo import _SubProblem
 
 
 def make_instance(n_tasks, n_nodes, seed):
     config = ScenarioConfig(n_tasks=n_tasks, n_nodes=n_nodes, rng_seed=seed)
     topology, tasks = generate_scenario(config)
     return Instance(topology, tasks)
+
+
+def built_problems(monkeypatch):
+    """Every ``geo._SubProblem`` built in this process from now on."""
+    built, init = [], _SubProblem.__init__
+
+    def recording(problem, *args):
+        init(problem, *args)
+        built.append(problem)
+
+    monkeypatch.setattr(_SubProblem, "__init__", recording)
+    return built
 
 
 def single_node_instance(tasks):

@@ -46,7 +46,7 @@ from fogsched import geo
 from fogsched.geo import _SubProblem
 from fogsched.metrics import _SubsetContext
 
-from conftest import make_instance
+from conftest import built_problems, make_instance
 
 PINS = Path(__file__).with_name("fingerprint_pins.json")
 
@@ -205,13 +205,7 @@ def test_sweep_fingerprint_with_a_zero_cache_budget(pins, tmp_path, monkeypatch)
     that every run stops caching at its first insert, the one-worker sweep
     writes its pinned bytes."""
     monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
-    built, init = [], _SubProblem.__init__
-
-    def recording(problem, *args):
-        init(problem, *args)
-        built.append(problem)
-
-    monkeypatch.setattr(_SubProblem, "__init__", recording)
+    built = built_problems(monkeypatch)
     digests = _sweep_digests(1, tmp_path)
     assert digests == {key: pins[key] for key in digests}
     assert built and all(problem._bypass for problem in built)

@@ -35,7 +35,7 @@ from fogsched import Instance, Topology, geo
 from fogsched.geo import _SubProblem
 from fogsched.metrics import _evaluator
 
-from conftest import make_instance
+from conftest import built_problems, make_instance
 
 SHAPE = (100, 5)
 KEEP = 40  # entries a small budget holds at SHAPE
@@ -59,19 +59,6 @@ def _set_small_budget(monkeypatch):
 
 def _genomes(count, seed):
     return np.random.default_rng(seed).integers(0, SHAPE[1], size=(count, SHAPE[0]), dtype=np.uint8)
-
-
-def _built(monkeypatch):
-    """Every ``_SubProblem`` built in this process from now on."""
-    built = []
-    init = _SubProblem.__init__
-
-    def recording(self, *args):
-        init(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(_SubProblem, "__init__", recording)
-    return built
 
 
 def _counting(problem):
@@ -231,7 +218,7 @@ def test_every_request_is_counted(n_tasks, n_nodes, monkeypatch):
     """A run's requests are its search's, whatever the cache answered: RL's
     list stepper (6 x 3), which looks its samples up itself, counts its
     hits too."""
-    built = _built(monkeypatch)
+    built = built_problems(monkeypatch)
     instance = make_instance(n_tasks, n_nodes, seed=4)
     nodes, tasks = range(n_nodes), range(n_tasks)
     geo_optimize(instance, nodes, tasks, GeoParams(population_size=12, iterations=30), FitnessWeights())
@@ -354,7 +341,7 @@ def test_a_zero_budget_changes_no_result(n_tasks, n_nodes, seed, monkeypatch):
     default, caches = _results(n_tasks, n_nodes, seed)
     assert any(caches.values())
     monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
-    built = _built(monkeypatch)
+    built = built_problems(monkeypatch)
     zero, caches = _results(n_tasks, n_nodes, seed)
     assert not any(caches.values())  # every insert was dropped
     # each run built here (RIGEO's forked RL half is not) judged its cache
@@ -376,6 +363,6 @@ def _sweep(out):
 def test_a_zero_budget_sweep_writes_the_same_bytes(tmp_path, monkeypatch):
     default = _sweep(tmp_path / "default")
     monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
-    built = _built(monkeypatch)
+    built = built_problems(monkeypatch)
     assert _sweep(tmp_path / "zero") == default
     assert built and all(p._bypass for p in built)
