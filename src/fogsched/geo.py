@@ -37,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import Evaluator, FitnessWeights, _check_ids, _evaluator
-from .model import Assignment, Instance, build_assignment, check_fields
+from .metrics import Evaluator, FitnessWeights, _evaluator
+from .model import Assignment, Instance, _check_ids, build_assignment, check_fields
 
 __all__ = [
     "GeoParams",
@@ -229,8 +229,8 @@ class _SubProblem:
     """Shared optimizer plumbing: candidate decoding and cached fitness of a
     task subset mapped onto a candidate node set.
 
-    GEO and IGEO carry genomes in ``key_dtype``, the narrowest unsigned
-    type that holds every candidate index (``uint8`` up to 256 candidates,
+    GEO and IGEO carry genomes in ``key_dtype``, the narrowest unsigned type
+    that holds every candidate index (``uint8`` up to 256 candidates,
     ``uint16`` up to 65,536), and a cache key is a genome's bytes in it: a
     600-task key is 600 bytes this way instead of 4,800 as ``intp``.  The
     kernel reads node indices, gathered from ``candidate_idx``; but where
@@ -238,40 +238,41 @@ class _SubProblem:
     and RL-only search), a call of at least ``_UNGATHERED_CELLS`` genome
     cells passes the genomes as they are, and the kernel widens them to
     ``intp``.  A genome index past the candidates raises IndexError either
-    way.  ``fitness_many`` keys a whole batch in
-    one call, viewing each row of a C-contiguous genome matrix as one
-    ``np.void`` value of its bytes.  A NaN fitness (a zero weight times an
-    inf objective) is cached, and returned, as inf.
+    way.  ``fitness_many`` keys a whole batch in one call, viewing each row
+    of a C-contiguous genome matrix as one ``np.void`` value of its bytes;
+    ``fitness_of_list`` keys a genome held as a Python list (RL's list
+    stepper) as ``bytes(genome)``, which is its uint8 key.  All three
+    entries send their misses through ``_scored``, the one path that scores,
+    stores, trims and counts.  A NaN fitness (a zero weight times an inf
+    objective) is cached, and returned, as inf.
 
     Every key of a cache has one length, so an entry costs the key's bytes
     plus ``_ENTRY_OVERHEAD``.  An insert that takes the cache past
     ``_CACHE_BYTES`` drops its oldest entries, in insertion order, until it
     holds at most half the budget; each drop frees half the budget, so the
     cost per insert is amortized O(1).  The dict is shared
-    (``Evaluator.fitness_caches``, and RL's list stepper reads it for a
-    whole run), so it is trimmed in place, never rebound.  Threads running
-    on one instance share its caches, so a trim may find keys another
-    thread's trim dropped, and ``fitness_many`` returns its misses from the
-    values it scored, not from the cache.  A dropped entry is scored again
-    if it comes back, to the same bits: the cache changes only speed.
+    (``Evaluator.fitness_caches``), so it is trimmed in place, never
+    rebound.  Threads running on one instance share its caches, so a trim
+    may find keys another thread's trim dropped, and ``fitness_many``
+    returns its misses from the values it scored, not from the cache.  A
+    dropped entry is scored again if it comes back, to the same bits: the
+    cache changes only speed.
 
-    A cache pays only where genomes come back, so each run judges its
-    cache once.  It counts its fitness requests and, on a miss, its kernel
-    rows.  When its own rows (not the shared dict's size) first reach the
-    entries the budget holds, it takes the share of requests saved (hits
-    and repeats within a batch alike) over the requests made while its rows
-    went from half that limit to the limit.  Under ``_MIN_SAVED_SHARE`` (5
-    %), the run trims as usual, then stops looking up and storing and sends
-    every row to the kernel for the rest of its course; RL's list stepper,
-    which reads the cache itself, still finds what the cache holds.  A
-    window with no requests (a budget of 0, or one batch that takes the
+    A cache pays only where genomes come back, so each run judges its cache
+    once.  It counts its fitness requests and its kernel rows.
+    When its own rows (not the shared dict's size) first reach the entries
+    the budget holds, it takes the share of requests saved (hits and repeats
+    within a batch alike) over the requests made while its rows went from
+    half that limit to the limit.  Under ``_MIN_SAVED_SHARE`` (5 %), the run
+    trims as usual, then stops looking up and storing and sends every row to
+    the kernel for the rest of its course, RL's list stepper's samples too.
+    A window with no requests (a budget of 0, or one batch that takes the
     rows from under half the limit to the limit) saved nothing.  Over seeds
     1-10 the window saved 0.3-2.1 % of GEO's requests at 600 x 20 and
     1.7-2.5 % at 200 x 20, 8.8-14.3 % and 37-42 % of IGEO-only's, and at
     most 0.13 % of RL-only's at 600 x 20.  A 6 x 3 cache (at most 729
     genomes against a limit of 9,362) is never judged, nor is RIGEO's RL
-    half at 600 x 20 (about 2,000 requests against a limit of about
-    2,600)."""
+    half at 600 x 20 (about 2,000 requests against a limit of about 2,600)."""
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
         if not candidate_nodes:
@@ -323,19 +324,21 @@ class _SubProblem:
         genome = np.asarray(genome).astype(self.key_dtype, copy=False)
         self._requests += 1
         if self._bypass:
-            fit = self.ctx.fitness(self._node_rows(genome), self.weights)
-            return math.inf if math.isnan(fit) else fit
+            return self._scored(genome, None)[0]
         key = genome.tobytes()
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self.ctx.fitness(self._node_rows(genome), self.weights)
-            cached = self._cache[key] = math.inf if math.isnan(cached) else cached
-            if len(self._cache) > self._cache_limit:
-                self._trim()
-            self._rows += 1
-            if self._rows >= self._mark:
-                self._judge()
-        return cached
+        fit = self._cache.get(key)
+        return self._scored(genome, [key])[0] if fit is None else fit
+
+    def fitness_of_list(self, genome: list) -> float:
+        """``fitness_of`` of a genome held as a Python list, on a problem of
+        at most 256 candidates: its uint8 key is ``bytes(genome)``, so a
+        hit is this one call and converts nothing to numpy."""
+        self._requests += 1
+        if self._bypass:
+            return self._scored(np.array(genome, self.key_dtype), None)[0]
+        key = bytes(genome)
+        fit = self._cache.get(key)
+        return self._scored(np.array(genome, self.key_dtype), [key])[0] if fit is None else fit
 
     def fitness_many(self, genomes) -> np.ndarray:
         """Fitness of every row of a ``(pop, dim)`` genome matrix.  Rows
@@ -345,24 +348,33 @@ class _SubProblem:
         genomes = np.ascontiguousarray(genomes, dtype=self.key_dtype)
         self._requests += len(genomes)
         if self._bypass:
-            return np.fmin(self.ctx.fitness(self._node_rows(genomes), self.weights), np.inf)
+            return np.array(self._scored(genomes, None))
         keys = genomes.view(self._key_row).ravel().tolist()  # each row's bytes
-        cache = self._cache
-        values = list(map(cache.get, keys))  # a fitness is never None
+        values = list(map(self._cache.get, keys))  # a fitness is never None
         if None in values:
             missing = {key: i for i, (key, value) in enumerate(zip(keys, values)) if value is None}
-            rows = genomes[list(missing.values())]
-            fits = self.ctx.fitness(self._node_rows(rows), self.weights)
-            scored = dict(zip(missing, np.fmin(fits, np.inf).tolist()))
-            cache.update(scored)
-            # a miss reads ``scored``, not the cache, which another thread may trim
+            # a miss reads what was scored, not the cache, which another thread may trim
+            scored = dict(zip(missing, self._scored(genomes[list(missing.values())], missing)))
             values = list(map(scored.get, keys, values))
-            if len(cache) > self._cache_limit:
-                self._trim()
-            self._rows += len(scored)
-            if self._rows >= self._mark:
-                self._judge()
         return np.array(values)
+
+    def _scored(self, genomes, keys) -> list:
+        """The fitnesses of ``genomes``, one genome or a matrix of distinct
+        rows, scored in one kernel call, inf for NaN, as a list.  Unless the
+        run has stopped caching, each is stored under its key in ``keys``
+        and the cache trimmed; then the rows are counted, and the cache
+        judged once they reach the mark."""
+        fits = self.ctx.fitness(self._node_rows(genomes), self.weights)
+        fits = fits.tolist() if genomes.ndim > 1 else [fits]  # one genome scores as a float
+        fits = [math.inf if math.isnan(fit) else fit for fit in fits]
+        if not self._bypass:
+            self._cache.update(zip(keys, fits))
+            if len(self._cache) > self._cache_limit:
+                self._trim()
+        self._rows += len(fits)
+        if self._rows >= self._mark:
+            self._judge()
+        return fits
 
     def _node_rows(self, genomes):
         """The node indices the kernel reads for ``genomes``; an index past

@@ -320,8 +320,8 @@ def write_records(records, path) -> None:
 
 def read_records(path) -> list:
     """Load a records.csv.  A missing column, a short row, or a value that
-    is not a finite number raises ValueError naming the file, the line and
-    the column."""
+    is not a finite number (an integer, for ``task_count`` and ``seed``)
+    raises ValueError naming the file, the line and the column."""
     kinds = (str, int, int) + (float,) * len(METRIC_COLUMNS)
     records = []
     with open(path, newline="") as fh:
@@ -346,7 +346,8 @@ def _read_field(where: str, row: dict, column: str, kind):
             return value
     except ValueError:
         pass
-    raise ValueError(f"{where}, column {column!r}: {text!r} is not a finite number")
+    rule = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{where}, column {column!r}: {text!r} is not {rule}")
 
 
 def write_summary(rows, path) -> None:

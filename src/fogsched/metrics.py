@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    FIELD_RULES, Assignment, Instance, _instance_problems, _repeated, build_assignment, check_fields,
+    FIELD_RULES, Assignment, Instance, _NONNEGATIVE, _check_ids, _instance_problems, build_assignment,
+    check_fields,
 )
 
 __all__ = [
@@ -150,14 +151,8 @@ class Evaluator:
     caches it (``Instance._evaluator_cache``) forms no reference cycle and
     is freed, fitness caches included, as soon as its last user drops it.
     ``fitness_caches`` holds one cache per distinct (task set, candidate
-    set, weights), and the byte budget (``geo._CACHE_BYTES``, 1 MiB) bounds
-    each cache, not their sum.  An optimizer run stops looking up and
-    storing once its own kernel rows reach the entries the budget holds,
-    if its cache saved under 5 % of the requests it made while those rows
-    went from half that limit to the limit (``geo._SubProblem``).  Over
-    seeds 1-10 that window saved 0.3-2.1 % of GEO's requests at 600 x 20
-    and 1.7-2.5 % at 200 x 20, 8.8-14.3 % and 37-42 % of IGEO-only's, and
-    at most 0.13 % of RL-only's at 600 x 20; a 6 x 3 cache never fills.
+    set, weights); ``geo._SubProblem``, the only code that reads or writes
+    one, states their keys, budget and judgement.
     """
 
     def __init__(self, instance: Instance):
@@ -205,12 +200,8 @@ class Evaluator:
                 f"propagation delay from gateway {self._node_ids[gateway[i]]} to node"
                 f" {self._node_ids[j]} overflowed float range"
             )
-        # (task ids, candidate ids, weights) -> {genome bytes: fitness}; the
-        # optimizers' _SubProblem shares it across runs on this instance and
-        # trims it to its byte budget, oldest entries first.  A key is the
-        # genome in the narrowest unsigned type that holds every candidate
-        # index (uint8 up to 256 candidates), fixed by the candidate count,
-        # so one dict never mixes key widths
+        # (task ids, candidate ids, weights) -> {genome bytes: fitness}, kept
+        # by geo._SubProblem
         self.fitness_caches = {}
 
     def _route_all_pairs(self, links):
@@ -588,14 +579,33 @@ def total_deadline_violation(instance: Instance, assignment: Assignment) -> floa
 def node_energy(instance: Instance, assignment: Assignment, node_id: int, horizon: float) -> float:
     ev = _evaluator(instance)
     _check_ids("node", [node_id], ev._node_index)
-    _, _, node, cost = ev._schedule(assignment)
-    return float(ev._energy(node, cost[2], horizon, [ev.node_index(node_id)])[0])
+    return float(_energies(ev, assignment, horizon, [ev.node_index(node_id)])[0])
 
 
 def total_energy(instance: Instance, assignment: Assignment, horizon: float) -> float:
     ev = _evaluator(instance)
+    with np.errstate(over="ignore"):  # checked below
+        total = _sequential_sum(_energies(ev, assignment, horizon, np.arange(ev.m)))
+    if not math.isfinite(total):
+        raise ValueError("energy_total overflowed float range")
+    return total
+
+
+def _energies(ev: Evaluator, assignment: Assignment, horizon, j) -> np.ndarray:
+    """The energy (J) up to ``horizon`` ms of the nodes with indices ``j``
+    under ``assignment``.  A horizon that is not a finite nonnegative
+    number (a bool is not one) raises ValueError naming it; a node's energy
+    beyond float range raises ValueError naming the node, as
+    ``Evaluator.report`` does."""
+    if fault := _NONNEGATIVE("horizon", horizon):
+        raise ValueError(fault)
     _, _, node, cost = ev._schedule(assignment)
-    return _sequential_sum(ev._energy(node, cost[2], horizon, np.arange(ev.m)))
+    with np.errstate(over="ignore"):  # checked below
+        energy = ev._energy(node, cost[2], float(horizon), j)
+    if not np.isfinite(energy).all():
+        node_id = ev._node_ids[j[np.isinf(energy).argmax()]]
+        raise ValueError(f"energy of node {node_id} overflowed float range")
+    return energy
 
 
 def fitness(instance: Instance, assignment: Assignment, weights: FitnessWeights) -> float:
@@ -604,14 +614,6 @@ def fitness(instance: Instance, assignment: Assignment, weights: FitnessWeights)
 
 def evaluate(instance: Instance, assignment: Assignment, weights: FitnessWeights) -> MetricsReport:
     return _evaluator(instance).report(assignment, weights)
-
-
-def _check_ids(label: str, ids, known) -> None:
-    """Raise ValueError naming each of ``ids`` that is not a key of
-    ``known``, then each that an earlier one repeats."""
-    ids = list(ids)
-    if problems := [f"{label} {id_}: unknown id" for id_ in ids if id_ not in known] + _repeated(label, ids):
-        raise ValueError("; ".join(problems))
 
 
 def _evaluator(instance: Instance) -> Evaluator:

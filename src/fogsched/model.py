@@ -307,6 +307,14 @@ def _repeated(label: str, ids: list) -> list:
         f"{label} {id_}: duplicate id" for id_ in ids if id_ in seen or seen.add(id_)]
 
 
+def _check_ids(label: str, ids, known) -> None:
+    """Raise ValueError naming each of ``ids`` that is not a key of
+    ``known``, then each that an earlier one repeats."""
+    ids = list(ids)
+    if problems := [f"{label} {id_}: unknown id" for id_ in ids if id_ not in known] + _repeated(label, ids):
+        raise ValueError("; ".join(problems))
+
+
 def _gateway_problems(topology: Topology, tasks: Sequence[Task], node_ids: set) -> list:
     """The gateway rule: ``device_gateways`` maps device ids to node ids, each
     naming a node of ``node_ids``, and every task's source device has a gateway."""
@@ -454,8 +462,10 @@ def generate_scenario(config: ScenarioConfig):
 
 def build_assignment(tasks: Iterable[Task], mapping: Mapping[int, int]) -> Assignment:
     """Attach the earliest-deadline-first per-node execution order to a raw
-    task -> node mapping.  Ties break on lower task id."""
+    task -> node mapping.  Ties break on lower task id; a task id that
+    ``tasks`` lacks raises ValueError."""
     by_id = {t.id: t for t in tasks}
+    _check_ids("task", mapping, by_id)
     per_node = {}
     for task_id, node_id in mapping.items():
         per_node.setdefault(node_id, []).append(task_id)

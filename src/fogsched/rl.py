@@ -35,10 +35,11 @@ the numpy one, and the two met at about 40 cells.  Both layouts give the
 same bits: every preference goes through the same IEEE double operations
 in the same order (a Python float operation rounds as the numpy one
 does), the list's column totals add row after row as ``_pairwise_ops``
-adds fewer than 8 rows, the uniform draws are the same numpy calls, and
-a sample is keyed with ``bytes(sampled)``, which equals ``_SubProblem``'s
-uint8 key.  A ``PolicyState`` holds only its values: ``rl_episode`` scores
-on the instance and weights it is called with.
+adds fewer than 8 rows, and the uniform draws are the same numpy calls.
+The list stepper scores a sample with ``_SubProblem.fitness_of_list``,
+which keys the list without numpy.  A ``PolicyState`` holds only its
+values: ``rl_episode`` scores on the instance and weights it is called
+with.
 """
 
 from __future__ import annotations
@@ -256,19 +257,13 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
     return step
 
 
-def _list_stepper(problem: _SubProblem, config: RlConfig, policy: list, n: int):
+def _list_stepper(fitness_of, config: RlConfig, policy: list, n: int):
     """``_stepper`` on the policy matrix held in ``policy``, a flat Python
     list of its k < 8 rows of n preferences (the ``(k, n)`` matrix's ravel),
-    updated in place; an assignment is a list of candidate indices.  A
-    sample's fitness is looked up in ``problem._cache`` under
-    ``bytes(sampled)``, the uint8 key of ``_SubProblem``, and a hit is
-    counted as one of the problem's requests for its cache's judgement; a
-    miss goes to ``problem.fitness_of``, which counts it, and keeps the
-    cache within its budget, trimming it in place.  Every
-    preference goes through the IEEE operations of ``_stepper`` in the same
-    order, so both return the same samples and fitnesses and leave the same
-    preferences."""
-    fitness_of, cache = problem.fitness_of, problem._cache
+    updated in place; an assignment is a list of candidate indices, and
+    ``fitness_of`` scores one.  Every preference goes through the IEEE
+    operations of ``_stepper`` in the same order, so both return the same
+    samples and fitnesses and leave the same preferences."""
     k = len(policy) // n
     lr, keep, fade, floor, scale = map(float, _rates(config, k))
     rows = [slice(i * n, (i + 1) * n) for i in range(k)]
@@ -294,11 +289,7 @@ def _list_stepper(problem: _SubProblem, config: RlConfig, policy: list, n: int):
             for r in middle:
                 cum = list(map(add, cum, policy[r]))
                 sampled = [s + 1 if c < x else s for s, c, x in zip(sampled, cum, u)]
-        fit = cache.get(bytes(sampled))
-        if fit is None:
-            fit = fitness_of(sampled)
-        else:
-            problem._requests += 1
+        fit = fitness_of(sampled)
         # each "0.0 if d < 0.0 else d" is np.maximum(d, 0.0), NaN included,
         # but for d = -0.0, which it keeps and numpy makes +0.0.  The two
         # steppers still agree: the projection below, q * scale / t + floor,
@@ -338,7 +329,7 @@ def _run(problem: _SubProblem, config: RlConfig, state: PolicyState, episodes: i
     on_list = len(matrix) < 8 and matrix.size <= _LIST_POLICY_CELLS
     if on_list:
         policy, assignment = matrix.ravel().tolist(), assignment.tolist()
-        step = _list_stepper(problem, config, policy, problem.dim)
+        step = _list_stepper(problem.fitness_of_list, config, policy, problem.dim)
     else:
         step = _stepper(problem.fitness_of, config, matrix)
     for episode in range(episodes):

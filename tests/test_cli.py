@@ -274,6 +274,10 @@ _ROW = "RANDOM,4,0,1.0,2.0,3.0,1.5,3.0"
      "line 2, column 'energy_total': 'two' is not a finite number"),
     ([_HEADER, _ROW, "RANDOM,6,1,1.0,2.0,3.0,1.5,nan"],
      "line 3, column 'fitness': 'nan' is not a finite number"),
+    ([_HEADER, _ROW.replace("RANDOM,4,", "RANDOM,1.5,")],
+     "line 2, column 'task_count': '1.5' is not an integer"),
+    ([_HEADER, _ROW, "RANDOM,6,1.5,1.0,2.0,3.0,1.5,3.0"],
+     "line 3, column 'seed': '1.5' is not an integer"),
 ])
 def test_aggregate_rejects_malformed_records(tmp_path, capsys, lines, where):
     path = tmp_path / "records.csv"

@@ -216,8 +216,7 @@ def test_a_run_on_a_filled_cache_is_judged_on_its_own_rows(monkeypatch):
 @pytest.mark.parametrize("n_tasks,n_nodes", [(6, 3), (40, 5)])
 def test_every_request_is_counted(n_tasks, n_nodes, monkeypatch):
     """A run's requests are its search's, whatever the cache answered: RL's
-    list stepper (6 x 3), which looks its samples up itself, counts its
-    hits too."""
+    list stepper (6 x 3) counts its hits too."""
     built = built_problems(monkeypatch)
     instance = make_instance(n_tasks, n_nodes, seed=4)
     nodes, tasks = range(n_nodes), range(n_tasks)
@@ -226,6 +225,57 @@ def test_every_request_is_counted(n_tasks, n_nodes, monkeypatch):
     rl_optimize(instance, nodes, tasks, RlConfig(episodes=300), FitnessWeights())
     assert [p._requests for p in built] == [12 * 31, 12 * 31, 301]
     assert all(p._rows < p._requests for p in built)  # every run hit its cache
+
+
+class _WatchedCache(dict):
+    """A fitness cache that logs every lookup and store made through it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def get(self, key, default=None):
+        self.calls.append("get")
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.calls.append("getitem")
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.calls.append("contains")
+        return super().__contains__(key)
+
+    def __setitem__(self, key, value):
+        self.calls.append("setitem")
+        super().__setitem__(key, value)
+
+    def update(self, *args, **kwargs):
+        self.calls.append("update")
+        super().update(*args, **kwargs)
+
+    def pop(self, *args):
+        self.calls.append("pop")
+        return super().pop(*args)
+
+
+def test_a_bypassed_list_stepper_looks_nothing_up(monkeypatch, unit_weights):
+    """RL-only at 6 x 3 steps its policy on a Python list.  On a zero budget
+    its run stops caching at the first insert, the initial sample's; from
+    then on no episode looks its sample up or stores it, and each still
+    counts as a request."""
+    monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
+    built = built_problems(monkeypatch)
+    instance = make_instance(6, 3, seed=1)
+    watched = _WatchedCache()
+    _evaluator(instance).fitness_caches[(tuple(range(6)), tuple(range(3)), unit_weights)] = watched
+    config = RlConfig(episodes=500, rng_seed=2)
+    rl_optimize(instance, range(3), range(6), config, unit_weights)
+    (problem,) = built
+    assert problem._cache is watched and problem._bypass
+    # the initial sample: one lookup, one store, and the trim that drops it
+    assert watched.calls == ["get", "update", "pop"] and not watched
+    assert problem._requests == config.episodes + 1
 
 
 def _relabelled(instance, ids):

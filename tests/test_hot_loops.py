@@ -50,7 +50,9 @@ PER_STEP = {
         "_Flock.orthogonal_cruise",
         "_Flock.scaled_step",
         "_SubProblem.fitness_of",
+        "_SubProblem.fitness_of_list",
         "_SubProblem.fitness_many",
+        "_SubProblem._scored",
         "_SubProblem._node_rows",
     ),
     igeo: ("_is_mutation", "_branch_draws", "_offspring"),

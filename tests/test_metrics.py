@@ -13,6 +13,7 @@ from fogsched import (
     FogNode,
     Instance,
     Topology,
+    baseline_greedy,
     build_assignment,
     calibrate_weights,
     deadline_violation,
@@ -144,6 +145,44 @@ def test_node_energy_horizon_too_short():
     assignment = build_assignment(tasks, {0: 0})
     with pytest.raises(ValueError):
         node_energy(instance, assignment, 0, horizon=100.0)
+
+
+def _greedy_6x3():
+    instance = make_instance(6, 3, seed=1)
+    return instance, baseline_greedy(instance, FitnessWeights())[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, "x", True])
+def test_energy_refuses_a_horizon_that_is_not_a_finite_nonnegative_number(horizon):
+    instance, assignment = _greedy_6x3()
+    with pytest.raises(ValueError, match=r"^horizon must be"):
+        node_energy(instance, assignment, 0, horizon)
+    with pytest.raises(ValueError, match=r"^horizon must be"):
+        total_energy(instance, assignment, horizon)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_energy_names_the_node_whose_energy_overflows():
+    instance, assignment = _greedy_6x3()
+    for node_id in (0, 2):
+        with pytest.raises(ValueError, match=rf"^energy of node {node_id} overflowed float range$"):
+            node_energy(instance, assignment, node_id, 1e308)
+    with pytest.raises(ValueError, match=r"^energy of node 0 overflowed float range$"):
+        total_energy(instance, assignment, 1e308)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_total_energy_names_a_total_beyond_float_range():
+    # each idle node's energy, 1e300 W for 1e8 ms, is 1e305 J: finite, but
+    # 2,000 of them sum past float range
+    nodes = tuple(FogNode(id=j, mips=1000.0, active_power=1e300, idle_power=1e300) for j in range(2000))
+    tasks = simple_tasks([(100.0, 0.0, 100.0)])
+    instance = Instance(Topology(nodes=nodes, links=(), device_gateways={0: 0}), tasks)
+    assignment = build_assignment(tasks, {0: 0})
+    assert node_energy(instance, assignment, 1, 1e8) == 1e305
+    with pytest.raises(ValueError, match=r"^energy_total overflowed float range$"):
+        total_energy(instance, assignment, 1e8)
 
 
 def test_total_energy_matches_oracle(small_instance, unit_weights):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsched import (
+    Assignment,
     FogNode,
     Instance,
     Link,
@@ -212,6 +213,19 @@ def test_merge_assignments_rejects_overlap():
         merge_assignments(tasks, a, b)
     merged = merge_assignments(tasks, build_assignment(tasks, {0: 0}), build_assignment(tasks, {1: 1}))
     assert merged.mapping == {0: 0, 1: 1}
+
+
+def test_build_assignment_refuses_an_unknown_task():
+    tasks = simple_tasks([(100.0, 0.0, 100.0), (100.0, 0.0, 100.0)])
+    with pytest.raises(ValueError, match=r"^task 99: unknown id$"):
+        build_assignment(tasks, {0: 0, 99: 1})
+
+
+def test_merge_assignments_refuses_an_unknown_task():
+    tasks = simple_tasks([(100.0, 0.0, 100.0), (100.0, 0.0, 100.0)])
+    stray = Assignment(mapping={99: 1}, order={1: (99,)})
+    with pytest.raises(ValueError, match=r"^task 99: unknown id$"):
+        merge_assignments(tasks, build_assignment(tasks, {0: 0}), stray)
 
 
 NUMERIC_FIELDS = [

@@ -5,7 +5,6 @@ fitnesses and end with the same preferences, bit for bit."""
 
 import itertools
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,17 +36,12 @@ def synthetic_fitness(n, k, seed):
     return lambda sampled: float(cost[tasks, sampled].sum())
 
 
-def scorer(fitness_of, cache):
-    """What ``_list_stepper`` reads of a ``_SubProblem``: its fitness, its
-    cache and its request count."""
-    return SimpleNamespace(fitness_of=fitness_of, _cache=cache, _requests=0)
-
-
-def replay_both(n, k, config, episodes, seed, fitness_of=None, stepper="numpy", cache=None):
+def replay_both(n, k, config, episodes, seed, fitness_of=None, stepper="numpy", list_fitness=None):
     """Run the reference and ``stepper`` from uniform preferences and the
     same generator seed; returns per-episode (sampled, fitness) of each,
     both final preference matrices in ``(n, k)`` form and how often each
-    branch ran.  The list stepper looks fitnesses up in ``cache`` first."""
+    branch ran.  The list stepper scores with ``list_fitness`` if given,
+    else with ``fitness_of``."""
     fitness_of = fitness_of or synthetic_fitness(n, k, seed)
     reference = np.full((n, k), 1.0 / k)
     matrix = np.full((k, n), 1.0 / k)
@@ -56,8 +50,7 @@ def replay_both(n, k, config, episodes, seed, fitness_of=None, stepper="numpy", 
         new_step, start = _stepper(fitness_of, config, matrix), np.zeros(n, dtype=np.intp)
     else:
         policy = matrix.ravel().tolist()
-        cache = {} if cache is None else cache
-        new_step, start = _list_stepper(scorer(fitness_of, cache), config, policy, n), [0] * n
+        new_step, start = _list_stepper(list_fitness or fitness_of, config, policy, n), [0] * n
     runs = []
     branches = {"reinforced": 0, "decayed": 0}
     ref_start = np.zeros(n, dtype=np.intp)
@@ -157,7 +150,7 @@ def test_stepper_matches_reference(data):
 @pytest.mark.parametrize("n_tasks,n_nodes", [(6, 3), (40, 9), (200, 20)])
 def test_stepper_matches_reference_on_instance(n_tasks, n_nodes):
     # real fitnesses from the optimizers' sub-problem; the list stepper
-    # finds the reference's samples in its cache
+    # finds the reference's samples in its cache through fitness_of_list
     instance = make_instance(n_tasks, n_nodes, seed=n_tasks)
     problem = _SubProblem(
         instance, [node.id for node in instance.topology.nodes],
@@ -166,7 +159,7 @@ def test_stepper_matches_reference_on_instance(n_tasks, n_nodes):
     for stepper in steppers(n_nodes):
         runs, reference, final, branches = replay_both(
             n_tasks, n_nodes, RlConfig(), episodes=150, seed=3, fitness_of=problem.fitness_of,
-            stepper=stepper, cache=problem._cache,
+            stepper=stepper, list_fitness=problem.fitness_of_list,
         )
         assert_replays_agree(runs, reference, final)
         assert branches["reinforced"] > 0 and branches["decayed"] > 0
@@ -264,7 +257,7 @@ def test_steppers_agree_from_a_negative_zero_preference(floor, exploration_rate)
     runs = []
     for step, assignment in (
         (_stepper(fitness_of, config, matrix), np.zeros(n, dtype=np.intp)),
-        (_list_stepper(scorer(fitness_of, {}), config, policy, n), [0] * n),
+        (_list_stepper(fitness_of, config, policy, n), [0] * n),
     ):
         rng = np.random.default_rng(5)
         fitness, rows = np.inf, []
