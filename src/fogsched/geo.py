@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .metrics import Evaluator, FitnessWeights, _evaluator
-from .model import Assignment, Instance, _check_ids, build_assignment, check_fields
+from .model import _COUNT, Assignment, Instance, _check_ids, build_assignment, check_fields
 
 __all__ = [
     "GeoParams",
@@ -78,6 +77,7 @@ def cruise_vector(attack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     [-1, 1].
     """
     attack = np.asarray(attack, dtype=float)
+    _check_finite("attack", attack)
     if not attack.any():
         raise ValueError("cruise vector is undefined for a zero attack vector")
     eagle = _Flock(np.zeros((1, attack.size)), 0.0)
@@ -101,6 +101,8 @@ def step_vector(
     attack, cruise = np.asarray(attack, dtype=float), np.asarray(cruise, dtype=float)
     if attack.shape != cruise.shape:
         raise ValueError("attack and cruise vectors must have equal length")
+    for name, value in (("attack", attack), ("cruise", cruise), ("pa", pa), ("pc", pc)):
+        _check_finite(name, value)
     eagle = _Flock(np.zeros((1, attack.size)), 0.0)
     eagle.attack[0], eagle.cruise[0] = attack, cruise  # copies: scaled in place
     if not (eagle.attack.any() and eagle.cruise.any()):
@@ -114,9 +116,18 @@ def step_vector(
 def decode_position(position: np.ndarray, n_candidates: int) -> np.ndarray:
     """Round-half-up each clamped coordinate to a candidate index in the
     narrowest unsigned dtype; decodes one position or a ``(pop, dim)`` flock."""
+    if fault := _COUNT("n_candidates", n_candidates):
+        raise ValueError(fault)
+    _check_finite("position", position)
     clamped = np.maximum(position, 0.0)
     np.minimum(clamped, n_candidates - 1.0, out=clamped)
     return _round_half_up(clamped, np.empty(clamped.shape, np.min_scalar_type(n_candidates - 1)))
+
+
+def _check_finite(name, values):
+    """Raise ValueError naming ``name`` unless every value is a finite number."""
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
+        raise ValueError(f"{name} must be finite")
 
 
 def _round_half_up(positions, out):
@@ -215,9 +226,6 @@ class _Flock:
 # 47-52 B for the dict's slot and index share, whatever the key's length
 _CACHE_BYTES = 1 << 20
 _ENTRY_OVERHEAD = 106
-# the share of a run's fitness requests its cache must save, over the
-# judgement window, for the run to keep caching
-_MIN_SAVED_SHARE = 0.05
 # the genome cells from which an identity node map skips the gather: below
 # it the gather costs less than a range check plus the kernel's widening
 # (numpy 2.4 on a 2-CPU x86 VM: the two met at 1,200-1,800 cells; at 30 x
@@ -227,7 +235,8 @@ _UNGATHERED_CELLS = 1500
 
 class _SubProblem:
     """Shared optimizer plumbing: candidate decoding and cached fitness of a
-    task subset mapped onto a candidate node set.
+    task subset mapped onto a candidate node set, for one run that makes at
+    most ``requests`` fitness requests.
 
     GEO and IGEO carry genomes in ``key_dtype``, the narrowest unsigned type
     that holds every candidate index (``uint8`` up to 256 candidates,
@@ -240,41 +249,33 @@ class _SubProblem:
     ``intp``.  A genome index past the candidates raises IndexError either
     way.  ``fitness_many`` keys a whole batch in one call, viewing each row
     of a C-contiguous genome matrix as one ``np.void`` value of its bytes;
-    ``fitness_of_list`` keys a genome held as a Python list (RL's list
-    stepper) as ``bytes(genome)``, which is its uint8 key.  All three
-    entries send their misses through ``_scored``, the one path that scores,
-    stores, trims and counts.  A NaN fitness (a zero weight times an inf
-    objective) is cached, and returned, as inf.
+    ``list_scorer`` keys a genome held as a Python list (RL's list stepper)
+    as ``bytes(genome)``, which is its uint8 key.  Every miss goes
+    through ``_scored``, the one path that scores and stores.  A NaN
+    fitness (a zero weight times an inf objective) is cached, and returned,
+    as inf.
 
-    Every key of a cache has one length, so an entry costs the key's bytes
-    plus ``_ENTRY_OVERHEAD``.  An insert that takes the cache past
-    ``_CACHE_BYTES`` drops its oldest entries, in insertion order, until it
-    holds at most half the budget; each drop frees half the budget, so the
-    cost per insert is amortized O(1).  The dict is shared
-    (``Evaluator.fitness_caches``), so it is trimmed in place, never
-    rebound.  Threads running on one instance share its caches, so a trim
-    may find keys another thread's trim dropped, and ``fitness_many``
-    returns its misses from the values it scored, not from the cache.  A
-    dropped entry is scored again if it comes back, to the same bits: the
-    cache changes only speed.
+    A run decides its cache once, when it is built.  The cache is the
+    instance's dict for this task set, candidate set and weights
+    (``Evaluator.fitness_caches``), shared by every run on them.  Every key
+    has one length, so an entry costs the key's bytes plus
+    ``_ENTRY_OVERHEAD``.  The run keeps the cache only if the entries
+    already in it plus the most it can add, ``requests`` or the number of
+    distinct genomes if that is smaller, fit ``_CACHE_BYTES``; a kept cache
+    never passes its budget, so nothing is ever dropped from it.  Otherwise
+    the run keeps no cache: it looks nothing up, stores nothing and sends
+    every genome to the kernel, but those whose fitness the caller already
+    knows (``fitness_many``'s ``known``).  Either way every fitness has the same
+    bits.  Threads that start runs on one instance at the same moment can
+    each pass the check, so one cache can hold up to one budget per
+    concurrent run; no lock is taken.  At the default search parameters
+    GEO and IGEO keep no cache at 200 or 600 tasks x 20 nodes, and RL-only
+    keeps one at 200 tasks but none at 600.  RIGEO's RL half at 600 x 20
+    (2,001 requests against a limit of about 2,600 entries) keeps one, and
+    so does every 6 x 3 run of the benchmark and the acceptance criteria."""
 
-    A cache pays only where genomes come back, so each run judges its cache
-    once.  It counts its fitness requests and its kernel rows.
-    When its own rows (not the shared dict's size) first reach the entries
-    the budget holds, it takes the share of requests saved (hits and repeats
-    within a batch alike) over the requests made while its rows went from
-    half that limit to the limit.  Under ``_MIN_SAVED_SHARE`` (5 %), the run
-    trims as usual, then stops looking up and storing and sends every row to
-    the kernel for the rest of its course, RL's list stepper's samples too.
-    A window with no requests (a budget of 0, or one batch that takes the
-    rows from under half the limit to the limit) saved nothing.  Over seeds
-    1-10 the window saved 0.3-2.1 % of GEO's requests at 600 x 20 and
-    1.7-2.5 % at 200 x 20, 8.8-14.3 % and 37-42 % of IGEO-only's, and at
-    most 0.13 % of RL-only's at 600 x 20.  A 6 x 3 cache (at most 729
-    genomes against a limit of 9,362) is never judged, nor is RIGEO's RL
-    half at 600 x 20 (about 2,000 requests against a limit of about 2,600)."""
-
-    def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights):
+    def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights,
+                 requests: int):
         if not candidate_nodes:
             raise ValueError("candidate node set must be nonempty")
         if not tasks:
@@ -301,16 +302,13 @@ class _SubProblem:
             )
         self.key_dtype = np.min_scalar_type(len(self.candidates) - 1)
         self._key_row = np.dtype((np.void, self.dim * self.key_dtype.itemsize))  # one genome
-        cache_key = (tuple(self.task_ids), tuple(self.candidates), weights)
-        self._cache = evaluator.fitness_caches.setdefault(cache_key, {})
-        self._cache_limit = _CACHE_BYTES // (self._key_row.itemsize + _ENTRY_OVERHEAD)  # entries
-        # this run's requests and kernel rows; the rows at which the judgement
-        # window opens, then closes; the window's start, and its saved share
-        self._requests = self._rows = 0
-        self._mark = self._cache_limit // 2
-        self._window = None
-        self._saved = None
-        self._bypass = False
+        cache = evaluator.fitness_caches.setdefault(
+            (tuple(self.task_ids), tuple(self.candidates), weights), {})
+        entry = self._key_row.itemsize + _ENTRY_OVERHEAD
+        # a run adds at most one entry a distinct genome; past 64 tasks there
+        # are at least 2 ** 64 (or exactly 1), more than any run requests
+        new_entries = min(requests, self.n_candidates ** min(self.dim, 64))
+        self._cache = cache if (len(cache) + new_entries) * entry <= _CACHE_BYTES else None
 
     @property
     def dim(self) -> int:
@@ -322,58 +320,59 @@ class _SubProblem:
 
     def fitness_of(self, genome) -> float:
         genome = np.asarray(genome).astype(self.key_dtype, copy=False)
-        self._requests += 1
-        if self._bypass:
-            return self._scored(genome, None)[0]
-        key = genome.tobytes()
-        fit = self._cache.get(key)
+        if self._cache is None:
+            return self._scored(genome)[0]
+        fit = self._cache.get(key := genome.tobytes())
         return self._scored(genome, [key])[0] if fit is None else fit
 
-    def fitness_of_list(self, genome: list) -> float:
-        """``fitness_of`` of a genome held as a Python list, on a problem of
-        at most 256 candidates: its uint8 key is ``bytes(genome)``, so a
-        hit is this one call and converts nothing to numpy."""
-        self._requests += 1
-        if self._bypass:
-            return self._scored(np.array(genome, self.key_dtype), None)[0]
-        key = bytes(genome)
-        fit = self._cache.get(key)
-        return self._scored(np.array(genome, self.key_dtype), [key])[0] if fit is None else fit
+    def list_scorer(self):
+        """The scorer of a genome held as a Python list, made once per run:
+        ``fitness_of`` without a cache; with one, on a problem of at most
+        256 candidates, a closure that keys the list as ``bytes(genome)``,
+        its uint8 key, so a hit is one ``get`` and converts nothing to
+        numpy."""
+        if self._cache is None:
+            return self.fitness_of
+        scored, key_dtype, get = self._scored, self.key_dtype, self._cache.get
 
-    def fitness_many(self, genomes) -> np.ndarray:
-        """Fitness of every row of a ``(pop, dim)`` genome matrix.  Rows
-        already cached are looked up; the distinct misses are scored in one
-        kernel call, so a genome repeated in the batch is computed once.
-        Once the run has stopped caching, the kernel scores every row."""
+        def fitness_of_list(genome: list) -> float:
+            fit = get(key := bytes(genome))
+            return scored(np.array(genome, key_dtype), [key])[0] if fit is None else fit
+
+        return fitness_of_list
+
+    def fitness_many(self, genomes, known=None) -> np.ndarray:
+        """Fitness of every row of a ``(pop, dim)`` genome matrix.  With a
+        cache, rows already cached are looked up and the distinct misses
+        are scored in one kernel call, so a genome repeated in the batch is
+        computed once.  Without one, the kernel scores every row, but where
+        a float array ``known`` is given, only the rows it marks NaN: it
+        fills their fitnesses in and is returned.  A kept cache needs no
+        ``known`` and reads none."""
         genomes = np.ascontiguousarray(genomes, dtype=self.key_dtype)
-        self._requests += len(genomes)
-        if self._bypass:
-            return np.array(self._scored(genomes, None))
+        if self._cache is None:
+            if known is None:
+                return np.array(self._scored(genomes))
+            unknown = np.isnan(known).nonzero()[0]
+            known[unknown] = self._scored(genomes[unknown])
+            return known
         keys = genomes.view(self._key_row).ravel().tolist()  # each row's bytes
         values = list(map(self._cache.get, keys))  # a fitness is never None
         if None in values:
             missing = {key: i for i, (key, value) in enumerate(zip(keys, values)) if value is None}
-            # a miss reads what was scored, not the cache, which another thread may trim
             scored = dict(zip(missing, self._scored(genomes[list(missing.values())], missing)))
             values = list(map(scored.get, keys, values))
         return np.array(values)
 
-    def _scored(self, genomes, keys) -> list:
+    def _scored(self, genomes, keys=None) -> list:
         """The fitnesses of ``genomes``, one genome or a matrix of distinct
-        rows, scored in one kernel call, inf for NaN, as a list.  Unless the
-        run has stopped caching, each is stored under its key in ``keys``
-        and the cache trimmed; then the rows are counted, and the cache
-        judged once they reach the mark."""
+        rows, scored in one kernel call, inf for NaN, as a list; each is
+        stored under its key in ``keys``, if given."""
         fits = self.ctx.fitness(self._node_rows(genomes), self.weights)
         fits = fits.tolist() if genomes.ndim > 1 else [fits]  # one genome scores as a float
         fits = [math.inf if math.isnan(fit) else fit for fit in fits]
-        if not self._bypass:
+        if keys is not None:
             self._cache.update(zip(keys, fits))
-            if len(self._cache) > self._cache_limit:
-                self._trim()
-        self._rows += len(fits)
-        if self._rows >= self._mark:
-            self._judge()
         return fits
 
     def _node_rows(self, genomes):
@@ -383,29 +382,6 @@ class _SubProblem:
                 and np.maximum.reduce(genomes, axis=None, initial=0) < len(self.candidates)):
             return genomes
         return self.candidate_idx.take(genomes)
-
-    def _judge(self):
-        """Open the judgement window when this run's rows first reach half
-        the cache's limit; when they first reach the limit, keep caching
-        only if the window saved ``_MIN_SAVED_SHARE`` of its requests."""
-        if self._window is None:
-            self._window = (self._requests, self._rows)
-            self._mark = self._cache_limit
-            if self._rows < self._mark:
-                return
-        requests = self._requests - self._window[0]
-        saved = requests - (self._rows - self._window[1])  # hits and in-batch repeats
-        self._saved = saved / requests if requests else 0.0
-        self._bypass = self._saved < _MIN_SAVED_SHARE
-        self._mark = math.inf
-
-    def _trim(self):
-        """Drop the cache's oldest entries until it holds at most half its
-        budget; a key may be gone already, and the cache may be under half
-        its budget (another thread trimmed or emptied it)."""
-        cache = self._cache
-        for key in list(islice(cache, max(0, len(cache) - self._cache_limit // 2))):
-            cache.pop(key, None)
 
     def to_assignment(self, genome) -> Assignment:
         mapping = {
@@ -428,7 +404,8 @@ def geo_optimize(
 ) -> tuple:
     """Full continuous GEO loop with rounding decode; returns the best
     decoded assignment ever evaluated and its fitness."""
-    problem = _SubProblem(instance, candidate_nodes, tasks, weights)
+    requests = params.population_size * (params.iterations + 1)
+    problem = _SubProblem(instance, candidate_nodes, tasks, weights, requests)
     rng = np.random.default_rng(params.rng_seed)
     pop, dim = params.population_size, problem.dim
     upper = float(problem.n_candidates - 1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geo import GeoParams, _SubProblem, _propensities
 from .metrics import FitnessWeights
-from .model import Instance
+from .model import _COUNT, _RATE, Instance
 
 __all__ = [
     "IgeoParams",
@@ -140,6 +140,17 @@ def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng, pre
     return children
 
 
+def _check_operands(n_candidates, mutation_rate, **genomes):
+    """Refuse, as ``IgeoParams`` and a run's candidate set do, a candidate
+    count under 1, a mutation rate outside (0, 1] and a gene of a named
+    genome outside [0, n_candidates)."""
+    if fault := _COUNT("n_candidates", n_candidates) or _RATE("mutation_rate", mutation_rate):
+        raise ValueError(fault)
+    for name, genome in genomes.items():
+        if not ((genome >= 0) & (genome < n_candidates)).all():
+            raise ValueError(f"{name} must hold candidate indices in [0, {n_candidates})")
+
+
 def mutate(
     genome: np.ndarray,
     n_candidates: int,
@@ -150,6 +161,7 @@ def mutate(
     candidate indices.  With a single candidate there is no alternative
     allele and the genome is returned unchanged."""
     child = np.array(genome, dtype=np.intp, ndmin=2)
+    _check_operands(n_candidates, mutation_rate, genome=child)
     mutation, r = np.ones(len(child), dtype=bool), np.zeros(len(child))  # of the genome itself
     return _offspring(child, child[0], mutation, r, n_candidates, mutation_rate, rng)[0]
 
@@ -206,6 +218,7 @@ def igeo_step(
     """
     genome = np.asarray(genome, dtype=np.intp)
     x_best = np.asarray(x_best, dtype=np.intp)
+    _check_operands(n_candidates, mutation_rate, genome=genome, x_best=x_best)
     mutation = np.array([draw.step_sign == NEGATIVE])
     return _offspring(
         genome[None, :], x_best, mutation, np.array([draw.r]), n_candidates, mutation_rate, rng
@@ -226,7 +239,8 @@ def igeo_optimize(
     The best genome ever evaluated is tracked separately, so the reported
     fitness never worsens even though mutation offspring replace their eagle
     unconditionally.  Returns (assignment, fitness) of that best genome."""
-    problem = _SubProblem(instance, candidate_nodes, tasks, weights)
+    requests = params.population_size * (params.iterations + 1)
+    problem = _SubProblem(instance, candidate_nodes, tasks, weights, requests)
     rng = np.random.default_rng(params.rng_seed)
     pop, dim = params.population_size, problem.dim
     n_cand = problem.n_candidates
@@ -253,7 +267,13 @@ def igeo_optimize(
             genomes, best_genome, mutation, r, n_cand, params.mutation_rate, rng, prefix
         )
 
-        fits = problem.fitness_many(children)
+        # a kept cache already holds every parent and the best; without one,
+        # a child equal to its parent or to the best takes that genome's
+        # fitness, and fitness_many scores the children marked NaN
+        known = None if problem._cache is not None else np.where(
+            np.logical_and.reduce(np.equal(children, genomes), axis=1), fitnesses, np.where(
+                np.logical_and.reduce(np.equal(children, best_genome), axis=1), best_fit, np.nan))
+        fits = problem.fitness_many(children, known)
         # mutation offspring always become the new position (keeps the
         # population exploring); crossover offspring only when not worse
         accept = mutation | (fits <= fitnesses)

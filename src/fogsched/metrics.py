@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -152,7 +152,7 @@ class Evaluator:
     is freed, fitness caches included, as soon as its last user drops it.
     ``fitness_caches`` holds one cache per distinct (task set, candidate
     set, weights); ``geo._SubProblem``, the only code that reads or writes
-    one, states their keys, budget and judgement.
+    one, states their keys, budget and when a run keeps one.
     """
 
     def __init__(self, instance: Instance):
@@ -417,14 +417,9 @@ class _SubsetContext:
         return weights.combine(r, dv, e)
 
 
-_Views = namedtuple("_Views", (
-    "nodes cell execution response ordered key lane rank slot queue ramp entry_offset lane_offset"
-))
-
-
 class _Workspace:
     """The reusable buffers of the kernel on ``n`` entries per row and
-    ``m`` nodes.  ``cut(rows)`` returns ``_Views`` of the first ``rows``
+    ``m`` nodes.  ``cut(rows)`` returns views of the first ``rows``
     rows of every ``(capacity, n)`` buffer, first growing them all to
     ``rows`` rows if the capacity is smaller, so they end as large as the
     largest batch seen.  It keeps the last row count's views, so repeated
@@ -448,14 +443,16 @@ class _Workspace:
         self.lanes = np.empty(0)
         self._views = None
 
-    def cut(self, rows: int) -> _Views:
+    def cut(self, rows: int) -> SimpleNamespace:
         views = self._views
         if views is None or len(views.nodes) != rows:
             if rows > self.capacity or views is None:  # a first call may cut 0 rows
                 self._grow(rows)
             views = self._buffers
             if rows < self.capacity:
-                views = _Views(*(b[:rows] for b in views))
+                # not a namedtuple: on CPython 3.11 a namedtuple made per cut
+                # stayed allocated after it was dropped, up to 2,000 of them
+                views = SimpleNamespace(**{name: b[:rows] for name, b in vars(views).items()})
             np.multiply(self._count[:rows], rows * self.m, out=views.ramp)
             self._views = views
         return views
@@ -464,7 +461,7 @@ class _Workspace:
         shape = (rows, self.n)
         nodes, cell = np.empty(shape, np.intp), np.empty(shape, np.intp)
         execution = np.empty(shape)
-        self._buffers = _Views(
+        self._buffers = SimpleNamespace(
             nodes=nodes, cell=cell, execution=execution, response=np.empty(shape),
             ordered=execution, key=np.empty(shape, self.key_dtype), lane=cell, rank=cell,
             slot=nodes, queue=np.empty(shape), ramp=np.empty(shape, np.intp),
@@ -569,6 +566,8 @@ def response_breakdown(instance: Instance, assignment: Assignment, task_id: int)
 def deadline_violation(breakdown: ResponseBreakdown, deadline: float) -> float:
     if fault := FIELD_RULES["Task"]["deadline"]("deadline", deadline):
         raise ValueError(fault)
+    if not math.isfinite(breakdown.response):  # max(0.0, nan) is 0.0
+        raise ValueError(f"response must be finite, got {breakdown.response!r}")
     return max(0.0, breakdown.response - deadline)
 
 

@@ -36,7 +36,7 @@ same bits: every preference goes through the same IEEE double operations
 in the same order (a Python float operation rounds as the numpy one
 does), the list's column totals add row after row as ``_pairwise_ops``
 adds fewer than 8 rows, and the uniform draws are the same numpy calls.
-The list stepper scores a sample with ``_SubProblem.fitness_of_list``,
+The list stepper scores a sample with ``_SubProblem.list_scorer()``,
 which keys the list without numpy.  A ``PolicyState`` holds only its
 values: ``rl_episode`` scores on the instance and weights it is called
 with.
@@ -90,7 +90,7 @@ def rl_init(
     weights: FitnessWeights,
 ) -> PolicyState:
     """Uniform preferences; the initial assignment is sampled from them."""
-    return _initial_state(_SubProblem(instance, candidate_nodes, tasks, weights), config)
+    return _initial_state(_SubProblem(instance, candidate_nodes, tasks, weights, 1), config)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as geo.geo_optimize
@@ -329,7 +329,7 @@ def _run(problem: _SubProblem, config: RlConfig, state: PolicyState, episodes: i
     on_list = len(matrix) < 8 and matrix.size <= _LIST_POLICY_CELLS
     if on_list:
         policy, assignment = matrix.ravel().tolist(), assignment.tolist()
-        step = _list_stepper(problem.fitness_of_list, config, policy, problem.dim)
+        step = _list_stepper(problem.list_scorer(), config, policy, problem.dim)
     else:
         step = _stepper(problem.fitness_of, config, matrix)
     for episode in range(episodes):
@@ -361,7 +361,7 @@ def rl_episode(
     if not (assignment.shape == (n,) and np.issubdtype(assignment.dtype, np.integer)
             and ((assignment >= 0) & (assignment < k)).all()):
         raise ValueError(f"assignment must be {n} integer candidate indices in [0, {k})")
-    problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
+    problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights, 1)
     return _run(problem, config, state, 1, rng)
 
 
@@ -375,7 +375,7 @@ def rl_optimize(
 ) -> tuple:
     """Run the configured number of episodes; returns the best assignment
     ever sampled and its fitness."""
-    problem = _SubProblem(instance, candidate_nodes, tasks, weights)
+    problem = _SubProblem(instance, candidate_nodes, tasks, weights, config.episodes + 1)
     rng = np.random.default_rng(config.rng_seed + 1)
     state = _run(problem, config, _initial_state(problem, config), config.episodes, rng, trace)
     genome, fit = state.best_seen

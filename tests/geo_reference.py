@@ -98,7 +98,8 @@ def fitness_many(problem, genomes):
 
 @np.errstate(over="ignore", invalid="ignore")  # as geo_optimize
 def reference_geo_optimize(instance, candidate_nodes, tasks, params, weights, trace=None):
-    problem = _SubProblem(instance, candidate_nodes, tasks, weights)
+    requests = params.population_size * (params.iterations + 1)
+    problem = _SubProblem(instance, candidate_nodes, tasks, weights, requests)
     rng = np.random.default_rng(params.rng_seed)
     pop, dim = params.population_size, problem.dim
     upper = float(problem.n_candidates - 1)

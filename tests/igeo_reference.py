@@ -111,7 +111,8 @@ def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng):
 
 @np.errstate(over="ignore", invalid="ignore")  # as geo_optimize
 def reference_igeo_optimize(instance, candidate_nodes, tasks, params, weights, trace=None):
-    problem = _SubProblem(instance, candidate_nodes, tasks, weights)
+    requests = params.population_size * (params.iterations + 1)
+    problem = _SubProblem(instance, candidate_nodes, tasks, weights, requests)
     rng = np.random.default_rng(params.rng_seed)
     pop, dim = params.population_size, problem.dim
     n_cand = problem.n_candidates

@@ -152,9 +152,9 @@ def _work(algorithm):
         counts["fitness_requests"] += 1
         return fitness_of(problem, genome)
 
-    def counted_many(problem, genomes):
+    def counted_many(problem, genomes, *known):
         counts["fitness_requests"] += len(genomes)
-        return fitness_many(problem, genomes)
+        return fitness_many(problem, genomes, *known)
 
     def counted_kernel(ctx, node_idx, weights):
         counts["kernel_rows"] += len(np.atleast_2d(node_idx))
@@ -201,14 +201,14 @@ def test_sweep_fingerprint(workers, pins, tmp_path):
 
 
 def test_sweep_fingerprint_with_a_zero_cache_budget(pins, tmp_path, monkeypatch):
-    """A fitness cache changes only speed: with every insert dropped, so
-    that every run stops caching at its first insert, the one-worker sweep
-    writes its pinned bytes."""
+    """A fitness cache changes only speed: with a budget no run fits, so
+    that no run keeps a cache, the one-worker sweep writes its pinned
+    bytes."""
     monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
     built = built_problems(monkeypatch)
     digests = _sweep_digests(1, tmp_path)
     assert digests == {key: pins[key] for key in digests}
-    assert built and all(problem._bypass for problem in built)
+    assert built and all(problem._cache is None for problem in built)
 
 
 @pytest.mark.parametrize("algorithm", WORK_ALGORITHMS)

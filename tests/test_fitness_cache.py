@@ -1,19 +1,16 @@
-"""The fitness caches' byte budget, ``geo._CACHE_BYTES``: a cache stays
-within it, drops its oldest entries first, keeps the memory of repeated
-runs on one instance flat, and changes no result, down to a budget of 0.
-A run whose cache saves under 5 % of its requests stops caching once its
-own rows reach the budget's limit, to the same results.
+"""The fitness caches' byte budget, ``geo._CACHE_BYTES``.  A run keeps its
+instance's shared cache only if the entries already in it plus the run's
+requests fit the budget, so a kept cache never passes it; a run that cannot
+fit keeps no cache from its first request.  Neither changes a result, down
+to a budget of 0.  Without a cache IGEO reuses the fitness of a child equal
+to its parent or to the best genome.
 
-At 100 tasks x 5 nodes a random genome almost never repeats, so a small
-budget is passed many times over; a test that pins trimming repeats
-genomes on purpose, or a run would judge its cache useless and stop
-storing.  The tests monkeypatch the budget, which a ``_SubProblem`` reads
-when it is built."""
+At 100 tasks x 5 nodes a random genome almost never repeats.  The tests
+monkeypatch the budget, which a ``_SubProblem`` reads when it is built."""
 
 import pickle
 import tracemalloc
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,12 +25,14 @@ from fogsched import (
     geo_optimize,
     igeo_optimize,
     rigeo_schedule,
+    rl_episode,
+    rl_init,
     rl_optimize,
     run_experiment,
 )
 from fogsched import Instance, Topology, geo
 from fogsched.geo import _SubProblem
-from fogsched.metrics import _evaluator
+from fogsched.metrics import _evaluator, _SubsetContext
 
 from conftest import built_problems, make_instance
 
@@ -41,10 +40,10 @@ SHAPE = (100, 5)
 KEEP = 40  # entries a small budget holds at SHAPE
 
 
-def _problem(seed=3):
+def _problem(requests, seed=3):
     n_tasks, n_nodes = SHAPE
     return _SubProblem(make_instance(n_tasks, n_nodes, seed=seed), range(n_nodes),
-                       range(n_tasks), FitnessWeights())
+                       range(n_tasks), FitnessWeights(), requests)
 
 
 def _entry(problem):
@@ -61,170 +60,36 @@ def _genomes(count, seed):
     return np.random.default_rng(seed).integers(0, SHAPE[1], size=(count, SHAPE[0]), dtype=np.uint8)
 
 
-def _counting(problem):
-    """Count the genomes ``problem`` sends to its kernel."""
+def _kernel_rows(monkeypatch):
+    """Count the genomes every fitness kernel scores from now on."""
     rows = []
-    fitness = problem.ctx.fitness
+    fitness = _SubsetContext.fitness
 
-    def counted(node_idx, weights):
+    def counted(ctx, node_idx, weights):
         rows.append(len(np.atleast_2d(node_idx)))
-        return fitness(node_idx, weights)
+        return fitness(ctx, node_idx, weights)
 
-    problem.ctx.fitness = counted
+    monkeypatch.setattr(_SubsetContext, "fitness", counted)
     return rows
 
 
-def test_a_cache_stays_within_its_budget(monkeypatch):
-    unbounded = _problem()  # the default budget holds every genome here
-    small_budget = _set_small_budget(monkeypatch)
-    problem = _problem()
-    rng = np.random.default_rng(0)
-    for size in [1, 7, 30, 1, 55, 2, 90, 1, 1, 40, 41, 3] * 3:
-        genomes = rng.integers(0, SHAPE[1], size=(size, SHAPE[0]))
-        genomes[size // 2 :] = genomes[: size - size // 2]  # repeats inside the batch
-        if size == 1:
-            got = [problem.fitness_of(genomes[0])]
-        else:
-            got = problem.fitness_many(genomes).tolist()
-        # a batch with more misses than the cache holds still returns each value
-        assert got == unbounded.fitness_many(genomes).tolist()
-        assert len(problem._cache) * _entry(problem) <= small_budget
-        assert problem._cache  # a trim keeps half the budget
-        assert not problem._bypass  # the repeats in each batch keep it caching
-    assert problem._saved >= geo._MIN_SAVED_SHARE
-    assert len(unbounded._cache) * _entry(unbounded) > 10 * small_budget
-
-
-def test_a_cache_drops_its_oldest_entries_first(monkeypatch):
-    _set_small_budget(monkeypatch)
-    problem = _problem()
-    rows = _counting(problem)
-    genomes = np.random.default_rng(1).integers(0, SHAPE[1], size=(200, SHAPE[0]), dtype=np.uint8)
-    keys = [g.tobytes() for g in genomes]
-    for i, genome in enumerate(genomes):
-        fit = problem.fitness_of(genome)
-        cache = problem._cache
-        assert list(cache) == keys[i + 1 - len(cache) : i + 1]  # the newest, in order
-        assert problem.fitness_of(genome) == fit  # the key just inserted still hits
-        assert sum(rows) == i + 1
-    assert len(problem._cache) < KEEP
-    assert problem._saved == 0.5 and not problem._bypass  # every other request hit
-    batch = genomes[:60]  # long dropped, and more than the budget holds
-    fits = problem.fitness_many(batch)
-    kept = len(problem._cache)
-    assert list(problem._cache) == keys[60 - kept : 60]
-    assert problem.fitness_many(batch[-kept:]).tolist() == fits[-kept:].tolist()
-    assert sum(rows) == 200 + 60
-
-
-def test_trims_of_one_shared_cache_may_overlap(monkeypatch):
-    """Threads running on one instance share its caches, so a trim may find
-    the oldest keys it listed already dropped by another's, or the cache
-    already under half its budget (emptied after a trial); neither raises."""
-    _set_small_budget(monkeypatch)
-    instance = make_instance(*SHAPE, seed=3)
-    first, second = (_SubProblem(instance, range(SHAPE[1]), range(SHAPE[0]), FitnessWeights())
-                     for _ in range(2))
-    cache = first._cache
-    assert second._cache is cache
-    genomes = _genomes(KEEP + 1, 2)
-    # full, not over; each half is scored twice, so the first run's own
-    # judgement keeps it caching
-    for half in (genomes[: KEEP // 2], genomes[KEEP // 2 : KEEP]):
-        first.fitness_many(np.concatenate([half, half]))
-    assert len(cache) == KEEP and not first._bypass
-    listings = []
-
-    def interleaved(keys, count):
-        listed = list(islice(keys, count))
-        listings.append(count)
-        if len(listings) == 1:
-            second._trim()  # the other thread drops the same keys first
-        return listed
-
-    monkeypatch.setattr(geo, "islice", interleaved)
-    fit = first.fitness_of(genomes[KEEP])  # passes the budget
-    assert listings == [KEEP + 1 - KEEP // 2] * 2
-    assert list(cache) == [g.tobytes() for g in genomes[-(KEEP // 2):]]
-    assert fit == second.fitness_of(genomes[KEEP])
-    cache.clear()
-    second._trim()
-    assert listings[-1] == 0 and not cache
-
-
-def test_a_run_without_repeats_stops_caching_at_its_limit(monkeypatch):
-    unbounded = _problem()  # the default budget holds every genome here
-    _set_small_budget(monkeypatch)
-    problem = _problem()
-    rows = _counting(problem)
-    genomes = _genomes(100, 4)
-    for start in range(0, KEEP, 10):  # no genome repeats
-        assert not problem._bypass
-        problem.fitness_many(genomes[start : start + 10])
-    assert problem._saved == 0.0 and problem._bypass
-    kept = list(problem._cache)
-    assert len(kept) == KEEP  # the limit, never passed: no trim was due
-    rows.clear()
-    # from here on every row goes to the kernel: repeats within a batch,
-    # and genomes the cache still holds, too
-    for batch in (genomes[KEEP : KEEP + 10], np.concatenate([genomes[:5], genomes[:5]]), genomes[50:]):
-        assert problem.fitness_many(batch).tolist() == unbounded.fitness_many(batch).tolist()
-    assert problem.fitness_of(genomes[0]) == unbounded.fitness_of(genomes[0])
-    assert sum(rows) == 10 + 10 + 50 + 1
-    assert list(problem._cache) == kept  # nothing stored, nothing dropped
-    assert problem._requests == KEEP + sum(rows)
-
-
-def test_a_run_with_repeats_keeps_caching(monkeypatch):
-    """One genome in twenty repeats an earlier one: the window saved 5 %,
-    so the run keeps caching, and trimming, to the end."""
-    _set_small_budget(monkeypatch)
-    problem = _problem()
-    rows = _counting(problem)
-    genomes = _genomes(400, 5)
-    batches = []
-    for start in range(0, 380, 19):
-        batch = genomes[start : start + 20].copy()
-        batch[-1] = batch[0]  # a repeat within the batch
-        batches.append(batch)
-    for batch in batches:
-        problem.fitness_many(batch)
-        assert len(problem._cache) <= KEEP
-    assert problem._saved == 0.05 and not problem._bypass
-    assert sum(rows) == problem._rows == 19 * len(batches) < problem._requests
-    problem.fitness_many(batches[-1])
-    assert sum(rows) == 19 * len(batches)  # the last batch is still cached, and hits
-
-
-def test_a_run_on_a_filled_cache_is_judged_on_its_own_rows(monkeypatch):
-    _set_small_budget(monkeypatch)
-    instance = make_instance(*SHAPE, seed=3)
-    first, second = (_SubProblem(instance, range(SHAPE[1]), range(SHAPE[0]), FitnessWeights())
-                     for _ in range(2))
-    genomes = _genomes(200, 6)
-    first.fitness_many(genomes[:KEEP])  # fills the shared cache to its limit
-    assert first._bypass and len(first._cache) == KEEP
-    for start in range(KEEP, 2 * KEEP - 10, 10):  # the second run's first 30 rows
-        second.fitness_many(np.concatenate([genomes[start : start + 10]] * 2))
-        assert second._saved is None and not second._bypass
-    assert second._window == (40, 20)  # opened at its own half limit
-    second.fitness_many(np.concatenate([genomes[2 * KEEP - 10 : 2 * KEEP]] * 2))
-    assert second._saved == 0.5 and not second._bypass
-    assert len(second._cache) <= KEEP
-
-
-@pytest.mark.parametrize("n_tasks,n_nodes", [(6, 3), (40, 5)])
-def test_every_request_is_counted(n_tasks, n_nodes, monkeypatch):
-    """A run's requests are its search's, whatever the cache answered: RL's
-    list stepper (6 x 3) counts its hits too."""
-    built = built_problems(monkeypatch)
-    instance = make_instance(n_tasks, n_nodes, seed=4)
-    nodes, tasks = range(n_nodes), range(n_tasks)
-    geo_optimize(instance, nodes, tasks, GeoParams(population_size=12, iterations=30), FitnessWeights())
-    igeo_optimize(instance, nodes, tasks, IgeoParams(population_size=12, iterations=30), FitnessWeights())
-    rl_optimize(instance, nodes, tasks, RlConfig(episodes=300), FitnessWeights())
-    assert [p._requests for p in built] == [12 * 31, 12 * 31, 301]
-    assert all(p._rows < p._requests for p in built)  # every run hit its cache
+def test_a_run_keeps_its_cache_only_if_its_requests_fit(monkeypatch):
+    budget = _set_small_budget(monkeypatch)
+    first = _problem(KEEP)
+    assert first._cache == {}
+    first.fitness_many(_genomes(KEEP, 1))
+    assert len(first._cache) * _entry(first) == budget  # full, never past it
+    # the same task set, candidates and weights on the same instance share the cache
+    shared = _SubProblem(first.instance, range(SHAPE[1]), range(SHAPE[0]), FitnessWeights(), 0)
+    assert shared._cache is first._cache
+    assert _SubProblem(first.instance, range(SHAPE[1]), range(SHAPE[0]), FitnessWeights(), 1)._cache is None
+    assert _problem(KEEP + 1)._cache is None
+    # a run adds at most one entry a distinct genome: 2 ** 3 here, however
+    # many requests it makes
+    tiny = make_instance(3, 2, seed=3)
+    assert _SubProblem(tiny, range(2), range(3), FitnessWeights(), 10 ** 6)._cache == {}
+    monkeypatch.setattr(geo, "_CACHE_BYTES", 7 * (3 + geo._ENTRY_OVERHEAD))
+    assert _SubProblem(tiny, range(2), range(3), FitnessWeights(), 10 ** 6)._cache is None
 
 
 class _WatchedCache(dict):
@@ -259,23 +124,104 @@ class _WatchedCache(dict):
         return super().pop(*args)
 
 
-def test_a_bypassed_list_stepper_looks_nothing_up(monkeypatch, unit_weights):
-    """RL-only at 6 x 3 steps its policy on a Python list.  On a zero budget
-    its run stops caching at the first insert, the initial sample's; from
-    then on no episode looks its sample up or stores it, and each still
-    counts as a request."""
-    monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
+@pytest.mark.parametrize("algorithm,n_tasks,n_nodes", [
+    ("GEO", 100, 5), ("IGEO", 100, 5), ("RL", 100, 5), ("RL", 6, 3),
+], ids=["GEO", "IGEO", "RL-numpy", "RL-list"])
+def test_a_run_whose_requests_cannot_fit_keeps_no_cache_from_its_first_request(
+        algorithm, n_tasks, n_nodes, monkeypatch, unit_weights):
+    """A budget of 20 entries against a run of 372 or 501 requests: the run
+    never looks a genome up or stores one.  GEO and RL send every request to
+    the kernel, RL's list stepper (6 x 3) too."""
+    monkeypatch.setattr(geo, "_CACHE_BYTES", 20 * (n_tasks + geo._ENTRY_OVERHEAD))
     built = built_problems(monkeypatch)
-    instance = make_instance(6, 3, seed=1)
+    rows = _kernel_rows(monkeypatch)
+    instance = make_instance(n_tasks, n_nodes, seed=1)
     watched = _WatchedCache()
-    _evaluator(instance).fitness_caches[(tuple(range(6)), tuple(range(3)), unit_weights)] = watched
-    config = RlConfig(episodes=500, rng_seed=2)
-    rl_optimize(instance, range(3), range(6), config, unit_weights)
+    key = (tuple(range(n_tasks)), tuple(range(n_nodes)), unit_weights)
+    _evaluator(instance).fitness_caches[key] = watched
+    nodes, tasks = range(n_nodes), range(n_tasks)
+    if algorithm == "RL":
+        requests = 501
+        rl_optimize(instance, nodes, tasks, RlConfig(episodes=500, rng_seed=2), unit_weights)
+    else:
+        requests = 12 * 31
+        optimize = geo_optimize if algorithm == "GEO" else igeo_optimize
+        params = (GeoParams if algorithm == "GEO" else IgeoParams)(population_size=12, iterations=30)
+        optimize(instance, nodes, tasks, params, unit_weights)
     (problem,) = built
-    assert problem._cache is watched and problem._bypass
-    # the initial sample: one lookup, one store, and the trim that drops it
-    assert watched.calls == ["get", "update", "pop"] and not watched
-    assert problem._requests == config.episodes + 1
+    assert problem._cache is None
+    assert watched.calls == [] and not watched
+    if algorithm == "IGEO":
+        assert 0 < sum(rows) < requests  # children equal to their parent or the best are not scored
+    else:
+        assert sum(rows) == requests
+
+
+def _assert_kept_then_not(built):
+    """The first run kept the cache, and once a run could not, no later run did."""
+    kept = [problem._cache is not None for problem in built]
+    assert kept[0] and not kept[-1] and kept == sorted(kept, reverse=True), kept
+
+
+def test_repeated_geo_runs_never_take_the_cache_past_its_budget(monkeypatch):
+    """Ten GEO runs of 20 requests each on one instance, against a budget
+    of 40 entries."""
+    budget = _set_small_budget(monkeypatch)
+    built = built_problems(monkeypatch)
+    n_tasks, n_nodes = SHAPE
+    instance = make_instance(n_tasks, n_nodes, seed=5)
+    for seed in range(10):
+        params = GeoParams(population_size=4, iterations=4, rng_seed=seed)
+        geo_optimize(instance, range(n_nodes), range(n_tasks), params, FitnessWeights())
+        assert len(built[0]._cache) * _entry(built[0]) <= budget
+    _assert_kept_then_not(built)
+
+
+def test_chained_rl_episodes_never_take_the_cache_past_its_budget(monkeypatch, unit_weights):
+    """Each ``rl_episode`` call is a run of one request: the chain fills the
+    cache to its budget and no further."""
+    budget = _set_small_budget(monkeypatch)
+    built = built_problems(monkeypatch)
+    n_tasks, n_nodes = SHAPE
+    instance = make_instance(n_tasks, n_nodes, seed=5)
+    config = RlConfig(rng_seed=3)
+    state = rl_init(instance, range(n_tasks), range(n_nodes), config, unit_weights)
+    rng = np.random.default_rng(3)
+    for _ in range(2 * KEEP):
+        state = rl_episode(state, instance, unit_weights, config, rng)
+        assert len(built[0]._cache) * _entry(built[0]) <= budget
+    assert len(built[0]._cache) == KEEP
+    _assert_kept_then_not(built)
+
+
+def _igeo_run(n_tasks, budget):
+    """IGEO-only's result bits at n_tasks x 20 on the budget, whether its
+    run kept a cache, and its kernel rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geo, "_CACHE_BYTES", budget)
+        built = built_problems(patch)
+        rows = _kernel_rows(patch)
+        instance = make_instance(n_tasks, 20, seed=1)
+        weights = calibrate_weights(instance, seed=1)
+        trace = []
+        assignment, fit = igeo_optimize(instance, range(20), range(n_tasks), IgeoParams(rng_seed=1),
+                                        weights, trace=trace)
+    (problem,) = built
+    result = pickle.dumps((sorted(assignment.mapping.items()), fit, trace))
+    return result, problem._cache is not None, sum(rows)
+
+
+@pytest.mark.parametrize("n_tasks", [200, 600])
+def test_uncached_igeo_gives_the_cached_bits_from_fewer_kernel_rows(n_tasks):
+    """At the default parameters IGEO keeps no cache at n_tasks x 20; a
+    budget of 8 MiB holds its 6,030 requests.  Uncached, it scores only the
+    children that equal neither their parent nor the best genome."""
+    children = IgeoParams().population_size * IgeoParams().iterations
+    uncached, kept, rows = _igeo_run(n_tasks, geo._CACHE_BYTES)
+    assert not kept and rows < children
+    cached, kept, _ = _igeo_run(n_tasks, 1 << 23)
+    assert kept
+    assert uncached == cached
 
 
 def _relabelled(instance, ids):
@@ -291,7 +237,7 @@ def _relabelled(instance, ids):
     ), instance.tasks)
 
 
-@pytest.mark.parametrize("budget", [1 << 20, 0], ids=["cached", "bypassed"])
+@pytest.mark.parametrize("budget", [1 << 20, 0], ids=["cached", "uncached"])
 def test_an_identity_map_and_a_permuted_one_give_the_same_bits(budget, monkeypatch):
     """Node k of both instances is the same node, so a genome of the first
     (candidate k is node k: a batch of 2,400 cells goes to the kernel as it
@@ -301,7 +247,7 @@ def test_an_identity_map_and_a_permuted_one_give_the_same_bits(budget, monkeypat
     n_tasks, n_nodes = 40, 8
     plain = make_instance(n_tasks, n_nodes, seed=9)
     ids = np.random.default_rng(9).permutation(n_nodes)  # node k is renamed ids[k]
-    problems = [_SubProblem(instance, range(n_nodes), range(n_tasks), FitnessWeights())
+    problems = [_SubProblem(instance, range(n_nodes), range(n_tasks), FitnessWeights(), 4 * 60)
                 for instance in (plain, _relabelled(plain, ids.tolist()))]
     assert [p._identity for p in problems] == [True, False]
     kernel_types = [set(), set()]
@@ -310,20 +256,20 @@ def test_an_identity_map_and_a_permuted_one_give_the_same_bits(budget, monkeypat
             types.add(node_idx.dtype), type(ctx).fitness(ctx, node_idx, weights))[1]
     genomes = np.random.default_rng(10).integers(0, n_nodes, size=(60, n_tasks), dtype=np.uint8)
     images = ids.astype(np.uint8)[genomes]  # candidate k of the second problem is node id k
-    for _ in range(2):  # the second pass hits, or is bypassed
+    for _ in range(2):  # the second pass hits, or is scored again
         first, second = (p.fitness_many(g) for p, g in zip(problems, (genomes, images)))
         assert first.tobytes() == second.tobytes()
         assert [problems[0].fitness_of(g) for g in genomes] == [problems[1].fitness_of(g) for g in images]
-    assert [p._bypass for p in problems] == [budget == 0] * 2
+    assert [p._cache is None for p in problems] == [budget == 0] * 2
     assert np.dtype(np.uint8) in kernel_types[0] and kernel_types[1] == {np.dtype(np.intp)}
 
 
-@pytest.mark.parametrize("budget", [1 << 20, 0], ids=["cached", "bypassed"])
+@pytest.mark.parametrize("budget", [1 << 20, 0], ids=["cached", "uncached"])
 def test_an_out_of_range_genome_is_refused(budget, monkeypatch):
     monkeypatch.setattr(geo, "_CACHE_BYTES", budget)
-    problem = _problem()
+    problem = _problem(2 + 2 * 21)
     problem.fitness_many(_genomes(2, 7))
-    assert problem._identity and problem._bypass == (budget == 0)
+    assert problem._identity and (problem._cache is None) == (budget == 0)
     for bad in (SHAPE[1], -1):  # -1 is 255 as a uint8 key
         genomes = _genomes(20, 8).astype(np.intp)  # 2,000 cells: not gathered if in range
         genomes[1, 7] = bad
@@ -334,7 +280,8 @@ def test_an_out_of_range_genome_is_refused(budget, monkeypatch):
 
 
 def _ten_runs_peak(optimize, params, runs):
-    """The traced peak of ``runs`` seeded runs on one SHAPE instance."""
+    """The traced peak of ``runs`` seeded runs on one SHAPE instance, and
+    the instance's fitness caches after them."""
     n_tasks, n_nodes = SHAPE
     instance = make_instance(n_tasks, n_nodes, seed=5)
     _evaluator(instance)  # built before the trace
@@ -342,7 +289,7 @@ def _ten_runs_peak(optimize, params, runs):
     try:
         for seed in range(runs):
             optimize(instance, range(n_nodes), range(n_tasks), params(seed), FitnessWeights())
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], _evaluator(instance).fitness_caches
     finally:
         tracemalloc.stop()
 
@@ -356,12 +303,13 @@ def _ten_runs_peak(optimize, params, runs):
     ids=["GEO", "RL-only"],
 )
 def test_repeated_runs_on_one_instance_keep_a_flat_peak(optimize, params, monkeypatch):
-    """Ten runs share the instance's cache, which holds at most its budget,
-    so they peak within 1.25x of one run; unbounded, it grew by one run's
-    keys per run."""
+    """Ten runs whose requests do not fit the budget keep no cache, so they
+    peak within 1.25x of one run; with a cache that grew by one run's keys
+    per run, they did not."""
     _set_small_budget(monkeypatch)
-    one, ten = (_ten_runs_peak(optimize, params, runs) for runs in (1, 10))
+    (one, _), (ten, caches) = (_ten_runs_peak(optimize, params, runs) for runs in (1, 10))
     assert ten <= 1.25 * one, (one, ten)
+    assert caches and not any(caches.values())  # no run stored a fitness
 
 
 def _results(n_tasks, n_nodes, seed):
@@ -393,10 +341,9 @@ def test_a_zero_budget_changes_no_result(n_tasks, n_nodes, seed, monkeypatch):
     monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
     built = built_problems(monkeypatch)
     zero, caches = _results(n_tasks, n_nodes, seed)
-    assert not any(caches.values())  # every insert was dropped
-    # each run built here (RIGEO's forked RL half is not) judged its cache
-    # useless at its first insert
-    assert len(built) >= 4 and all(p._bypass for p in built)
+    assert not any(caches.values())  # nothing was stored
+    # no run built here (RIGEO's forked RL half is not) kept a cache
+    assert len(built) >= 4 and all(p._cache is None for p in built)
     assert zero == default
 
 
@@ -415,4 +362,4 @@ def test_a_zero_budget_sweep_writes_the_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(geo, "_CACHE_BYTES", 0)
     built = built_problems(monkeypatch)
     assert _sweep(tmp_path / "zero") == default
-    assert built and all(p._bypass for p in built)
+    assert built and all(p._cache is None for p in built)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,28 @@ def test_step_vector_rejects_unequal_lengths():
     # a one-coordinate cruise would otherwise spread over every coordinate
     with pytest.raises(ValueError, match="equal length"):
         step_vector([1.0, 0.0, 0.0], [1.0], 1.0, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda rng: cruise_vector([math.nan, 1.0], rng), "attack"),
+    (lambda rng: cruise_vector([math.inf, 1.0], rng), "attack"),
+    (lambda rng: step_vector([math.nan, 1.0], [1.0, 0.0], 1.0, 1.0, rng), "attack"),
+    (lambda rng: step_vector([1.0, 0.0], [0.0, -math.inf], 1.0, 1.0, rng), "cruise"),
+    (lambda rng: step_vector([1.0, 0.0], [0.0, 1.0], math.nan, 1.0, rng), "pa"),
+    (lambda rng: step_vector([1.0, 0.0], [0.0, 1.0], 1.0, math.inf, rng), "pc"),
+    (lambda rng: decode_position([math.nan, 1.0], 3), "position"),
+    (lambda rng: decode_position(np.array([[0.5], [-math.inf]], dtype=np.float32), 3), "position"),
+    (lambda rng: decode_position([1.0], 0), "n_candidates"),
+    (lambda rng: decode_position([1.0], 2.0), "n_candidates"),
+], ids=["cruise-nan-attack", "cruise-inf-attack", "step-nan-attack", "step-inf-cruise", "step-nan-pa",
+        "step-inf-pc", "decode-nan", "decode-float32-inf", "decode-no-candidate", "decode-float-count"])
+def test_swarm_wrappers_refuse_what_they_cannot_use(call, name):
+    # a non-finite coordinate or weight would come back as a NaN step or a
+    # garbage index, and no candidate decodes to no index
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            call(np.random.default_rng(0))
 
 
 def test_swarm_step_leaves_its_inputs_unchanged():
@@ -239,7 +262,7 @@ def test_nan_fitness_ranks_last():
 
     tasks = simple_tasks([(100.0, 10.0, 50.0)] * 3)
     weights = FitnessWeights(w_response=0.0)
-    problem = _SubProblem(unlinked_instance(tasks), [0, 1], [0, 1, 2], weights)
+    problem = _SubProblem(unlinked_instance(tasks), [0, 1], [0, 1, 2], weights, 4)
     with np.errstate(invalid="ignore"):
         assert problem.fitness_of(np.array([0, 1, 0])) == math.inf
         fits = problem.fitness_many(np.array([[1, 1, 1], [0, 0, 1], [0, 0, 0]]))

@@ -146,7 +146,7 @@ def _problems(weights):
     """Two sub-problems on equal fresh instances, so each has its own cache;
     node 1 is unreachable, so a zero response weight scores NaN there."""
     tasks = simple_tasks([(100.0, 10.0, 50.0), (300.0, 5.0, 80.0), (200.0, 20.0, 40.0)])
-    return [_SubProblem(unlinked_instance(tasks), [0, 1], [0, 1, 2], weights) for _ in range(2)]
+    return [_SubProblem(unlinked_instance(tasks), [0, 1], [0, 1, 2], weights, 15) for _ in range(2)]
 
 
 @pytest.mark.parametrize("weights", [FitnessWeights(), FitnessWeights(w_response=0.0)], ids=["finite", "nan"])

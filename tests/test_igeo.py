@@ -120,6 +120,32 @@ def test_igeo_step_positive_branch_crosses():
     assert same.tolist() == best.tolist()
 
 
+def _draw(step_sign):
+    return OperatorDraw(r1pa=0.1, r2pc=0.9, step_sign=step_sign, r=0.3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda rng: mutate(np.zeros(4, dtype=int), 3, rng, mutation_rate=5), "mutation_rate"),
+    (lambda rng: mutate(np.zeros(4, dtype=int), 3, rng, mutation_rate=-1), "mutation_rate"),
+    (lambda rng: mutate(np.zeros(4, dtype=int), 3, rng, mutation_rate=float("nan")), "mutation_rate"),
+    (lambda rng: mutate(np.zeros(4, dtype=int), 3, rng, mutation_rate=0.0), "mutation_rate"),
+    (lambda rng: mutate(np.zeros(4, dtype=int), 0, rng), "n_candidates"),
+    (lambda rng: mutate(np.array([0, 7, 1]), 3, rng), r"genome must hold candidate indices in \[0, 3\)"),
+    (lambda rng: mutate(np.array([0, -1, 1]), 3, rng), "genome"),
+    (lambda rng: igeo_step(np.array([0, 7, 1]), np.zeros(3, dtype=int), _draw(POSITIVE), rng, 3), "genome"),
+    (lambda rng: igeo_step(np.zeros(3, dtype=int), np.array([0, 9, 1]), _draw(POSITIVE), rng, 3), "x_best"),
+    (lambda rng: igeo_step(np.zeros(3, dtype=int), np.zeros(3, dtype=int), _draw(NEGATIVE), rng, 0),
+     "n_candidates"),
+    (lambda rng: igeo_step(np.zeros(3, dtype=int), np.zeros(3, dtype=int), _draw(NEGATIVE), rng, 3,
+                           mutation_rate=5), "mutation_rate"),
+], ids=["mutate-rate-5", "mutate-rate-minus-1", "mutate-rate-nan", "mutate-rate-0", "mutate-no-candidate",
+        "mutate-gene-7", "mutate-gene-minus-1", "step-gene-7", "step-best-gene-9", "step-no-candidate",
+        "step-rate-5"])
+def test_operators_refuse_what_igeo_params_and_candidates_refuse(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.random.default_rng(0))
+
+
 def test_igeo_single_candidate(small_instance, unit_weights):
     assignment, _ = igeo_optimize(
         small_instance, [2], [t.id for t in small_instance.tasks],

@@ -239,16 +239,16 @@ def test_threads_sharing_one_instance_get_the_sequential_bits():
         sys.setswitchinterval(interval)
 
 
-def test_threads_trimming_one_shared_cache_get_the_sequential_bits(monkeypatch):
-    """The same runs with a budget of 40 entries of 100 tasks, so each
-    thread trims the shared caches while the other reads and fills them."""
+def test_threads_without_caches_get_the_sequential_bits(monkeypatch):
+    """The same runs with a budget of 40 entries of 100 tasks, which no run
+    fits, so no run keeps a cache and IGEO reuses its parents' fitness."""
     monkeypatch.setattr(geo, "_CACHE_BYTES", 40 * (100 + geo._ENTRY_OVERHEAD))
     test_threads_sharing_one_instance_get_the_sequential_bits()
 
 
 def test_kernel_single_candidate_node():
     instance = make_instance(8, 4, seed=2)
-    problem = _SubProblem(instance, [2], range(8), FitnessWeights())
+    problem = _SubProblem(instance, [2], range(8), FitnessWeights(), 2)
     assert problem.n_candidates == 1
     genome = np.zeros((1, 8), dtype=np.intp)
     assert problem.fitness_many(genome).tolist() == [problem.fitness_of(genome[0])]
@@ -257,7 +257,7 @@ def test_kernel_single_candidate_node():
 
 def test_fitness_many_scores_a_repeated_genome_once():
     instance = make_instance(10, 3, seed=5)
-    problem = _SubProblem(instance, [0, 1, 2], range(10), FitnessWeights())
+    problem = _SubProblem(instance, [0, 1, 2], range(10), FitnessWeights(), 10)
     rows_per_call = []
     objectives = problem.ctx.objectives
 
@@ -284,7 +284,7 @@ def test_fitness_many_scores_a_repeated_genome_once():
     fits = problem.fitness_many(np.stack([other, genome, other]))
     assert rows_per_call == [(1, 10), (1, 10)]  # only the new genome, once
     assert fits[0] == fits[2]
-    fresh = _SubProblem(make_instance(10, 3, seed=5), [0, 1, 2], range(10), FitnessWeights())
+    fresh = _SubProblem(make_instance(10, 3, seed=5), [0, 1, 2], range(10), FitnessWeights(), 3)
     assert bits(fits) == bits([fresh.fitness_of(other), fresh.fitness_of(genome), fresh.fitness_of(other)])
 
 
@@ -298,7 +298,7 @@ def test_fitness_many_keys_a_strided_matrix_as_its_contiguous_copy(layout, narro
     assert genomes.shape == (7, 12) and not genomes.flags.c_contiguous
 
     def scored(matrix):
-        problem = _SubProblem(make_instance(12, 4, seed=7), range(4), range(12), FitnessWeights())
+        problem = _SubProblem(make_instance(12, 4, seed=7), range(4), range(12), FitnessWeights(), 7)
         return bits(problem.fitness_many(matrix)), list(problem._cache)
 
     fits, keys = scored(genomes)
@@ -319,7 +319,7 @@ def wide_line():
 
 @pytest.mark.parametrize("n_candidates,key_bytes", [(1, 1), (3, 1), (256, 1), (257, 2)])
 def test_cache_key_is_the_narrowest_unsigned_genome(wide_line, n_candidates, key_bytes):
-    problem = _SubProblem(wide_line, range(n_candidates), range(5), FitnessWeights())
+    problem = _SubProblem(wide_line, range(n_candidates), range(5), FitnessWeights(), 6)
     assert problem.key_dtype == np.dtype(f"uint{8 * key_bytes}")
     top = n_candidates - 1
     genomes = np.array([[0] * 5, [top] * 5, [top, 0, top, 0, top]])
@@ -333,12 +333,12 @@ def test_cache_key_is_the_narrowest_unsigned_genome(wide_line, n_candidates, key
 @pytest.mark.parametrize("n_candidates", [256, 257])
 def test_top_candidate_index_scores_its_own_genome(wide_line, n_candidates):
     weights = FitnessWeights()
-    problem = _SubProblem(wide_line, range(n_candidates), range(5), weights)
+    problem = _SubProblem(wide_line, range(n_candidates), range(5), weights, 6)
     top = n_candidates - 1
     genomes = np.array([[top] * 5, [top, 0, 1, top - 1, top], [0] * 5])
     fits = problem.fitness_many(genomes)
     fresh = _SubProblem(line_instance(wide_line.tasks, n_nodes=257), range(n_candidates),
-                        range(5), weights)
+                        range(5), weights, 0)
     expected = [fresh.ctx.fitness(fresh.candidate_idx[g], weights) for g in genomes]
     assert bits(fits) == bits(expected)
     assert bits(problem.fitness_of(g) for g in genomes) == bits(expected)
@@ -346,7 +346,7 @@ def test_top_candidate_index_scores_its_own_genome(wide_line, n_candidates):
 
 def test_fitness_many_takes_intp_and_narrow_genomes_alike():
     instance = make_instance(30, 4, seed=9)
-    problem = _SubProblem(instance, [0, 1, 2, 3], range(30), FitnessWeights())
+    problem = _SubProblem(instance, [0, 1, 2, 3], range(30), FitnessWeights(), 18)
     rows = []
     objectives = problem.ctx.objectives
 
@@ -459,4 +459,4 @@ def test_unreachable_node_raises_in_report_and_subproblem():
     with pytest.raises(ValueError, match="no route from gateway of task 1 to node 4"):
         metrics.Evaluator(instance).report(build_assignment(instance.tasks, mapping), FitnessWeights())
     with pytest.raises(ValueError, match="no route from gateway of task 1 to any candidate"):
-        _SubProblem(instance, [4], [0, 1, 2, 3], FitnessWeights())
+        _SubProblem(instance, [4], [0, 1, 2, 3], FitnessWeights(), 1)

@@ -102,6 +102,13 @@ def test_deadline_violation_clamp():
         deadline_violation(b, 0.0)
 
 
+@pytest.mark.parametrize("response", [math.nan, math.inf, -math.inf])
+def test_deadline_violation_refuses_a_non_finite_response(response):
+    # max(0.0, nan) is 0.0: a NaN response would read as no violation
+    with pytest.raises(ValueError, match="response must be finite"):
+        deadline_violation(ResponseBreakdown(0, 0.0, 0.0, 5.0, 0.0, response), 10.0)
+
+
 def test_total_deadline_violation_cases():
     tasks = simple_tasks([(500.0, 0.0, 1e9), (500.0, 0.0, 1e9)])
     instance = single_node_instance(tasks)

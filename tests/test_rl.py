@@ -224,11 +224,11 @@ def test_rl_episode_scores_on_the_instance_and_weights_it_is_called_with(small_i
     rng = np.random.default_rng(2)
     for _ in range(10):
         state = rl_episode(state, small_instance, unit_weights, config, rng)
-    stale = _SubProblem(small_instance, state.candidate_nodes, state.task_ids, unit_weights)
+    stale = _SubProblem(small_instance, state.candidate_nodes, state.task_ids, unit_weights, 2)
     other = make_instance(6, 3, seed=8)
     for instance, weights in ((other, unit_weights), (small_instance, FitnessWeights(w_energy=2.0))):
         nxt = rl_episode(state, instance, weights, config, np.random.default_rng(5))
-        problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights)
+        problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights, 1)
         assert nxt.fitness == problem.fitness_of(nxt.assignment)
         assert nxt.fitness != stale.fitness_of(nxt.assignment)
 

@@ -150,16 +150,17 @@ def test_stepper_matches_reference(data):
 @pytest.mark.parametrize("n_tasks,n_nodes", [(6, 3), (40, 9), (200, 20)])
 def test_stepper_matches_reference_on_instance(n_tasks, n_nodes):
     # real fitnesses from the optimizers' sub-problem; the list stepper
-    # finds the reference's samples in its cache through fitness_of_list
+    # finds the reference's samples in its cache through list_scorer().
+    # Each stepper and the reference make 150 requests
     instance = make_instance(n_tasks, n_nodes, seed=n_tasks)
     problem = _SubProblem(
         instance, [node.id for node in instance.topology.nodes],
-        [t.id for t in instance.tasks], FitnessWeights(),
+        [t.id for t in instance.tasks], FitnessWeights(), 2 * len(STEPPERS) * 150,
     )
     for stepper in steppers(n_nodes):
         runs, reference, final, branches = replay_both(
             n_tasks, n_nodes, RlConfig(), episodes=150, seed=3, fitness_of=problem.fitness_of,
-            stepper=stepper, list_fitness=problem.fitness_of_list,
+            stepper=stepper, list_fitness=problem.list_scorer(),
         )
         assert_replays_agree(runs, reference, final)
         assert branches["reinforced"] > 0 and branches["decayed"] > 0
@@ -192,7 +193,8 @@ def test_rl_optimize_replays_reference_loop(monkeypatch, unit_weights):
         assert picked == ["_list_stepper" if small else "_stepper"]
 
         state = rl_init(instance, task_ids, nodes, config, unit_weights)
-        problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, unit_weights)
+        problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, unit_weights,
+                              config.episodes)
         preference = np.array(state.preference)
         step = reference_stepper(problem.fitness_of, config, *preference.shape)
         rng = np.random.default_rng(config.rng_seed + 1)
