@@ -66,6 +66,8 @@ def attack_vector(eagle_position: np.ndarray, prey_position: np.ndarray) -> np.n
     prey_position = np.asarray(prey_position, dtype=float)
     if eagle_position.shape != prey_position.shape:
         raise ValueError("eagle and prey positions must have equal length")
+    _check_finite("eagle_position", eagle_position)
+    _check_finite("prey_position", prey_position)
     return prey_position - eagle_position
 
 
@@ -128,6 +130,18 @@ def _check_finite(name, values):
     """Raise ValueError naming ``name`` unless every value is a finite number."""
     if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise ValueError(f"{name} must be finite")
+
+
+def _checked_genome(name, genome, n_candidates=None) -> np.ndarray:
+    """``genome`` as an ``intp`` array; raise ValueError naming ``name``
+    unless it holds integers (a bool is not one) and, where
+    ``n_candidates`` is given, each lies in [0, n_candidates)."""
+    genome = np.asarray(genome)
+    if genome.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got {genome.dtype}")
+    if n_candidates is not None and not ((genome >= 0) & (genome < n_candidates)).all():
+        raise ValueError(f"{name} must hold candidate indices in [0, {n_candidates})")
+    return genome.astype(np.intp)
 
 
 def _round_half_up(positions, out):
@@ -247,13 +261,17 @@ class _SubProblem:
     and RL-only search), a call of at least ``_UNGATHERED_CELLS`` genome
     cells passes the genomes as they are, and the kernel widens them to
     ``intp``.  A genome index past the candidates raises IndexError either
-    way.  ``fitness_many`` keys a whole batch in one call, viewing each row
-    of a C-contiguous genome matrix as one ``np.void`` value of its bytes;
-    ``list_scorer`` keys a genome held as a Python list (RL's list stepper)
-    as ``bytes(genome)``, which is its uint8 key.  Every miss goes
-    through ``_scored``, the one path that scores and stores.  A NaN
-    fitness (a zero weight times an inf objective) is cached, and returned,
-    as inf.
+    way.  A fitness is read through one of two doors.  ``scorer()`` makes,
+    once per run, the function that scores one genome: a 1-D array already
+    in ``key_dtype``, or a Python list on at most 256 candidates (RL's list
+    stepper), keyed as ``bytes(genome)``, which is its key either way.  The
+    key is taken before any conversion, so an array of another dtype would
+    be keyed wrongly.
+    ``fitness_many`` scores a batch, any integer matrix, in one call,
+    viewing each row of a C-contiguous genome matrix in ``key_dtype`` as one
+    ``np.void`` value of its bytes.  Every miss goes through ``_scored``,
+    the one path that scores and stores.  A NaN fitness (a zero weight
+    times an inf objective) is cached, and returned, as inf.
 
     A run decides its cache once, when it is built.  The cache is the
     instance's dict for this task set, candidate set and weights
@@ -276,15 +294,16 @@ class _SubProblem:
 
     def __init__(self, instance: Instance, candidate_nodes, tasks, weights: FitnessWeights,
                  requests: int):
-        if not candidate_nodes:
-            raise ValueError("candidate node set must be nonempty")
-        if not tasks:
-            raise ValueError("task set must be nonempty")
         evaluator: Evaluator = _evaluator(instance)  # refuses an instance that breaks a rule
         self.instance = instance
         self.weights = weights
-        self.task_ids = sorted(tasks)
-        self.candidates = sorted(candidate_nodes)
+        # checked once sorted, as an empty iterator is truthy; None reads as empty
+        self.task_ids = sorted(tasks or ())
+        self.candidates = sorted(candidate_nodes or ())
+        if not self.candidates:
+            raise ValueError("candidate node set must be nonempty")
+        if not self.task_ids:
+            raise ValueError("task set must be nonempty")
         _check_ids("task", self.task_ids, evaluator._task_index)
         _check_ids("candidate node", self.candidates, evaluator._node_index)
         self.candidate_idx = np.array(
@@ -318,28 +337,22 @@ class _SubProblem:
     def n_candidates(self) -> int:
         return len(self.candidates)
 
-    def fitness_of(self, genome) -> float:
-        genome = np.asarray(genome).astype(self.key_dtype, copy=False)
-        if self._cache is None:
-            return self._scored(genome)[0]
-        fit = self._cache.get(key := genome.tobytes())
-        return self._scored(genome, [key])[0] if fit is None else fit
+    def scorer(self):
+        """The fitness of one genome, as a function made once per run: a
+        1-D array in ``key_dtype`` or, on at most 256 candidates, a Python
+        list of candidate indices, either way keyed as ``bytes(genome)``.
+        The function is returned, never kept: held on ``self`` it would
+        make a reference cycle that keeps the cache alive."""
+        scored, key_dtype, cache = self._scored, self.key_dtype, self._cache
+        if cache is None:
+            return lambda genome: scored(np.asarray(genome, key_dtype))[0]
+        get = cache.get
 
-    def list_scorer(self):
-        """The scorer of a genome held as a Python list, made once per run:
-        ``fitness_of`` without a cache; with one, on a problem of at most
-        256 candidates, a closure that keys the list as ``bytes(genome)``,
-        its uint8 key, so a hit is one ``get`` and converts nothing to
-        numpy."""
-        if self._cache is None:
-            return self.fitness_of
-        scored, key_dtype, get = self._scored, self.key_dtype, self._cache.get
-
-        def fitness_of_list(genome: list) -> float:
+        def fitness(genome) -> float:
             fit = get(key := bytes(genome))
-            return scored(np.array(genome, key_dtype), [key])[0] if fit is None else fit
+            return scored(np.asarray(genome, key_dtype), [key])[0] if fit is None else fit
 
-        return fitness_of_list
+        return fitness
 
     def fitness_many(self, genomes, known=None) -> np.ndarray:
         """Fitness of every row of a ``(pop, dim)`` genome matrix.  With a

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geo import GeoParams, _SubProblem, _propensities
+from .geo import GeoParams, _checked_genome, _SubProblem, _propensities
 from .metrics import FitnessWeights
 from .model import _COUNT, _RATE, Instance
 
@@ -142,13 +142,11 @@ def _offspring(genomes, best, mutation, r, n_candidates, mutation_rate, rng, pre
 
 def _check_operands(n_candidates, mutation_rate, **genomes):
     """Refuse, as ``IgeoParams`` and a run's candidate set do, a candidate
-    count under 1, a mutation rate outside (0, 1] and a gene of a named
-    genome outside [0, n_candidates)."""
+    count under 1, a mutation rate outside (0, 1] and a named genome that
+    is not integers in [0, n_candidates); return the genomes as ``intp``."""
     if fault := _COUNT("n_candidates", n_candidates) or _RATE("mutation_rate", mutation_rate):
         raise ValueError(fault)
-    for name, genome in genomes.items():
-        if not ((genome >= 0) & (genome < n_candidates)).all():
-            raise ValueError(f"{name} must hold candidate indices in [0, {n_candidates})")
+    return [_checked_genome(name, genome, n_candidates) for name, genome in genomes.items()]
 
 
 def mutate(
@@ -160,8 +158,7 @@ def mutate(
     """Reassign k = max(1, ceil(rate * len)) random genes to different
     candidate indices.  With a single candidate there is no alternative
     allele and the genome is returned unchanged."""
-    child = np.array(genome, dtype=np.intp, ndmin=2)
-    _check_operands(n_candidates, mutation_rate, genome=child)
+    [child] = _check_operands(n_candidates, mutation_rate, genome=np.array(genome, ndmin=2))
     mutation, r = np.ones(len(child), dtype=bool), np.zeros(len(child))  # of the genome itself
     return _offspring(child, child[0], mutation, r, n_candidates, mutation_rate, rng)[0]
 
@@ -169,8 +166,7 @@ def mutate(
 def _crossover(parent_a, parent_b, r: float, rng, min_length: int, name: str):
     """The crossover row of ``_offspring`` that crosses ``parent_a``, as
     best, with ``parent_b``: one-point for r >= 0.5, two-point otherwise."""
-    parent_a = np.asarray(parent_a, dtype=np.intp)
-    parent_b = np.asarray(parent_b, dtype=np.intp)
+    parent_a, parent_b = _checked_genome("parent_a", parent_a), _checked_genome("parent_b", parent_b)
     if parent_a.shape != parent_b.shape:
         raise ValueError("parents must have equal length")
     if len(parent_a) < min_length:
@@ -216,9 +212,7 @@ def igeo_step(
     Genomes too short for a crossover fall back to the next simpler
     operator (two-point -> single-point -> copy of the best genome).
     """
-    genome = np.asarray(genome, dtype=np.intp)
-    x_best = np.asarray(x_best, dtype=np.intp)
-    _check_operands(n_candidates, mutation_rate, genome=genome, x_best=x_best)
+    genome, x_best = _check_operands(n_candidates, mutation_rate, genome=genome, x_best=x_best)
     mutation = np.array([draw.step_sign == NEGATIVE])
     return _offspring(
         genome[None, :], x_best, mutation, np.array([draw.r]), n_candidates, mutation_rate, rng

@@ -36,10 +36,12 @@ same bits: every preference goes through the same IEEE double operations
 in the same order (a Python float operation rounds as the numpy one
 does), the list's column totals add row after row as ``_pairwise_ops``
 adds fewer than 8 rows, and the uniform draws are the same numpy calls.
-The list stepper scores a sample with ``_SubProblem.list_scorer()``,
-which keys the list without numpy.  A ``PolicyState`` holds only its
-values: ``rl_episode`` scores on the instance and weights it is called
-with.
+Both score a sample through the one function ``_SubProblem.scorer()``
+makes for the run: the numpy stepper samples in the key dtype, which is
+the narrowest unsigned type that counts to k - 1, and the list stepper's
+list keys without numpy.  A ``PolicyState`` holds its assignments as
+``intp``, and only its values: ``rl_episode`` scores on the instance and
+weights it is called with.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geo import _SubProblem
+from .geo import _checked_genome, _SubProblem
 from .metrics import FitnessWeights
 from .model import Instance, check_fields
 
@@ -99,7 +101,7 @@ def _initial_state(problem: _SubProblem, config: RlConfig) -> PolicyState:
     k, n = problem.n_candidates, problem.dim
     preference = np.full((k, n), 1.0 / k).T
     assignment = rng.integers(0, k, size=n, dtype=np.intp)
-    fit = problem.fitness_of(assignment)
+    fit = problem.scorer()(assignment.astype(problem.key_dtype))
     return PolicyState(
         task_ids=tuple(problem.task_ids),
         candidate_nodes=tuple(problem.candidates),
@@ -185,7 +187,7 @@ def _rates(config: RlConfig, k: int) -> tuple:
     return lr, 1.0 - lr, 1.0 - decay, floor, 1.0 - k * floor
 
 
-def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
+def _stepper(score, config: RlConfig, preference: np.ndarray):
     """The episode function of the C-contiguous ``(k, n)`` policy matrix
     ``preference`` (one row per candidate, one column per task):
     ``step(assignment, fitness, exploration, rng)`` samples an assignment,
@@ -193,7 +195,9 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
     node of every task in ``preference``, in place, and projects each column
     back onto the simplex slice {p: sum p = 1, p >= floor}, keeping the
     relative order of the mass above the floor.  It returns the sampled
-    assignment and its fitness."""
+    assignment, in the narrowest unsigned type that counts to k - 1, and
+    its fitness, which ``score`` gives; an assignment passed in is of that
+    type too."""
     k, n = preference.shape
     flat = preference.reshape(-1)
     columns = np.arange(n)
@@ -228,9 +232,9 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
             for previous, row, out in cum_steps:
                 np.add(previous, row, out=out)
             np.less(cum, u, out=below)
-            sampled = np.add.reduce(below, 0, count_type).astype(np.intp)
-        fit = fitness_of(sampled)
-        np.multiply(sampled, n, out=index)
+            sampled = np.add.reduce(below, 0, count_type)
+        fit = score(sampled)
+        np.multiply(sampled, n, out=index, dtype=np.intp)
         np.add(index, columns, out=index)
         flat.take(index, out=chosen, mode="clip")  # in range: "clip" does not buffer
         if fit < fitness:
@@ -257,11 +261,11 @@ def _stepper(fitness_of, config: RlConfig, preference: np.ndarray):
     return step
 
 
-def _list_stepper(fitness_of, config: RlConfig, policy: list, n: int):
+def _list_stepper(score, config: RlConfig, policy: list, n: int):
     """``_stepper`` on the policy matrix held in ``policy``, a flat Python
     list of its k < 8 rows of n preferences (the ``(k, n)`` matrix's ravel),
     updated in place; an assignment is a list of candidate indices, and
-    ``fitness_of`` scores one.  Every preference goes through the IEEE
+    ``score`` scores one.  Every preference goes through the IEEE
     operations of ``_stepper`` in the same order, so both return the same
     samples and fitnesses and leave the same preferences."""
     k = len(policy) // n
@@ -289,7 +293,7 @@ def _list_stepper(fitness_of, config: RlConfig, policy: list, n: int):
             for r in middle:
                 cum = list(map(add, cum, policy[r]))
                 sampled = [s + 1 if c < x else s for s, c, x in zip(sampled, cum, u)]
-        fit = fitness_of(sampled)
+        fit = score(sampled)
         # each "0.0 if d < 0.0 else d" is np.maximum(d, 0.0), NaN included,
         # but for d = -0.0, which it keeps and numpy makes +0.0.  The two
         # steppers still agree: the projection below, q * scale / t + floor,
@@ -323,15 +327,15 @@ def _run(problem: _SubProblem, config: RlConfig, state: PolicyState, episodes: i
     and return the state they end in.  Each episode appends ``(episode,
     fitness, best fitness, exploration)`` to ``trace``."""
     matrix = state.preference.T.copy()  # a fresh (k, n) buffer: the steps write it in place
-    assignment, fitness = np.asarray(state.assignment), state.fitness
+    assignment, fitness = np.asarray(state.assignment, problem.key_dtype), state.fitness
     best_genome, best_fit = state.best_seen
     exploration = state.exploration
     on_list = len(matrix) < 8 and matrix.size <= _LIST_POLICY_CELLS
     if on_list:
         policy, assignment = matrix.ravel().tolist(), assignment.tolist()
-        step = _list_stepper(problem.list_scorer(), config, policy, problem.dim)
+        step = _list_stepper(problem.scorer(), config, policy, problem.dim)
     else:
-        step = _stepper(problem.fitness_of, config, matrix)
+        step = _stepper(problem.scorer(), config, matrix)
     for episode in range(episodes):
         assignment, fitness = step(assignment, fitness, exploration, rng)
         if fitness < best_fit:
@@ -356,11 +360,9 @@ def rl_episode(
 ) -> PolicyState:
     """One sample-evaluate-reinforce cycle, scored on ``instance`` and
     ``weights``."""
-    assignment = np.asarray(state.assignment)
     n, k = len(state.task_ids), len(state.candidate_nodes)
-    if not (assignment.shape == (n,) and np.issubdtype(assignment.dtype, np.integer)
-            and ((assignment >= 0) & (assignment < k)).all()):
-        raise ValueError(f"assignment must be {n} integer candidate indices in [0, {k})")
+    if _checked_genome("assignment", state.assignment, k).shape != (n,):
+        raise ValueError(f"assignment must be {n} candidate indices in [0, {k})")
     problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights, 1)
     return _run(problem, config, state, 1, rng)
 

@@ -146,11 +146,16 @@ def _work(algorithm):
     """The fitness requests and kernel rows of one run at the default
     search parameters on 600 tasks x 20 nodes, scenario and search seed 1."""
     counts = {"fitness_requests": 0, "kernel_rows": 0}
-    fitness_of, fitness_many, kernel = _SubProblem.fitness_of, _SubProblem.fitness_many, _SubsetContext.fitness
+    scorer, fitness_many, kernel = _SubProblem.scorer, _SubProblem.fitness_many, _SubsetContext.fitness
 
-    def counted_of(problem, genome):
-        counts["fitness_requests"] += 1
-        return fitness_of(problem, genome)
+    def counted_scorer(problem):
+        score = scorer(problem)
+
+        def counted(genome):
+            counts["fitness_requests"] += 1
+            return score(genome)
+
+        return counted
 
     def counted_many(problem, genomes, *known):
         counts["fitness_requests"] += len(genomes)
@@ -168,12 +173,12 @@ def _work(algorithm):
         "IGEO-only": (igeo_optimize, IgeoParams(rng_seed=1)),
         "RL-only": (rl_optimize, RlConfig(rng_seed=1)),
     }[algorithm]
-    _SubProblem.fitness_of, _SubProblem.fitness_many = counted_of, counted_many
+    _SubProblem.scorer, _SubProblem.fitness_many = counted_scorer, counted_many
     _SubsetContext.fitness = counted_kernel
     try:
         optimize(instance, nodes, tasks, params, weights)
     finally:
-        _SubProblem.fitness_of, _SubProblem.fitness_many = fitness_of, fitness_many
+        _SubProblem.scorer, _SubProblem.fitness_many = scorer, fitness_many
         _SubsetContext.fitness = kernel
     return counts
 

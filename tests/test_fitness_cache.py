@@ -259,7 +259,8 @@ def test_an_identity_map_and_a_permuted_one_give_the_same_bits(budget, monkeypat
     for _ in range(2):  # the second pass hits, or is scored again
         first, second = (p.fitness_many(g) for p, g in zip(problems, (genomes, images)))
         assert first.tobytes() == second.tobytes()
-        assert [problems[0].fitness_of(g) for g in genomes] == [problems[1].fitness_of(g) for g in images]
+        scores = [p.scorer() for p in problems]
+        assert list(map(scores[0], genomes)) == list(map(scores[1], images))
     assert [p._cache is None for p in problems] == [budget == 0] * 2
     assert np.dtype(np.uint8) in kernel_types[0] and kernel_types[1] == {np.dtype(np.intp)}
 
@@ -276,7 +277,7 @@ def test_an_out_of_range_genome_is_refused(budget, monkeypatch):
         with pytest.raises(IndexError):
             problem.fitness_many(genomes)
         with pytest.raises(IndexError):
-            problem.fitness_of(genomes[1])
+            problem.scorer()(genomes[1].astype(problem.key_dtype))
 
 
 def _ten_runs_peak(optimize, params, runs):

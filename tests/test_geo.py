@@ -96,8 +96,12 @@ def test_step_vector_rejects_unequal_lengths():
     (lambda rng: decode_position(np.array([[0.5], [-math.inf]], dtype=np.float32), 3), "position"),
     (lambda rng: decode_position([1.0], 0), "n_candidates"),
     (lambda rng: decode_position([1.0], 2.0), "n_candidates"),
+    (lambda rng: attack_vector([math.nan], [1.0]), "eagle_position"),
+    (lambda rng: attack_vector([0.0, 1.0], [math.inf, 1.0]), "prey_position"),
+    (lambda rng: attack_vector([-math.inf], [0.0]), "eagle_position"),
 ], ids=["cruise-nan-attack", "cruise-inf-attack", "step-nan-attack", "step-inf-cruise", "step-nan-pa",
-        "step-inf-pc", "decode-nan", "decode-float32-inf", "decode-no-candidate", "decode-float-count"])
+        "step-inf-pc", "decode-nan", "decode-float32-inf", "decode-no-candidate", "decode-float-count",
+        "attack-nan-eagle", "attack-inf-prey", "attack-minus-inf-eagle"])
 def test_swarm_wrappers_refuse_what_they_cannot_use(call, name):
     # a non-finite coordinate or weight would come back as a NaN step or a
     # garbage index, and no candidate decodes to no index
@@ -264,7 +268,7 @@ def test_nan_fitness_ranks_last():
     weights = FitnessWeights(w_response=0.0)
     problem = _SubProblem(unlinked_instance(tasks), [0, 1], [0, 1, 2], weights, 4)
     with np.errstate(invalid="ignore"):
-        assert problem.fitness_of(np.array([0, 1, 0])) == math.inf
+        assert problem.scorer()(np.array([0, 1, 0], problem.key_dtype)) == math.inf
         fits = problem.fitness_many(np.array([[1, 1, 1], [0, 0, 1], [0, 0, 0]]))
     assert fits[0] == fits[1] == math.inf and math.isfinite(fits[2])
     for optimize, params in (

@@ -49,8 +49,7 @@ PER_STEP = {
         "_Flock.move",
         "_Flock.orthogonal_cruise",
         "_Flock.scaled_step",
-        "_SubProblem.fitness_of",
-        "_SubProblem.list_scorer",
+        "_SubProblem.scorer",
         "_SubProblem.fitness_many",
         "_SubProblem._scored",
         "_SubProblem._node_rows",

@@ -138,9 +138,17 @@ def _draw(step_sign):
      "n_candidates"),
     (lambda rng: igeo_step(np.zeros(3, dtype=int), np.zeros(3, dtype=int), _draw(NEGATIVE), rng, 3,
                            mutation_rate=5), "mutation_rate"),
+    # a float gene was truncated and a bool read as 0 or 1
+    (lambda rng: mutate([0.5, 1.7, 2.9], 3, rng), "genome must hold integers, got float64"),
+    (lambda rng: mutate([True, False], 3, rng), "genome must hold integers, got bool"),
+    (lambda rng: igeo_step(np.zeros(3, dtype=int), [0.0, 1.0, 2.0], _draw(POSITIVE), rng, 3), "x_best"),
+    (lambda rng: crossover_single([0.5, 1.7, 2.9], [1, 2, 0], rng), "parent_a must hold integers"),
+    (lambda rng: crossover_two([0.5, 1.7, 2.9], [1, 2, 0], rng), "parent_a must hold integers"),
+    (lambda rng: crossover_two([1, 2, 0], [True, False, True], rng), "parent_b must hold integers"),
 ], ids=["mutate-rate-5", "mutate-rate-minus-1", "mutate-rate-nan", "mutate-rate-0", "mutate-no-candidate",
         "mutate-gene-7", "mutate-gene-minus-1", "step-gene-7", "step-best-gene-9", "step-no-candidate",
-        "step-rate-5"])
+        "step-rate-5", "mutate-float-genes", "mutate-bool-genes", "step-float-best", "single-float-parent",
+        "two-float-parent", "two-bool-parent"])
 def test_operators_refuse_what_igeo_params_and_candidates_refuse(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.random.default_rng(0))

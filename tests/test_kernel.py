@@ -250,8 +250,8 @@ def test_kernel_single_candidate_node():
     instance = make_instance(8, 4, seed=2)
     problem = _SubProblem(instance, [2], range(8), FitnessWeights(), 2)
     assert problem.n_candidates == 1
-    genome = np.zeros((1, 8), dtype=np.intp)
-    assert problem.fitness_many(genome).tolist() == [problem.fitness_of(genome[0])]
+    genome = np.zeros((1, 8), dtype=problem.key_dtype)
+    assert problem.fitness_many(genome).tolist() == [problem.scorer()(genome[0])]
     assert_kernel_agrees(instance, list(range(8)), problem.candidate_idx[genome])
 
 
@@ -270,11 +270,11 @@ def test_fitness_many_scores_a_repeated_genome_once():
     fits = problem.fitness_many(np.stack([genome, genome]))
     assert rows_per_call == [(1, 10)]
     assert fits[0] == fits[1]
-    assert problem.fitness_of(genome) == fits[0]  # now a cache hit
-    # the key is the genome's values, whatever container or integer type
-    # holds them
-    assert problem.fitness_of(genome.tolist()) == fits[0]
-    assert problem.fitness_of(genome.astype(np.int32)) == fits[0]
+    score = problem.scorer()
+    assert score(genome.astype(problem.key_dtype)) == fits[0]  # now a cache hit
+    assert score(genome.tolist()) == fits[0]  # a list keys as its key-dtype array
+    # a batch's key is the genome's values, whatever container or integer
+    # type holds them
     assert problem.fitness_many([genome.tolist()]).tolist() == [fits[0]]
     assert problem.fitness_many(genome[None, :].astype(np.int32)).tolist() == [fits[0]]
     assert rows_per_call == [(1, 10)]
@@ -285,7 +285,8 @@ def test_fitness_many_scores_a_repeated_genome_once():
     assert rows_per_call == [(1, 10), (1, 10)]  # only the new genome, once
     assert fits[0] == fits[2]
     fresh = _SubProblem(make_instance(10, 3, seed=5), [0, 1, 2], range(10), FitnessWeights(), 3)
-    assert bits(fits) == bits([fresh.fitness_of(other), fresh.fitness_of(genome), fresh.fitness_of(other)])
+    score = fresh.scorer()
+    assert bits(fits) == bits(score(g.astype(fresh.key_dtype)) for g in (other, genome, other))
 
 
 @pytest.mark.parametrize("layout", ["column slice", "transposed"])
@@ -323,8 +324,9 @@ def test_cache_key_is_the_narrowest_unsigned_genome(wide_line, n_candidates, key
     assert problem.key_dtype == np.dtype(f"uint{8 * key_bytes}")
     top = n_candidates - 1
     genomes = np.array([[0] * 5, [top] * 5, [top, 0, top, 0, top]])
-    for genome in genomes:
-        problem.fitness_of(genome)
+    score = problem.scorer()
+    for genome in genomes.astype(problem.key_dtype):
+        score(genome)
     problem.fitness_many(genomes[::-1])
     assert {len(key) for key in problem._cache} == {5 * key_bytes}
     assert len(problem._cache) == len({tuple(g) for g in genomes.tolist()})
@@ -341,7 +343,7 @@ def test_top_candidate_index_scores_its_own_genome(wide_line, n_candidates):
                         range(5), weights, 0)
     expected = [fresh.ctx.fitness(fresh.candidate_idx[g], weights) for g in genomes]
     assert bits(fits) == bits(expected)
-    assert bits(problem.fitness_of(g) for g in genomes) == bits(expected)
+    assert bits(map(problem.scorer(), genomes.astype(problem.key_dtype))) == bits(expected)
 
 
 def test_fitness_many_takes_intp_and_narrow_genomes_alike():
@@ -360,7 +362,7 @@ def test_fitness_many_takes_intp_and_narrow_genomes_alike():
     assert genomes.dtype == np.intp and rows == [6]
     narrow = genomes.astype(problem.key_dtype)
     assert bits(problem.fitness_many(narrow)) == bits(wide)
-    assert bits(problem.fitness_of(g) for g in narrow) == bits(wide)
+    assert bits(map(problem.scorer(), narrow)) == bits(wide)
     assert rows == [6] and len(problem._cache) == 6
 
 

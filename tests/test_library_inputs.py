@@ -154,6 +154,18 @@ def test_optimizers_refuse_a_repeated_or_unknown_id_by_name(optimizer, nodes, ta
         OPTIMIZERS[optimizer](nodes, tasks)
 
 
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+@pytest.mark.parametrize("empty", [lambda: iter([]), lambda: None], ids=["iterator", "None"])
+@pytest.mark.parametrize("side,fault", [
+    ("tasks", "task set must be nonempty"), ("nodes", "candidate node set must be nonempty"),
+])
+def test_optimizers_refuse_an_empty_set_of_ids(optimizer, empty, side, fault):
+    # an iterator is truthy even when it yields nothing, so the set is checked once sorted
+    nodes, tasks = (empty(), TASK_IDS) if side == "nodes" else (NODES, empty())
+    with pytest.raises(ValueError, match=f"^{fault}$"):
+        OPTIMIZERS[optimizer](nodes, tasks)
+
+
 @pytest.mark.parametrize("order,fault", [
     ({0: (0, 3, 0), 1: (1,), 2: (2,)}, "task 0: duplicate id"),
     ({0: (0,), 1: (1, 0)}, "task 0: duplicate id"),

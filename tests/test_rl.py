@@ -229,8 +229,9 @@ def test_rl_episode_scores_on_the_instance_and_weights_it_is_called_with(small_i
     for instance, weights in ((other, unit_weights), (small_instance, FitnessWeights(w_energy=2.0))):
         nxt = rl_episode(state, instance, weights, config, np.random.default_rng(5))
         problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, weights, 1)
-        assert nxt.fitness == problem.fitness_of(nxt.assignment)
-        assert nxt.fitness != stale.fitness_of(nxt.assignment)
+        genome = nxt.assignment.astype(problem.key_dtype)
+        assert nxt.fitness == problem.scorer()(genome)
+        assert nxt.fitness != stale.scorer()(genome)
 
 
 def test_a_stepped_state_pickles_and_copies(small_instance, unit_weights):

@@ -36,21 +36,23 @@ def synthetic_fitness(n, k, seed):
     return lambda sampled: float(cost[tasks, sampled].sum())
 
 
-def replay_both(n, k, config, episodes, seed, fitness_of=None, stepper="numpy", list_fitness=None):
+def replay_both(n, k, config, episodes, seed, fitness_of=None, stepper="numpy", score=None):
     """Run the reference and ``stepper`` from uniform preferences and the
     same generator seed; returns per-episode (sampled, fitness) of each,
     both final preference matrices in ``(n, k)`` form and how often each
-    branch ran.  The list stepper scores with ``list_fitness`` if given,
-    else with ``fitness_of``."""
+    branch ran.  The reference scores its ``intp`` samples with
+    ``fitness_of``, ``stepper`` with ``score`` if given, else with
+    ``fitness_of``."""
     fitness_of = fitness_of or synthetic_fitness(n, k, seed)
     reference = np.full((n, k), 1.0 / k)
     matrix = np.full((k, n), 1.0 / k)
     ref_step = reference_stepper(fitness_of, config, n, k)
     if stepper == "numpy":
-        new_step, start = _stepper(fitness_of, config, matrix), np.zeros(n, dtype=np.intp)
+        start = np.zeros(n, dtype=np.min_scalar_type(k - 1))
+        new_step = _stepper(score or fitness_of, config, matrix)
     else:
         policy = matrix.ravel().tolist()
-        new_step, start = _list_stepper(list_fitness or fitness_of, config, policy, n), [0] * n
+        new_step, start = _list_stepper(score or fitness_of, config, policy, n), [0] * n
     runs = []
     branches = {"reinforced": 0, "decayed": 0}
     ref_start = np.zeros(n, dtype=np.intp)
@@ -75,8 +77,8 @@ def assert_replays_agree(runs, reference, final):
     for (ref_sampled, ref_fit), (sampled, fit) in zip(*runs):
         if isinstance(sampled, list):
             assert set(map(type, sampled)) == {int}
-        else:
-            assert sampled.dtype == ref_sampled.dtype
+        else:  # the key dtype of the policy's candidates
+            assert sampled.dtype == np.min_scalar_type(reference.shape[1] - 1)
         assert np.array_equal(sampled, ref_sampled)
         assert fit == ref_fit
     assert len(runs[0]) == len(runs[1])
@@ -149,18 +151,20 @@ def test_stepper_matches_reference(data):
 
 @pytest.mark.parametrize("n_tasks,n_nodes", [(6, 3), (40, 9), (200, 20)])
 def test_stepper_matches_reference_on_instance(n_tasks, n_nodes):
-    # real fitnesses from the optimizers' sub-problem; the list stepper
-    # finds the reference's samples in its cache through list_scorer().
-    # Each stepper and the reference make 150 requests
+    # real fitnesses from the optimizers' sub-problem; both steppers find
+    # the reference's samples, converted to the key dtype, in its cache
+    # through scorer().  Each stepper and the reference make 150 requests
     instance = make_instance(n_tasks, n_nodes, seed=n_tasks)
     problem = _SubProblem(
         instance, [node.id for node in instance.topology.nodes],
         [t.id for t in instance.tasks], FitnessWeights(), 2 * len(STEPPERS) * 150,
     )
+    score = problem.scorer()
     for stepper in steppers(n_nodes):
         runs, reference, final, branches = replay_both(
-            n_tasks, n_nodes, RlConfig(), episodes=150, seed=3, fitness_of=problem.fitness_of,
-            stepper=stepper, list_fitness=problem.list_scorer(),
+            n_tasks, n_nodes, RlConfig(), episodes=150, seed=3,
+            fitness_of=lambda sampled: score(sampled.astype(problem.key_dtype)),
+            stepper=stepper, score=score,
         )
         assert_replays_agree(runs, reference, final)
         assert branches["reinforced"] > 0 and branches["decayed"] > 0
@@ -196,7 +200,9 @@ def test_rl_optimize_replays_reference_loop(monkeypatch, unit_weights):
         problem = _SubProblem(instance, state.candidate_nodes, state.task_ids, unit_weights,
                               config.episodes)
         preference = np.array(state.preference)
-        step = reference_stepper(problem.fitness_of, config, *preference.shape)
+        score = problem.scorer()
+        step = reference_stepper(lambda sampled: score(sampled.astype(problem.key_dtype)), config,
+                                 *preference.shape)
         rng = np.random.default_rng(config.rng_seed + 1)
         assignment, fitness, best = state.assignment, state.fitness, state.best_seen[1]
         exploration = state.exploration
@@ -258,7 +264,7 @@ def test_steppers_agree_from_a_negative_zero_preference(floor, exploration_rate)
     matrix, policy = start.copy(), start.ravel().tolist()
     runs = []
     for step, assignment in (
-        (_stepper(fitness_of, config, matrix), np.zeros(n, dtype=np.intp)),
+        (_stepper(fitness_of, config, matrix), np.zeros(n, dtype=np.uint8)),
         (_list_stepper(fitness_of, config, policy, n), [0] * n),
     ):
         rng = np.random.default_rng(5)
