@@ -297,15 +297,16 @@ class _SubProblem:
         evaluator: Evaluator = _evaluator(instance)  # refuses an instance that breaks a rule
         self.instance = instance
         self.weights = weights
-        # checked once sorted, as an empty iterator is truthy; None reads as empty
-        self.task_ids = sorted(tasks or ())
-        self.candidates = sorted(candidate_nodes or ())
-        if not self.candidates:
+        # checked as lists, as an empty iterator is truthy, and before the
+        # sort, which a mixed-type list would fail; None reads as empty
+        task_ids, candidates = list(tasks or ()), list(candidate_nodes or ())
+        if not candidates:
             raise ValueError("candidate node set must be nonempty")
-        if not self.task_ids:
+        if not task_ids:
             raise ValueError("task set must be nonempty")
-        _check_ids("task", self.task_ids, evaluator._task_index)
-        _check_ids("candidate node", self.candidates, evaluator._node_index)
+        _check_ids("task", task_ids, evaluator._task_index)
+        _check_ids("candidate node", candidates, evaluator._node_index)
+        self.task_ids, self.candidates = sorted(task_ids), sorted(candidates)
         self.candidate_idx = np.array(
             [evaluator.node_index(c) for c in self.candidates], dtype=np.intp
         )

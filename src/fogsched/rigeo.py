@@ -16,6 +16,9 @@ from fractions import Fraction
 from functools import partial
 from statistics import fmean
 
+import numpy as np
+
+from .geo import _SubProblem
 from .igeo import IgeoParams, igeo_optimize
 from .metrics import FitnessWeights, MetricsReport, _evaluator, evaluate
 from .model import Assignment, Instance, Number, Topology, merge_assignments
@@ -129,14 +132,21 @@ def rigeo_schedule(
     """Classify, partition, optimize both halves, merge, and re-evaluate the
     merged schedule jointly (so queue waits reflect all co-located tasks).
 
-    The two halves run at the same time in two processes: the RL half in a
-    child made with ``os.fork`` (raw fork, so it also works inside a daemonic
-    ``multiprocessing`` pool worker), the IGEO half in this process.  They
-    share no state that changes during the search (disjoint task sets, their
-    own seeded RNG streams and fitness caches), so the result is bit for bit
-    what running them one after the other gives.  The RL half is called
-    inline instead where ``os.fork`` does not exist or where more than one
-    thread runs (a fork copies locks other threads may hold).
+    A half whose node class holds a single node is not searched: every
+    genome its optimizer could draw places each task on that node, so that
+    one schedule, scored once, is the assignment and fitness the optimizer
+    would return after its whole budget (``_only_schedule``).
+
+    Where both halves search, they run at the same time in two processes:
+    the RL half in a child made with ``os.fork`` (raw fork, so it also works
+    inside a daemonic ``multiprocessing`` pool worker), the IGEO half in
+    this process.  They share no state that changes during the search
+    (disjoint task sets, their own seeded RNG streams and fitness caches),
+    so the result is bit for bit what running them one after the other
+    gives.  The RL half is called inline, after the IGEO half, where the
+    IGEO half does not search, where ``os.fork`` does not exist or where
+    more than one thread runs (a fork copies locks other threads may hold).
+    Either way an error of the IGEO half is the one raised.
 
     An empty low-traffic class (every node at the mean) falls back to the
     full node set for the IGEO half; the high-traffic class holds at least
@@ -161,15 +171,17 @@ def rigeo_schedule(
     igeo_fitness = None
     rl_fitness = None
     finish_rl = None
+    igeo_searches = bool(partition.low_deadline_tasks) and len(low_nodes) > 1
     if partition.high_deadline_tasks:
-        finish_rl = _start_rl_half(partial(
-            rl_optimize, instance, high_nodes, partition.high_deadline_tasks, rl_config, weights
-        ))
+        finish_rl = _start_rl_half(
+            _half_call(rl_optimize, instance, high_nodes, partition.high_deadline_tasks, rl_config, weights),
+            fork=igeo_searches and len(high_nodes) > 1,
+        )
     try:
         if partition.low_deadline_tasks:
-            sub, igeo_fitness = igeo_optimize(
-                instance, low_nodes, partition.low_deadline_tasks, igeo_params, weights
-            )
+            sub, igeo_fitness = _half_call(
+                igeo_optimize, instance, low_nodes, partition.low_deadline_tasks, igeo_params, weights
+            )()
             parts.append(sub)
     except BaseException:
         if finish_rl is not None:
@@ -189,7 +201,25 @@ def rigeo_schedule(
     return merged, report
 
 
-def _start_rl_half(call):
+def _half_call(optimize, instance: Instance, nodes, tasks, search, weights: FitnessWeights):
+    """The call that schedules one half: ``optimize`` with the ``search``
+    parameters, or ``_only_schedule`` where ``nodes`` is a single node."""
+    if len(nodes) == 1:
+        return partial(_only_schedule, instance, nodes, tasks, weights)
+    return partial(optimize, instance, nodes, tasks, search, weights)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as the optimizers
+def _only_schedule(instance: Instance, nodes, tasks, weights: FitnessWeights) -> tuple:
+    """(assignment, fitness) of every task on the single node of ``nodes``,
+    the one genome of the space; the optimizers' subproblem refuses the
+    same ids and stranded tasks, and scores it to the same bits."""
+    problem = _SubProblem(instance, nodes, tasks, weights, 1)
+    genome = np.zeros(problem.dim, problem.key_dtype)
+    return problem.to_assignment(genome), float(problem.scorer()(genome))
+
+
+def _start_rl_half(call, fork=True):
     """Start ``call()`` in a forked child and return ``finish``.
 
     ``finish()`` waits for the child and returns the call's result, or
@@ -197,8 +227,9 @@ def _start_rl_half(call):
     ``RuntimeError`` naming its type); ``finish(kill=True)`` kills the
     child instead.  Either way the child is reaped.  The child sends its
     pickled outcome through a pipe and ends with ``os._exit``, running no
-    exit handlers and flushing no inherited buffers.  Where ``os.fork`` is
-    missing or other threads run, ``finish()`` makes the call inline.
+    exit handlers and flushing no inherited buffers.  Where ``fork`` is
+    false, ``os.fork`` is missing or other threads run, ``finish()`` makes
+    the call inline.
 
     "Other threads" are the Python threads ``threading`` knows of.  A
     native pool such as OpenBLAS's is not counted: its threads run no
@@ -207,7 +238,7 @@ def _start_rl_half(call):
     Python 3.12 counts OS threads for its fork ``DeprecationWarning``, so
     the warning can name that pool; with ``OPENBLAS_NUM_THREADS=1`` it
     shows only a thread of the caller's own."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if not fork or not hasattr(os, "fork") or threading.active_count() > 1:
         return lambda kill=False: None if kill else call()
     read_fd, write_fd = os.pipe()
     pid = os.fork()

@@ -147,9 +147,16 @@ OPTIMIZERS = {
     (NODES, [0, 999], "task 999: unknown id"),
     ([0, 1, 1], TASK_IDS, "candidate node 1: duplicate id"),
     ([0, 999], TASK_IDS, "candidate node 999: unknown id"),
-], ids=["task-repeated", "task-unknown", "candidate-repeated", "candidate-unknown"])
+    (NODES, [0, None], "task None: unknown id"),
+    (NODES, [0, "1"], "task 1: unknown id"),
+    ([0, None], TASK_IDS, "candidate node None: unknown id"),
+    ([0, "1"], TASK_IDS, "candidate node 1: unknown id"),
+], ids=["task-repeated", "task-unknown", "candidate-repeated", "candidate-unknown",
+        "task-None", "task-str", "candidate-None", "candidate-str"])
 def test_optimizers_refuse_a_repeated_or_unknown_id_by_name(optimizer, nodes, tasks, fault):
-    # a repeated task would be scored twice, and an unknown one raised a bare KeyError
+    # a repeated task would be scored twice, and an unknown one raised a bare
+    # KeyError; an id of another type than its list's other ids is named
+    # before the ids are sorted, which would raise a bare TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
         OPTIMIZERS[optimizer](nodes, tasks)
 
@@ -160,7 +167,7 @@ def test_optimizers_refuse_a_repeated_or_unknown_id_by_name(optimizer, nodes, ta
     ("tasks", "task set must be nonempty"), ("nodes", "candidate node set must be nonempty"),
 ])
 def test_optimizers_refuse_an_empty_set_of_ids(optimizer, empty, side, fault):
-    # an iterator is truthy even when it yields nothing, so the set is checked once sorted
+    # an iterator is truthy even when it yields nothing, so the set is checked once listed
     nodes, tasks = (empty(), TASK_IDS) if side == "nodes" else (NODES, empty())
     with pytest.raises(ValueError, match=f"^{fault}$"):
         OPTIMIZERS[optimizer](nodes, tasks)

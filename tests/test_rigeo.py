@@ -24,11 +24,15 @@ from fogsched import (
     RlConfig,
     ScenarioConfig,
     Topology,
+    calibrate_weights,
     classify_nodes,
+    evaluate,
     generate_scenario,
     igeo_optimize,
+    merge_assignments,
     partition_tasks,
     rigeo_schedule,
+    rl_optimize,
 )
 from fogsched import rigeo
 from fogsched.model import validate_assignment
@@ -333,12 +337,12 @@ def _two_tasks(traffic):
 
 
 _CASES = {  # name -> (instance factory, deadline threshold, forks)
-    "6x3": (lambda: make_instance(6, 3, seed=6), "mean", 1),
+    "6x3": (lambda: make_instance(6, 3, seed=6), "mean", 0),  # one class is a single node
     "40x5": (lambda: make_instance(40, 5, seed=40), "mean", 1),
     "200x20": (lambda: make_instance(200, 20, seed=200), "mean", 1),
     "no-low-traffic-node": (lambda: _two_tasks([0.5, 0.5]), "mean", 1),  # all at the mean
     "all-low-deadline": (_routing_instance, 1e9, 0),
-    "all-high-deadline": (_routing_instance, 0.0, 1),
+    "all-high-deadline": (_routing_instance, 0.0, 0),  # no IGEO half: the RL half runs inline
 }
 
 
@@ -352,6 +356,137 @@ def test_forked_and_inline_rl_half_give_the_same_bits(monkeypatch, forks, unit_w
     assert len(forks) == n_forks
     monkeypatch.delattr(os, "fork")
     assert _rigeo_digest(make(), unit_weights, threshold) == forked
+
+
+# ---------------------------------------------------------------------------
+# A half whose node class is a single node has one schedule; it is scored,
+# not searched, and the RL half forks only where both halves search.
+
+
+def _graph_instance(n_nodes, traffic, specs=((200.0, 10.0, 100.0), (200.0, 10.0, 900.0))):
+    """Nodes 0..n_nodes-1 linked as ``traffic`` maps node pairs to traffic
+    loads; every device enters at node 0.  By default task 0 has the tight
+    deadline and task 1 the relaxed one."""
+    nodes = tuple(
+        FogNode(id=j, mips=1000.0, active_power=100.0, idle_power=10.0) for j in range(n_nodes)
+    )
+    links = tuple(
+        Link(endpoints=pair, bandwidth=100.0, propagation_delay=1.0, traffic_load=load)
+        for pair, load in traffic.items()
+    )
+    tasks = simple_tasks(specs)
+    gateways = {t.source_device: 0 for t in tasks}
+    return Instance(Topology(nodes=nodes, links=links, device_gateways=gateways), tasks)
+
+
+# node traffics 0.3, 0.3, 0 (mean 0.2) and 0.3, 0.3, 0.6 (mean 0.4)
+_ONE_LOW_NODE = {(0, 1): 0.6, (1, 2): 0.0, (0, 2): 0.0}  # low {2}, high {0, 1}
+_ONE_HIGH_NODE = {(0, 1): 0.0, (1, 2): 0.6, (0, 2): 0.6}  # low {0, 1}, high {2}
+_HALVES = {  # half -> (optimizer, links, threshold that gives that half every task)
+    "igeo": (igeo_optimize, _ONE_LOW_NODE, 1e9),
+    "rl": (rl_optimize, _ONE_HIGH_NODE, 0.0),
+}
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refuse
+
+
+@pytest.mark.parametrize("half", list(_HALVES))
+def test_a_one_node_class_calls_no_optimizer_and_forks_nothing(monkeypatch, forks, unit_weights, half):
+    optimize, traffic, threshold = _HALVES[half]
+    search = _SMALL_SEARCH[0] if half == "igeo" else _SMALL_SEARCH[1]
+    direct, _ = optimize(_graph_instance(3, traffic), [2], [0, 1], search, unit_weights)
+    assert set(direct.mapping.values()) == {2}
+    monkeypatch.setattr(rigeo, "igeo_optimize", _refuse("igeo_optimize"))
+    monkeypatch.setattr(rigeo, "rl_optimize", _refuse("rl_optimize"))
+    instance = _graph_instance(3, traffic)
+    result = rigeo_schedule(instance, *_SMALL_SEARCH, unit_weights, threshold_policy=threshold)
+    expected = evaluate(instance, merge_assignments(instance.tasks, direct), unit_weights)
+    assert pickle.dumps(result) == pickle.dumps((direct, expected))
+    assert forks == []
+
+
+def _optimized_halves(instance, weights, path):
+    """RIGEO's pickled merged (assignment, report) and the bytes of its
+    summary, written to ``path``, each half scheduled by calling its
+    optimizer directly."""
+    classification = classify_nodes(instance.topology)
+    partition = partition_tasks(instance.tasks)
+    low_nodes = classification.low_traffic_nodes or classification.high_traffic_nodes
+    igeo_sub, igeo_fitness = igeo_optimize(
+        instance, low_nodes, partition.low_deadline_tasks, _SMALL_SEARCH[0], weights)
+    rl_sub, rl_fitness = rl_optimize(
+        instance, classification.high_traffic_nodes, partition.high_deadline_tasks,
+        _SMALL_SEARCH[1], weights)
+    merged = merge_assignments(instance.tasks, igeo_sub, rl_sub)
+    report = evaluate(instance, merged, weights)
+    rigeo._write_summary(path, classification, partition, igeo_fitness, rl_fitness, merged, report)
+    return pickle.dumps((merged, report)), path.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(6, 3, 0), (6, 3, 14), (6, 3, 28), (6, 3, 56), (8, 4, 0)],
+                         ids=lambda shape: "{}x{}-seed{}".format(*shape))
+@pytest.mark.parametrize("calibrated", [False, True], ids=["unit", "calibrated"])
+def test_a_one_node_half_gives_its_optimizers_bits(tmp_path, forks, shape, calibrated):
+    n_tasks, n_nodes, seed = shape
+    weights = (calibrate_weights(make_instance(*shape), 1.0, 1.0, 1.0, seed=seed)
+               if calibrated else FitnessWeights())
+    instance = make_instance(*shape)  # a fresh fitness cache for each side
+    classification = classify_nodes(instance.topology)
+    assert 1 in (len(classification.low_traffic_nodes), len(classification.high_traffic_nodes))
+    path = tmp_path / "summary.json"
+    result = rigeo_schedule(instance, *_SMALL_SEARCH, weights, summary_path=path)
+    assert forks == []
+    expected = _optimized_halves(make_instance(*shape), weights, tmp_path / "expected.json")
+    assert (pickle.dumps(result), path.read_bytes()) == expected
+
+
+# node 2 has no link (traffic 0, the low class); in the second instance node
+# 3 is the busiest node of a triangle {2, 3, 4} that node 0 cannot reach
+_UNREACHABLE = {
+    "igeo": (3, {(0, 1): 0.8}, 0),
+    "rl": (5, {(0, 1): 0.5, (2, 3): 1.0, (3, 4): 1.0, (2, 4): 0.0}, 1),
+}
+
+
+@pytest.mark.parametrize("half", list(_UNREACHABLE))
+def test_a_one_node_class_out_of_reach_raises_no_route(forks, unit_weights, half):
+    n_nodes, traffic, task_id = _UNREACHABLE[half]
+    instance = _graph_instance(n_nodes, traffic)
+    classification = classify_nodes(instance.topology)
+    single = classification.low_traffic_nodes if half == "igeo" else classification.high_traffic_nodes
+    assert single == ({2} if half == "igeo" else {3})
+    message = f"no route from gateway of task {task_id} to any candidate node"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rigeo_schedule(instance, *_SMALL_SEARCH, unit_weights)
+    assert forks == []
+
+
+def _fail(message):
+    def fail(*args, **kwargs):
+        raise ValueError(message)
+
+    return fail
+
+
+@pytest.mark.parametrize("case,n_forks", [("both-search", 1), ("igeo-one-node", 0), ("rl-one-node", 0)])
+def test_the_igeo_half_error_wins_when_both_halves_raise(monkeypatch, forks, unit_weights, case, n_forks):
+    monkeypatch.setattr(rigeo, "igeo_optimize", _fail("the IGEO half failed"))
+    monkeypatch.setattr(rigeo, "rl_optimize", _fail("the RL half failed"))
+    if case == "both-search":
+        instance, message = _routing_instance(), "the IGEO half failed"
+    elif case == "igeo-one-node":
+        instance = _graph_instance(*_UNREACHABLE["igeo"][:2])
+        message = "no route from gateway of task 0 to any candidate node"
+    else:  # the RL half's single node is out of reach
+        instance, message = _graph_instance(*_UNREACHABLE["rl"][:2]), "the IGEO half failed"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rigeo_schedule(instance, *_SMALL_SEARCH, unit_weights)
+    assert len(forks) == n_forks
 
 
 def test_rl_half_runs_inline_while_another_thread_runs(forks, unit_weights):
