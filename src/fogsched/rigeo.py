@@ -173,10 +173,10 @@ def rigeo_schedule(
     finish_rl = None
     igeo_searches = bool(partition.low_deadline_tasks) and len(low_nodes) > 1
     if partition.high_deadline_tasks:
-        finish_rl = _start_rl_half(
-            _half_call(rl_optimize, instance, high_nodes, partition.high_deadline_tasks, rl_config, weights),
-            fork=igeo_searches and len(high_nodes) > 1,
+        rl_half = _half_call(
+            rl_optimize, instance, high_nodes, partition.high_deadline_tasks, rl_config, weights
         )
+        finish_rl = _start_rl_half(rl_half, fork=igeo_searches and len(high_nodes) > 1)
     try:
         if partition.low_deadline_tasks:
             sub, igeo_fitness = _half_call(
@@ -219,7 +219,7 @@ def _only_schedule(instance: Instance, nodes, tasks, weights: FitnessWeights) ->
     return problem.to_assignment(genome), float(problem.scorer()(genome))
 
 
-def _start_rl_half(call, fork=True):
+def _start_rl_half(call, fork: bool):
     """Start ``call()`` in a forked child and return ``finish``.
 
     ``finish()`` waits for the child and returns the call's result, or

@@ -363,10 +363,10 @@ def test_forked_and_inline_rl_half_give_the_same_bits(monkeypatch, forks, unit_w
 # not searched, and the RL half forks only where both halves search.
 
 
-def _graph_instance(n_nodes, traffic, specs=((200.0, 10.0, 100.0), (200.0, 10.0, 900.0))):
+def _graph_instance(n_nodes, traffic):
     """Nodes 0..n_nodes-1 linked as ``traffic`` maps node pairs to traffic
-    loads; every device enters at node 0.  By default task 0 has the tight
-    deadline and task 1 the relaxed one."""
+    loads; every device enters at node 0.  Task 0 has the tight deadline
+    and task 1 the relaxed one."""
     nodes = tuple(
         FogNode(id=j, mips=1000.0, active_power=100.0, idle_power=10.0) for j in range(n_nodes)
     )
@@ -374,7 +374,7 @@ def _graph_instance(n_nodes, traffic, specs=((200.0, 10.0, 100.0), (200.0, 10.0,
         Link(endpoints=pair, bandwidth=100.0, propagation_delay=1.0, traffic_load=load)
         for pair, load in traffic.items()
     )
-    tasks = simple_tasks(specs)
+    tasks = simple_tasks([(200.0, 10.0, 100.0), (200.0, 10.0, 900.0)])
     gateways = {t.source_device: 0 for t in tasks}
     return Instance(Topology(nodes=nodes, links=links, device_gateways=gateways), tasks)
 
@@ -382,27 +382,26 @@ def _graph_instance(n_nodes, traffic, specs=((200.0, 10.0, 100.0), (200.0, 10.0,
 # node traffics 0.3, 0.3, 0 (mean 0.2) and 0.3, 0.3, 0.6 (mean 0.4)
 _ONE_LOW_NODE = {(0, 1): 0.6, (1, 2): 0.0, (0, 2): 0.0}  # low {2}, high {0, 1}
 _ONE_HIGH_NODE = {(0, 1): 0.0, (1, 2): 0.6, (0, 2): 0.6}  # low {0, 1}, high {2}
-_HALVES = {  # half -> (optimizer, links, threshold that gives that half every task)
-    "igeo": (igeo_optimize, _ONE_LOW_NODE, 1e9),
-    "rl": (rl_optimize, _ONE_HIGH_NODE, 0.0),
+_HALVES = {  # half -> (optimizer, its search, links, threshold that gives that half every task)
+    "igeo": (igeo_optimize, _SMALL_SEARCH[0], _ONE_LOW_NODE, 1e9),
+    "rl": (rl_optimize, _SMALL_SEARCH[1], _ONE_HIGH_NODE, 0.0),
 }
 
 
-def _refuse(name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
+def _fail(message):
+    def fail(*args, **kwargs):
+        raise ValueError(message)
 
-    return refuse
+    return fail
 
 
 @pytest.mark.parametrize("half", list(_HALVES))
 def test_a_one_node_class_calls_no_optimizer_and_forks_nothing(monkeypatch, forks, unit_weights, half):
-    optimize, traffic, threshold = _HALVES[half]
-    search = _SMALL_SEARCH[0] if half == "igeo" else _SMALL_SEARCH[1]
+    optimize, search, traffic, threshold = _HALVES[half]
     direct, _ = optimize(_graph_instance(3, traffic), [2], [0, 1], search, unit_weights)
     assert set(direct.mapping.values()) == {2}
-    monkeypatch.setattr(rigeo, "igeo_optimize", _refuse("igeo_optimize"))
-    monkeypatch.setattr(rigeo, "rl_optimize", _refuse("rl_optimize"))
+    monkeypatch.setattr(rigeo, "igeo_optimize", _fail("igeo_optimize was called"))
+    monkeypatch.setattr(rigeo, "rl_optimize", _fail("rl_optimize was called"))
     instance = _graph_instance(3, traffic)
     result = rigeo_schedule(instance, *_SMALL_SEARCH, unit_weights, threshold_policy=threshold)
     expected = evaluate(instance, merge_assignments(instance.tasks, direct), unit_weights)
@@ -432,8 +431,7 @@ def _optimized_halves(instance, weights, path):
                          ids=lambda shape: "{}x{}-seed{}".format(*shape))
 @pytest.mark.parametrize("calibrated", [False, True], ids=["unit", "calibrated"])
 def test_a_one_node_half_gives_its_optimizers_bits(tmp_path, forks, shape, calibrated):
-    n_tasks, n_nodes, seed = shape
-    weights = (calibrate_weights(make_instance(*shape), 1.0, 1.0, 1.0, seed=seed)
+    weights = (calibrate_weights(make_instance(*shape), 1.0, 1.0, 1.0, seed=shape[2])
                if calibrated else FitnessWeights())
     instance = make_instance(*shape)  # a fresh fitness cache for each side
     classification = classify_nodes(instance.topology)
@@ -464,13 +462,6 @@ def test_a_one_node_class_out_of_reach_raises_no_route(forks, unit_weights, half
     with pytest.raises(ValueError, match=f"^{message}$"):
         rigeo_schedule(instance, *_SMALL_SEARCH, unit_weights)
     assert forks == []
-
-
-def _fail(message):
-    def fail(*args, **kwargs):
-        raise ValueError(message)
-
-    return fail
 
 
 @pytest.mark.parametrize("case,n_forks", [("both-search", 1), ("igeo-one-node", 0), ("rl-one-node", 0)])
